@@ -4,52 +4,20 @@ The top-level API:
 
 - :func:`detect_changepoints` runs the full scan / segment-test /
   multiple-testing pipeline on a 1-D series.
-- :mod:`arcpd.simulate` generates piecewise ARMA benchmark data.
+- :func:`simulate_piecewise` and :func:`builtin_model` generate the
+  paper's piecewise ARMA benchmark data (:mod:`arcpd.simulate`).
 - :mod:`arcpd.bench` reproduces detection-rate tables over seeded
   replicates.
 
-See the CLI (``arcpd detect|simulate|bench``) for file-based use.
+The stage modules (:mod:`arcpd.ar`, :mod:`arcpd.scan`, :mod:`arcpd.sdtest`,
+:mod:`arcpd.multtest`) hold the building blocks.  See the CLI
+(``arcpd detect|simulate|bench``) for file-based use.
 """
 
-from .ar import (
-    ARFit,
-    AutocovSeq,
-    DegenerateFitError,
-    bic_select_order,
-    conditional_loglik,
-    fit_ar,
-    levinson_durbin,
-    mean_correct,
-    sample_autocov,
-)
-from .multtest import MultipleTestOutcome, bh_procedure, bonferroni_procedure
-from .pipeline import (
-    BoundaryTest,
-    ChangePointReport,
-    DetectConfig,
-    detect_changepoints,
-)
-from .scan import (
-    CandidateSet,
-    ScanConfig,
-    ScanProfile,
-    SeriesTooShortError,
-    default_window,
-    extract_candidates,
-    scan_statistics,
-)
-from .sdtest import (
-    DiscriminationResult,
-    OrderMode,
-    SegmentTooShortError,
-    chi_sq_upper_tail,
-    discrimination_test,
-    fixed_order,
-    pooled_autocov,
-)
+from .pipeline import ChangePointReport, DetectConfig, detect_changepoints
+from .scan import SeriesTooShortError
+from .sdtest import OrderMode
 from .simulate import (
-    ArmaSpec,
-    PiecewiseSpec,
     builtin_model,
     builtin_model_names,
     replicate_seed,
@@ -59,40 +27,13 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ARFit",
-    "ArmaSpec",
-    "AutocovSeq",
-    "BoundaryTest",
-    "CandidateSet",
     "ChangePointReport",
-    "DegenerateFitError",
     "DetectConfig",
-    "DiscriminationResult",
-    "MultipleTestOutcome",
     "OrderMode",
-    "PiecewiseSpec",
-    "ScanConfig",
-    "ScanProfile",
-    "SegmentTooShortError",
     "SeriesTooShortError",
-    "bh_procedure",
-    "bic_select_order",
-    "bonferroni_procedure",
     "builtin_model",
     "builtin_model_names",
-    "chi_sq_upper_tail",
-    "conditional_loglik",
-    "default_window",
     "detect_changepoints",
-    "discrimination_test",
-    "extract_candidates",
-    "fit_ar",
-    "fixed_order",
-    "levinson_durbin",
-    "mean_correct",
-    "pooled_autocov",
     "replicate_seed",
-    "sample_autocov",
-    "scan_statistics",
     "simulate_piecewise",
 ]

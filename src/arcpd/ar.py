@@ -1,4 +1,4 @@
-"""Autoregressive fitting kernel: autocovariances, Levinson-Durbin, likelihoods.
+"""Autoregressive fitting kernel: autocovariances, Levinson-Durbin, BIC order.
 
 A time series is a 1-D float array.  Everything here treats the input as
 already mean-corrected unless noted; use :func:`mean_correct` first.
@@ -27,8 +27,6 @@ __all__ = [
     "mean_correct",
     "sample_autocov",
     "levinson_durbin",
-    "conditional_loglik",
-    "fit_ar",
     "bic_select_order",
 ]
 
@@ -65,12 +63,11 @@ class AutocovSeq:
 
 @dataclass(frozen=True)
 class ARFit:
-    """AR(p) fit: whitening coefficients, innovation variance, optional loglik."""
+    """AR(p) fit: whitening coefficients and innovation variance."""
 
     order: int
     coeffs: np.ndarray
     sigma2: float
-    loglik: float | None = None
 
 
 def mean_correct(values) -> np.ndarray:
@@ -98,23 +95,21 @@ def sample_autocov(values, max_lag: int) -> AutocovSeq:
 
 
 def _levinson_path(gamma: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Run the recursion up to `order`.
+    """Run the recursion up to `order`, or to the last order it reaches.
 
     Returns (phi, sigma2s) where phi[p-1, :p] are the predictor coefficients
     of the order-p solution (x[t] ~ sum phi_j x[t-j]) and sigma2s[p] is the
-    innovation variance at order p.  Raises DegenerateFitError if a stage
-    cannot be completed.
+    innovation variance at order p, for p = 0..len(sigma2s) - 1.  Entering
+    order m needs a positive, finite sigma2s[m-1]; where it is not, the path
+    stops at order m - 1.
     """
     sigma2s = np.empty(order + 1)
     sigma2s[0] = gamma[0]
-    phi = np.zeros((order, order)) if order else np.zeros((0, 0))
+    phi = np.zeros((order, order))
     for m in range(1, order + 1):
         prev = sigma2s[m - 1]
         if not (prev > 0.0) or not math.isfinite(prev):
-            raise DegenerateFitError(
-                f"Levinson-Durbin broke down entering order {m}: "
-                f"residual variance {float(prev)!r} at order {m - 1}"
-            )
+            return phi, sigma2s[:m]
         acc = gamma[m]
         if m > 1:
             acc -= phi[m - 2, : m - 1] @ gamma[m - 1 : 0 : -1]
@@ -139,8 +134,8 @@ def levinson_durbin(acov: AutocovSeq, order: int) -> ARFit:
     ValueError
         if the autocovariance sequence is shorter than the order requires.
     DegenerateFitError
-        if gamma[0] <= 0 with order >= 1, or a recursion stage yields a
-        non-positive residual variance.
+        if a recursion stage below `order` yields a non-positive (or
+        non-finite) residual variance, gamma[0] included.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -149,14 +144,14 @@ def levinson_durbin(acov: AutocovSeq, order: int) -> ARFit:
         raise ValueError(
             f"need autocovariances to lag {order}, have {len(gamma) - 1}"
         )
-    if order == 0:
-        return ARFit(order=0, coeffs=np.empty(0), sigma2=float(gamma[0]))
-    if not gamma[0] > 0.0:
-        raise DegenerateFitError(
-            "Levinson-Durbin broke down entering order 1: gamma[0] is not positive"
-        )
     phi, sigma2s = _levinson_path(gamma, order)
-    coeffs = -phi[order - 1, :order].copy()
+    reached = len(sigma2s) - 1
+    if reached < order:
+        raise DegenerateFitError(
+            f"Levinson-Durbin broke down entering order {reached + 1}: "
+            f"residual variance {float(sigma2s[reached])!r} at order {reached}"
+        )
+    coeffs = -phi[order - 1, :order] if order else np.empty(0)
     return ARFit(order=order, coeffs=coeffs, sigma2=float(sigma2s[order]))
 
 
@@ -172,66 +167,40 @@ def _whitening_residuals(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return e
 
 
-def conditional_loglik(values, fit: ARFit) -> float:
-    """Gaussian log-likelihood conditional on the first `order` observations.
-
-    Sums log N(e[t]; 0, sigma2) over t = order..T-1; the first `order`
-    points seed the filter and contribute no terms.
-    """
-    x = as_series(values)
-    if fit.sigma2 <= 0.0:
-        raise ValueError("conditional_loglik requires sigma2 > 0")
-    if len(x) <= fit.order:
-        raise ValueError(
-            f"series of length {len(x)} too short for order {fit.order}"
-        )
-    e = _whitening_residuals(x, fit.coeffs)
-    n = len(e)
-    return float(-0.5 * (n * (LOG_2PI + math.log(fit.sigma2)) + e @ e / fit.sigma2))
-
-
-def fit_ar(values, order: int) -> ARFit:
-    """Yule-Walker fit of a mean-corrected series, with loglik filled in."""
-    x = as_series(values)
-    if len(x) <= order:
-        raise ValueError(f"series of length {len(x)} too short for order {order}")
-    fit = levinson_durbin(sample_autocov(x, order), order)
-    return ARFit(
-        order=fit.order,
-        coeffs=fit.coeffs,
-        sigma2=fit.sigma2,
-        loglik=conditional_loglik(x, fit),
-    )
-
-
 def bic_select_order(values, max_order: int) -> int:
     """Pick the AR order in 0..max_order minimizing BIC; ties go to the smallest.
 
-    BIC(p) = -2 * conditional_loglik + (p + 1) * log(T).
+    BIC(p) = -2 * loglik(p) + (p + 1) * log(T), where loglik(p) is the
+    Gaussian log-likelihood of the order-p Yule-Walker whitening residuals
+    e[p..T-1] with variance sigma2_p, conditional on the first p
+    observations.  One autocovariance pass and one Levinson-Durbin path
+    serve every order; orders the path does not reach, or whose residual
+    variance is not positive, are skipped.
     """
     x = as_series(values)
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    if len(x) <= max_order:
+    n = len(x)
+    if n <= max_order:
         raise ValueError(
-            f"series of length {len(x)} too short for max_order {max_order}"
+            f"series of length {n} too short for max_order {max_order}"
         )
-    log_t = math.log(len(x))
+    phi, sigma2s = _levinson_path(sample_autocov(x, max_order).gamma, max_order)
+    log_t = math.log(n)
     best_order = None
     best_bic = math.inf
-    errors: list[str] = []
-    for p in range(max_order + 1):
-        try:
-            fit = fit_ar(x, p)
-        except (DegenerateFitError, ValueError) as exc:
-            errors.append(f"order {p}: {exc}")
+    for p, sigma2 in enumerate(sigma2s):
+        if not sigma2 > 0.0:
             continue
-        bic = -2.0 * fit.loglik + (p + 1) * log_t
+        e = _whitening_residuals(x, -phi[p - 1, :p] if p else np.empty(0))
+        loglik = -0.5 * ((n - p) * (LOG_2PI + math.log(sigma2)) + e @ e / sigma2)
+        bic = -2.0 * loglik + (p + 1) * log_t
         if bic < best_bic:
             best_bic = bic
             best_order = p
     if best_order is None:
         raise DegenerateFitError(
-            "BIC order selection failed at every order: " + "; ".join(errors)
+            f"BIC order selection failed at every order 0..{max_order}: "
+            f"residual variance {float(sigma2s[0])!r} at order 0"
         )
     return best_order

@@ -8,8 +8,8 @@ change-point count equals the truth.  Estimated locations are recorded
 for every replicate regardless of correctness.
 
 Replicates use independent derived streams (master seed, replicate index)
-and may run concurrently; results are assembled in replicate order, so
-outputs are byte-identical for identical inputs.
+and run one after the other, so outputs are byte-identical for identical
+inputs.
 """
 
 from __future__ import annotations
@@ -17,12 +17,11 @@ from __future__ import annotations
 import csv
 import io
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .multtest import bh_procedure, bonferroni_procedure
 from .pipeline import DetectConfig, detect_changepoints
-from .simulate import builtin_model, replicate_seed, simulate_piecewise
+from .simulate import PiecewiseSpec, builtin_model, replicate_seed, simulate_piecewise
 from .svgplot import locations_plot
 
 __all__ = ["BenchResult", "run_model", "run_bench", "write_bench_outputs", "METHOD_LABELS"]
@@ -46,8 +45,7 @@ class BenchResult:
         return tuple(len(locs) == want for locs in self.locations)
 
 
-def _one_replicate(model: str, seed: int, rep: int, cfg: DetectConfig):
-    spec = builtin_model(model)
+def _one_replicate(spec: PiecewiseSpec, seed: int, rep: int, cfg: DetectConfig):
     x = simulate_piecewise(spec, replicate_seed(seed, rep))
     report = detect_changepoints(x, cfg)
     pvals = [bt.p_value for bt in report.boundary_tests]
@@ -63,11 +61,7 @@ def _one_replicate(model: str, seed: int, rep: int, cfg: DetectConfig):
 
 
 def run_model(
-    model: str,
-    replicates: int,
-    seed: int,
-    cfg: DetectConfig | None = None,
-    max_workers: int | None = None,
+    model: str, replicates: int, seed: int, cfg: DetectConfig | None = None
 ) -> dict[str, BenchResult]:
     """Benchmark one model; returns {'bh': BenchResult, 'bonferroni': BenchResult}."""
     if replicates < 1:
@@ -75,14 +69,7 @@ def run_model(
     if cfg is None:
         cfg = DetectConfig()
     spec = builtin_model(model)
-    workers = max_workers or min(4, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        per_rep = list(
-            pool.map(
-                lambda rep: _one_replicate(model, seed, rep, cfg),
-                range(replicates),
-            )
-        )
+    per_rep = [_one_replicate(spec, seed, rep, cfg) for rep in range(replicates)]
     results = {}
     want = len(spec.true_cps)
     for method in ("bh", "bonferroni"):
@@ -101,16 +88,12 @@ def run_model(
 
 
 def run_bench(
-    models: list[str],
-    replicates: int,
-    seed: int,
-    cfg: DetectConfig | None = None,
-    max_workers: int | None = None,
+    models: list[str], replicates: int, seed: int, cfg: DetectConfig | None = None
 ) -> list[BenchResult]:
     """Benchmark several models; rows ordered (model, then BH before Bonferroni)."""
     rows: list[BenchResult] = []
     for model in models:
-        per_method = run_model(model, replicates, seed, cfg, max_workers)
+        per_method = run_model(model, replicates, seed, cfg)
         rows.append(per_method["bh"])
         rows.append(per_method["bonferroni"])
     return rows

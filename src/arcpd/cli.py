@@ -112,7 +112,7 @@ def _cmd_detect(args) -> int:
     try:
         report = detect_changepoints(values, _detect_config(args))
     except SeriesTooShortError as exc:
-        print(f"error: series too short: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     text = json.dumps(report.to_dict(), indent=2)
     if args.out:
@@ -177,7 +177,8 @@ def _cmd_bench(args) -> int:
 
 def _add_detect_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("-w", "--window", type=int, default=None,
-                   help="scanning window radius (default: max(50, ceil(ln T)))")
+                   help="scanning window radius h; the series needs at least 2h "
+                        "points (default: 50)")
     p.add_argument("--scan-order", type=int, default=None,
                    help="AR order used by the scan (default: BIC, capped at 10)")
     p.add_argument("--order-mode", choices=["fixed", "bic"], default="fixed",

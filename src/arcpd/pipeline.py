@@ -25,11 +25,11 @@ import numpy as np
 from .ar import DegenerateFitError, as_series, mean_correct
 from .multtest import MultipleTestOutcome, bh_procedure, bonferroni_procedure
 from .scan import (
+    DEFAULT_RADIUS,
     CandidateSet,
     ScanConfig,
     ScanProfile,
     SeriesTooShortError,
-    default_window,
     extract_candidates,
     scan_statistics,
 )
@@ -47,7 +47,7 @@ CORRECTIONS = {"bh": bh_procedure, "bonferroni": bonferroni_procedure}
 
 @dataclass(frozen=True)
 class DetectConfig:
-    """Pipeline settings; None for window_radius means max(50, ceil(ln T))."""
+    """Pipeline settings; None for window_radius means scan.DEFAULT_RADIUS (50)."""
 
     window_radius: int | None = None
     scan_order: int | None = None  # None: BIC on the full series, capped at 10
@@ -91,7 +91,8 @@ class ChangePointReport:
     diagnostics: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        """JSON-ready dictionary (schema documented in docs/schema.md)."""
+        """JSON-ready dictionary; tests/test_pipeline.py::TestDetect::test_to_dict_schema
+        pins its keys."""
         cfg = self.config
         return {
             "schema": 1,
@@ -176,7 +177,7 @@ def detect_changepoints(series, cfg: DetectConfig | None = None) -> ChangePointR
         cfg = DetectConfig()
     x = as_series(series)
     n = len(x)
-    radius = cfg.window_radius if cfg.window_radius is not None else default_window(n)
+    radius = cfg.window_radius if cfg.window_radius is not None else DEFAULT_RADIUS
     if n < 2 * radius:
         raise SeriesTooShortError(
             f"series too short: length {n} < 2h = {2 * radius}"

@@ -36,7 +36,7 @@ __all__ = [
     "ScanProfile",
     "CandidateSet",
     "SeriesTooShortError",
-    "default_window",
+    "DEFAULT_RADIUS",
     "scan_statistics",
     "extract_candidates",
     "AUTO_MAX_ORDER",
@@ -44,6 +44,9 @@ __all__ = [
 
 # Cap for the automatic (BIC) scan order.
 AUTO_MAX_ORDER = 10
+
+# Default window radius h: the paper's max(50, ceil(ln T)) is 50 for every T < e^50.
+DEFAULT_RADIUS = 50
 
 
 class SeriesTooShortError(ValueError):
@@ -91,13 +94,6 @@ class CandidateSet:
 
     def __len__(self) -> int:
         return len(self.positions)
-
-
-def default_window(length: int) -> int:
-    """Default scanning radius: max(50, ceil(ln T))."""
-    if length < 4:
-        raise ValueError("need at least 4 observations")
-    return max(50, math.ceil(math.log(length)))
 
 
 def _resolve_order(x: np.ndarray, cfg: ScanConfig) -> int:

@@ -29,11 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ar import (
+    LOG_2PI,
     ARFit,
     AutocovSeq,
     DegenerateFitError,
     _levinson_path,
-    as_series,
     bic_select_order,
     levinson_durbin,
     mean_correct,
@@ -49,8 +49,6 @@ __all__ = [
     "discrimination_test",
     "chi_sq_upper_tail",
 ]
-
-LOG_2PI = math.log(2.0 * math.pi)
 
 
 class SegmentTooShortError(ValueError):
@@ -94,23 +92,26 @@ class DiscriminationResult:
     warnings: tuple[str, ...] = ()
 
 
-def pooled_autocov(x, y, max_lag: int) -> AutocovSeq:
+def pooled_autocov(ax: AutocovSeq, ay: AutocovSeq, max_lag: int) -> AutocovSeq:
     """Autocovariances of two segments pooled as one sample.
 
     c[j] = (sum_t x[t] x[t-j] + sum_t y[t] y[t-j]) / (T1 + T2), i.e. the
-    sample-size-weighted average of the per-segment autocovariances.  Both
-    segments must be mean-corrected already.
+    sample-size-weighted average of the per-segment autocovariances
+    ``ax`` and ``ay`` (of mean-corrected segments), which must reach lag
+    ``max_lag``.
     """
-    xa = as_series(x)
-    ya = as_series(y)
-    n1, n2 = len(xa), len(ya)
+    n1, n2 = ax.sample_size, ay.sample_size
     if not 0 <= max_lag < min(n1, n2):
         raise ValueError(
             f"max_lag must be in [0, {min(n1, n2) - 1}], got {max_lag}"
         )
-    gx = sample_autocov(xa, max_lag).gamma
-    gy = sample_autocov(ya, max_lag).gamma
-    pooled = (n1 * gx + n2 * gy) / (n1 + n2)
+    if min(ax.max_lag, ay.max_lag) < max_lag:
+        raise ValueError(
+            f"need autocovariances to lag {max_lag}, have "
+            f"{min(ax.max_lag, ay.max_lag)}"
+        )
+    lags = slice(0, max_lag + 1)
+    pooled = (n1 * ax.gamma[lags] + n2 * ay.gamma[lags]) / (n1 + n2)
     return AutocovSeq(gamma=pooled, sample_size=n1 + n2)
 
 
@@ -134,20 +135,11 @@ def _bic_order_from_autocov(acov: AutocovSeq, max_order: int) -> int:
     """BIC order selection using only autocovariances.
 
     Uses the concentrated Gaussian likelihood -N/2 (log(2 pi s_p) + 1) with
-    s_p the Levinson-Durbin innovation variance at order p.
+    s_p the Levinson-Durbin innovation variance at order p, over the orders
+    the recursion reaches.
     """
     n = acov.sample_size
-    try:
-        _, sigma2s = _levinson_path(np.asarray(acov.gamma, dtype=float), max_order)
-    except DegenerateFitError:
-        # Fall back to the orders the recursion does reach.
-        sigma2s = [float(acov.gamma[0])]
-        for p in range(1, max_order + 1):
-            try:
-                sigma2s.append(levinson_durbin(acov, p).sigma2)
-            except DegenerateFitError:
-                break
-        sigma2s = np.asarray(sigma2s)
+    _, sigma2s = _levinson_path(np.asarray(acov.gamma, dtype=float), max_order)
     best_p, best = 0, math.inf
     for p, s in enumerate(sigma2s):
         if not (s > 0.0):
@@ -158,9 +150,10 @@ def _bic_order_from_autocov(acov: AutocovSeq, max_order: int) -> int:
     return best_p
 
 
-def _resolve_orders(
+def _segment_orders(
     xc: np.ndarray, yc: np.ndarray, mode: OrderMode
-) -> tuple[int, int, int, list[str]]:
+) -> tuple[int, int, list[str]]:
+    """Orders of the two per-segment fits, plus any warnings."""
     n1, n2 = len(xc), len(yc)
     warnings: list[str] = []
     if mode.kind == "fixed":
@@ -170,18 +163,14 @@ def _resolve_orders(
             warnings.append(
                 f"fixed order {raw} capped to {p} for segment lengths ({n1}, {n2})"
             )
-        return p, p, p, warnings
+        return p, p, warnings
     max1 = min(mode.max_order, n1 - 2)
     max2 = min(mode.max_order, n2 - 2)
     if max1 < 1 or max2 < 1:
         raise SegmentTooShortError(
             f"segments of lengths ({n1}, {n2}) too short for BIC order selection"
         )
-    p1 = bic_select_order(xc, max1)
-    p2 = bic_select_order(yc, max2)
-    hi = max(p1, p2)
-    p0 = _bic_order_from_autocov(pooled_autocov(xc, yc, hi), hi) if hi else 0
-    return p1, p2, p0, warnings
+    return bic_select_order(xc, max1), bic_select_order(yc, max2), warnings
 
 
 def discrimination_test(x, y, mode: OrderMode | None = None) -> DiscriminationResult:
@@ -204,16 +193,20 @@ def discrimination_test(x, y, mode: OrderMode | None = None) -> DiscriminationRe
         raise SegmentTooShortError(
             f"segments of lengths ({n1}, {n2}) are too short to compare"
         )
-    p1, p2, p0, warnings = _resolve_orders(xc, yc, mode)
-    if n1 < p1 + 2 or n2 < p2 + 2:
-        raise SegmentTooShortError(
-            f"segment lengths ({n1}, {n2}) below resolved orders + 2 "
-            f"({p1 + 2}, {p2 + 2})"
-        )
+    # Both order policies keep each order at most its segment length - 2.
+    p1, p2, warnings = _segment_orders(xc, yc, mode)
+    # One autocovariance pass per segment, to the largest lag any fit needs;
+    # the shorter segment stops at its own last lag and the pooled range
+    # check reports a lag it cannot supply.
+    hi = max(p1, p2)
+    acov_x = sample_autocov(xc, min(hi, n1 - 1))
+    acov_y = sample_autocov(yc, min(hi, n2 - 1))
+    pooled = pooled_autocov(acov_x, acov_y, hi)
+    p0 = p1 if mode.kind == "fixed" else _bic_order_from_autocov(pooled, hi)
 
-    fit_x = levinson_durbin(sample_autocov(xc, p1), p1)
-    fit_y = levinson_durbin(sample_autocov(yc, p2), p2)
-    fit_pooled = levinson_durbin(pooled_autocov(xc, yc, p0), p0)
+    fit_x = levinson_durbin(acov_x, p1)
+    fit_y = levinson_durbin(acov_y, p2)
+    fit_pooled = levinson_durbin(pooled, p0)
     for label, fit in (("first", fit_x), ("second", fit_y), ("pooled", fit_pooled)):
         if not fit.sigma2 > 0.0:
             raise DegenerateFitError(f"{label} segment fit has zero residual variance")

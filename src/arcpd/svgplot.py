@@ -9,8 +9,7 @@ Two plot kinds back the CLI:
   per estimated location, and dashed vertical lines mark the true
   locations.
 
-Pixel geometry is documented in docs/plots.md.  All coordinates are
-formatted to two decimals so output is byte-stable.
+All coordinates are formatted to two decimals so output is byte-stable.
 """
 
 from __future__ import annotations

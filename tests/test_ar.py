@@ -3,17 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from arcpd import (
+from arcpd.ar import (
+    AutocovSeq,
     DegenerateFitError,
+    _levinson_path,
     bic_select_order,
-    conditional_loglik,
-    fit_ar,
     levinson_durbin,
     mean_correct,
     sample_autocov,
 )
-from arcpd.ar import ARFit, AutocovSeq
-from arcpd.simulate import ArmaSpec, PiecewiseSpec, simulate_piecewise
+from arcpd.simulate import (
+    ArmaSpec,
+    PiecewiseSpec,
+    builtin_model,
+    replicate_seed,
+    simulate_piecewise,
+)
 
 
 def toeplitz_solve(gamma, order):
@@ -23,6 +28,33 @@ def toeplitz_solve(gamma, order):
     coeffs = np.linalg.solve(G, -g[1 : order + 1])
     sigma2 = g[0] + g[1 : order + 1] @ coeffs
     return coeffs, sigma2
+
+
+def brute_force_bic_order(x, max_order):
+    """BIC oracle: a dense Toeplitz solve per order and a direct Gaussian
+    density sum of the whitening residuals, conditional on the first p points.
+
+    BIC(p) = -2 * loglik + (p + 1) * ln T; ties go to the smallest order.  An
+    order counts only if its residual variance and every lower order's are
+    positive (a zero residual variance makes every larger Yule-Walker system
+    singular).  Returns None when no order counts.
+    """
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    gamma = [sum(x[t] * x[t - j] for t in range(j, n)) / n for j in range(max_order + 1)]
+    best, best_bic = None, math.inf
+    for p in range(max_order + 1):
+        coeffs, sigma2 = toeplitz_solve(gamma, p) if p else ([], gamma[0])
+        if not sigma2 > 0.0:
+            break
+        loglik = 0.0
+        for t in range(p, n):
+            e = x[t] + sum(coeffs[j] * x[t - j - 1] for j in range(p))
+            loglik += -0.5 * (math.log(2 * math.pi * sigma2) + e * e / sigma2)
+        bic = -2.0 * loglik + (p + 1) * math.log(n)
+        if bic < best_bic:
+            best, best_bic = p, bic
+    return best
 
 
 def random_ar_autocov(rng, order_hint=None):
@@ -132,6 +164,17 @@ class TestLevinsonDurbin:
         with pytest.raises(DegenerateFitError):
             levinson_durbin(AutocovSeq(np.array([0.0, 0.0]), 4), 1)
 
+    def test_zero_gamma0_names_order_zero(self):
+        with pytest.raises(
+            DegenerateFitError,
+            match=r"entering order 1: residual variance 0\.0 at order 0$",
+        ):
+            levinson_durbin(AutocovSeq(np.array([0.0, 0.0]), 4), 1)
+
+    def test_order_zero_needs_no_positive_variance(self):
+        fit = levinson_durbin(AutocovSeq(np.array([0.0]), 4), 0)
+        assert fit.order == 0 and fit.sigma2 == 0.0
+
     def test_breakdown_names_stage(self):
         # perfectly correlated: order-1 fit has zero residual variance
         acov = AutocovSeq(np.array([1.0, 1.0, 1.0]), 4)
@@ -146,84 +189,58 @@ class TestLevinsonDurbin:
             levinson_durbin(AutocovSeq(np.array([1.0, 0.3]), 4), 2)
 
 
-class TestConditionalLoglik:
-    def test_two_zeros_order_zero(self):
-        fit = ARFit(order=0, coeffs=np.empty(0), sigma2=1.0)
-        assert conditional_loglik([0.0, 0.0], fit) == pytest.approx(
-            -math.log(2 * math.pi), abs=1e-12
-        )
-
-    def test_single_term_perfect_prediction(self):
-        fit = ARFit(order=1, coeffs=np.array([-1.0]), sigma2=1.0)
-        assert conditional_loglik([1.0, 1.0], fit) == pytest.approx(
-            -0.5 * math.log(2 * math.pi), abs=1e-12
-        )
-
-    def test_one_point(self):
-        fit = ARFit(order=0, coeffs=np.empty(0), sigma2=1.0)
-        assert conditional_loglik([0.0], fit) == pytest.approx(
-            -0.5 * math.log(2 * math.pi), abs=1e-12
-        )
-
-    def test_matches_direct_density_sum(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal(30)
-        fit = ARFit(order=2, coeffs=np.array([0.3, -0.2]), sigma2=1.7)
-        direct = 0.0
-        for t in range(2, 30):
-            e = x[t] + 0.3 * x[t - 1] - 0.2 * x[t - 2]
-            direct += -0.5 * (math.log(2 * math.pi * 1.7) + e * e / 1.7)
-        assert conditional_loglik(x, fit) == pytest.approx(direct, abs=1e-10)
-
-    def test_bad_sigma2(self):
-        fit = ARFit(order=0, coeffs=np.empty(0), sigma2=0.0)
-        with pytest.raises(ValueError):
-            conditional_loglik([1.0, 2.0], fit)
-
-    def test_too_short(self):
-        fit = ARFit(order=3, coeffs=np.array([0.1, 0.1, 0.1]), sigma2=1.0)
-        with pytest.raises(ValueError):
-            conditional_loglik([1.0, 2.0, 3.0], fit)
-
-
 class TestFitAr:
+    """Yule-Walker fits as the pipeline makes them: levinson_durbin(sample_autocov(x, p), p)."""
+
+    @staticmethod
+    def fit(x, order):
+        return levinson_durbin(sample_autocov(x, order), order)
+
     def test_order_zero_is_mean_square(self):
         rng = np.random.default_rng(9)
         x = mean_correct(rng.standard_normal(64))
-        fit = fit_ar(x, 0)
+        fit = self.fit(x, 0)
         assert fit.coeffs.size == 0
         assert fit.sigma2 == pytest.approx(np.mean(x**2))
 
     def test_composition_identity(self):
+        # one autocovariance pass and one path give every per-order fit bit
+        # for bit, which is what bic_select_order relies on
         rng = np.random.default_rng(10)
         x = mean_correct(rng.standard_normal(128))
-        fit = fit_ar(x, 3)
-        direct = levinson_durbin(sample_autocov(x, 3), 3)
-        assert np.array_equal(fit.coeffs, direct.coeffs)
-        assert fit.sigma2 == direct.sigma2
+        phi, sigma2s = _levinson_path(sample_autocov(x, 6).gamma, 6)
+        assert len(sigma2s) == 7
+        for p in range(1, 7):
+            fit = self.fit(x, p)
+            assert np.array_equal(-phi[p - 1, :p], fit.coeffs)
+            assert sigma2s[p] == fit.sigma2
 
     def test_recovers_ar1_coefficient(self):
         # generated with x[t] = 0.7 x[t-1] + e[t]; whitening sign flips it
         spec = PiecewiseSpec(((ArmaSpec(ar=(0.7,)), 4096),))
         x = simulate_piecewise(spec, 0)
-        fit = fit_ar(mean_correct(x), 1)
+        fit = self.fit(mean_correct(x), 1)
         assert abs(fit.coeffs[0] - (-0.7)) < 0.05
-
-    def test_order_zero_loglik_closed_form(self):
-        rng = np.random.default_rng(21)
-        x = mean_correct(rng.standard_normal(200))
-        fit = fit_ar(x, 0)
-        n = len(x)
-        expected = -0.5 * n * (math.log(2 * math.pi * fit.sigma2) + 1.0)
-        assert fit.loglik == pytest.approx(expected, abs=1e-10)
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(30)
         x = mean_correct(rng.standard_normal(256))
-        base = fit_ar(x, 4)
-        scaled = fit_ar(7.5 * x, 4)
+        base = self.fit(x, 4)
+        scaled = self.fit(7.5 * x, 4)
         assert np.allclose(base.coeffs, scaled.coeffs, atol=1e-10)
         assert scaled.sigma2 == pytest.approx(7.5**2 * base.sigma2, rel=1e-10)
+
+
+class TestLevinsonPath:
+    def test_stops_at_last_order_reached(self):
+        # perfectly correlated: zero residual variance at order 1
+        phi, sigma2s = _levinson_path(np.array([1.0, 1.0, 1.0, 1.0]), 3)
+        assert sigma2s.tolist() == [1.0, 0.0]
+        assert phi[0, 0] == 1.0
+
+    def test_zero_gamma0_stops_at_order_zero(self):
+        _, sigma2s = _levinson_path(np.zeros(4), 3)
+        assert sigma2s.tolist() == [0.0]
 
 
 class TestBicSelectOrder:
@@ -243,3 +260,44 @@ class TestBicSelectOrder:
     def test_max_order_must_fit(self):
         with pytest.raises(ValueError):
             bic_select_order([1.0, 2.0, 3.0], 3)
+
+    @pytest.mark.parametrize(
+        "model,seed,start,length,max_order",
+        [
+            ("B", 0, 0, 300, 10),
+            ("B", 1, 400, 200, 10),
+            ("E", 2, 0, 400, 10),
+            ("G", 3, 100, 250, 8),
+            ("H", 4, 0, 300, 10),
+            ("I", 5, 96, 160, 10),
+        ],
+    )
+    def test_matches_brute_force_oracle(self, model, seed, start, length, max_order):
+        x = simulate_piecewise(builtin_model(model), replicate_seed(seed, 0))
+        seg = mean_correct(x[start : start + length])
+        assert bic_select_order(seg, max_order) == brute_force_bic_order(seg, max_order)
+
+    @pytest.mark.parametrize("length", range(5, 13))
+    def test_short_segments_match_oracle(self, length):
+        rng = np.random.default_rng(length)
+        for _ in range(20):
+            seg = mean_correct(rng.standard_normal(length))
+            max_order = min(10, length - 2)
+            assert bic_select_order(seg, max_order) == brute_force_bic_order(seg, max_order)
+
+    @pytest.mark.parametrize("length", [6, 7, 20, 64])
+    def test_alternating_series_matches_oracle(self, length):
+        # the closest a data series comes to breaking the recursion: the
+        # order-1 residual variance is only about 1/T of gamma[0]
+        x = np.array([(-1.0) ** t for t in range(length)])
+        max_order = min(10, length - 1)
+        assert bic_select_order(x, max_order) == brute_force_bic_order(x, max_order) == 1
+
+    def test_zero_series_breaks_down_at_order_zero(self):
+        # the recursion stops at order 0, so no order can be scored
+        assert brute_force_bic_order(np.zeros(8), 3) is None
+        with pytest.raises(
+            DegenerateFitError,
+            match=r"every order 0\.\.3: residual variance 0\.0 at order 0$",
+        ):
+            bic_select_order(np.zeros(8), 3)

@@ -101,6 +101,14 @@ class TestDetectCommand:
         assert main(["detect", str(path)]) == 1
         assert "series too short" in capsys.readouterr().err
 
+    def test_three_points_is_exit_1_with_one_prefix(self, tmp_path, capsys):
+        path = tmp_path / "three.csv"
+        write_csv(path, [["x"], [0.1], [-0.4], [0.3]])
+        assert main(["detect", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("series too short") == 1
+        assert "length 3 < 2h = 100" in err
+
     def test_malformed_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         write_csv(path, [["x"], [1.0], ["zzz"]])

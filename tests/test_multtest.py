@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from arcpd import bh_procedure, bonferroni_procedure
+from arcpd.multtest import bh_procedure, bonferroni_procedure
 
 
 def bh_oracle(pvals, alpha):

@@ -3,8 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from arcpd import default_window, extract_candidates, mean_correct, scan_statistics
-from arcpd.scan import CandidateSet, ScanConfig, ScanProfile, SeriesTooShortError
+from arcpd.ar import mean_correct
+from arcpd.pipeline import detect_changepoints
+from arcpd.scan import (
+    DEFAULT_RADIUS,
+    CandidateSet,
+    ScanConfig,
+    ScanProfile,
+    SeriesTooShortError,
+    extract_candidates,
+    scan_statistics,
+)
 from arcpd.simulate import ArmaSpec, PiecewiseSpec, builtin_model, replicate_seed, simulate_piecewise
 
 
@@ -34,18 +43,22 @@ def ar1(seed, n, b=0.5):
 
 
 class TestDefaultWindow:
-    def test_paper_scale(self):
-        assert default_window(2048) == 50
+    """The pipeline's default radius h = 50, the paper's max(50, ceil(ln T))."""
 
-    def test_huge_series(self):
-        assert default_window(10**30) == 70
+    def test_paper_scale(self):
+        assert DEFAULT_RADIUS == max(50, math.ceil(math.log(2048))) == 50
+        assert detect_changepoints(ar1(0, 2048)).profile.radius == 50
 
     def test_small_series(self):
-        assert default_window(100) == 50
+        # T = 2h is the shortest series that holds one window
+        report = detect_changepoints(ar1(1, 100))
+        assert report.profile.radius == 50
+        assert len(report.profile.values) == 1
 
     def test_too_small(self):
-        with pytest.raises(ValueError):
-            default_window(3)
+        for length in (1, 3, 4, 99):
+            with pytest.raises(SeriesTooShortError, match=f"length {length} < 2h = 100"):
+                detect_changepoints(ar1(2, length))
 
 
 class TestScanStatistics:

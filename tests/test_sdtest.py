@@ -4,9 +4,15 @@ import mpmath
 import numpy as np
 import pytest
 
-from arcpd import chi_sq_upper_tail, discrimination_test, fixed_order, pooled_autocov
-from arcpd.ar import DegenerateFitError, sample_autocov
-from arcpd.sdtest import OrderMode, SegmentTooShortError
+from arcpd.ar import DegenerateFitError, bic_select_order, mean_correct, sample_autocov
+from arcpd.sdtest import (
+    OrderMode,
+    SegmentTooShortError,
+    chi_sq_upper_tail,
+    discrimination_test,
+    fixed_order,
+    pooled_autocov,
+)
 from arcpd.simulate import ArmaSpec, PiecewiseSpec, replicate_seed, simulate_piecewise
 
 
@@ -28,39 +34,54 @@ def ar1_pair(seed, n, b1, b2):
     return x, y
 
 
+def pooled(x, y, max_lag):
+    """pooled_autocov of two series, each taken to lag max_lag."""
+    return pooled_autocov(sample_autocov(x, max_lag), sample_autocov(y, max_lag), max_lag)
+
+
 class TestPooledAutocov:
     def test_identical_segments(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(50)
         x = x - x.mean()
-        pooled = pooled_autocov(x, x, 5)
-        assert np.allclose(pooled.gamma, sample_autocov(x, 5).gamma)
-        assert pooled.sample_size == 100
+        acov = pooled(x, x, 5)
+        assert np.allclose(acov.gamma, sample_autocov(x, 5).gamma)
+        assert acov.sample_size == 100
 
     def test_zero_second_segment_halves(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(40)
         x = x - x.mean()
-        pooled = pooled_autocov(x, np.zeros(40), 3)
-        assert np.allclose(pooled.gamma, sample_autocov(x, 3).gamma / 2.0)
+        acov = pooled(x, np.zeros(40), 3)
+        assert np.allclose(acov.gamma, sample_autocov(x, 3).gamma / 2.0)
 
     def test_mixed_example(self):
-        pooled = pooled_autocov([1, -1, 1, -1], [1, 1, 1, 1], 1)
-        assert np.allclose(pooled.gamma, [1.0, 0.0])
+        acov = pooled([1, -1, 1, -1], [1, 1, 1, 1], 1)
+        assert np.allclose(acov.gamma, [1.0, 0.0])
 
     def test_weighted_average_form(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(30)
         y = rng.standard_normal(70)
         x, y = x - x.mean(), y - y.mean()
-        pooled = pooled_autocov(x, y, 4)
+        acov = pooled(x, y, 4)
         gx = sample_autocov(x, 4).gamma
         gy = sample_autocov(y, 4).gamma
-        assert np.allclose(pooled.gamma, (30 * gx + 70 * gy) / 100)
+        assert np.allclose(acov.gamma, (30 * gx + 70 * gy) / 100)
+
+    def test_longer_sequences_are_cut_to_max_lag(self):
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal(30), rng.standard_normal(50)
+        acov = pooled_autocov(sample_autocov(x, 9), sample_autocov(y, 6), 4)
+        assert np.array_equal(acov.gamma, pooled(x, y, 4).gamma)
 
     def test_bad_lag(self):
-        with pytest.raises(ValueError):
-            pooled_autocov([1.0, 2.0], [1.0, 2.0, 3.0], 2)
+        acov_x = sample_autocov([1.0, 2.0], 1)
+        acov_y = sample_autocov([1.0, 2.0, 3.0], 2)
+        with pytest.raises(ValueError, match=r"max_lag must be in \[0, 1\], got 2"):
+            pooled_autocov(acov_x, acov_y, 2)
+        with pytest.raises(ValueError, match="need autocovariances to lag 1, have 0"):
+            pooled_autocov(sample_autocov([1.0, 2.0], 0), acov_y, 1)
 
 
 class TestFixedOrder:
@@ -171,6 +192,32 @@ class TestDiscriminationTest:
         res = discrimination_test(x, y, OrderMode.bic(6))
         p1, p2, p0 = res.orders
         assert res.df == max(p1 + p2 - p0 + 1, 1)
+
+    def test_bic_mode_pooled_recursion_stops_early(self):
+        # Each segment's sum of squares is near the float maximum, so the
+        # pooled sum n1 * gx + n2 * gy overflows: the pooled recursion stops
+        # at order 0 while both segments reach their BIC orders.
+        x, y = ar1_pair(15, 200, 0.6, 0.6)
+        x, y = mean_correct(x), mean_correct(y)
+        x *= math.sqrt(1e308 / (x @ x))
+        y *= math.sqrt(1e308 / (y @ y))
+        with np.errstate(over="ignore"):
+            res = discrimination_test(x, y, OrderMode.bic(6))
+        p1, p2, p0 = res.orders
+        assert min(p1, p2) >= 1
+        assert p0 == 0
+        assert res.fit_pooled.order == 0
+        assert res.df == p1 + p2 + 1
+
+    def test_bic_mode_short_segment_cannot_supply_pooled_lag(self):
+        # BIC orders are chosen per segment; the pooled sequence needs lags up
+        # to the larger order, which the shorter segment cannot supply.
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal(5)
+        y = simulate_piecewise(PiecewiseSpec(((ArmaSpec(ma=(0.9,)), 400),)), 0)
+        assert bic_select_order(mean_correct(y), 10) == 8
+        with pytest.raises(ValueError, match=r"max_lag must be in \[0, 4\]"):
+            discrimination_test(x, y, OrderMode.bic(10))
 
     def test_bic_mode_detects_difference(self):
         x, y = ar1_pair(11, 512, 0.8, -0.8)
