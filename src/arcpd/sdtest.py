@@ -16,9 +16,9 @@ autocovariances.  Two order policies are supported:
   approximation; degrees of freedom = order + 1).  This stays valid when
   the data are not truly autoregressive, at some cost in power when they
   are, and is the pipeline default.
-* bic: per-segment BIC orders plus a BIC order for the pooled fit
-  (degrees of freedom = p1 + p2 - p0 + 1).  Preferable only when an AR
-  model is trusted.
+* bic: per-segment BIC orders plus a BIC order for the pooled fit, searched
+  up to min(max(p1, p2), T_min - 2) (degrees of freedom = p1 + p2 - p0 + 1,
+  at least 1).  Preferable only when an AR model is trusted.
 """
 
 from __future__ import annotations
@@ -182,7 +182,8 @@ def discrimination_test(x, y, mode: OrderMode | None = None) -> DiscriminationRe
     caller.  Symmetric in (x, y) and invariant to rescaling both segments.
 
     Raises SegmentTooShortError when a segment cannot support the resolved
-    order and DegenerateFitError when a fit breaks down.
+    order and DegenerateFitError when a fit breaks down (zero or non-finite
+    residual variance, as when the pooled autocovariance overflows).
     """
     if mode is None:
         mode = OrderMode.fixed()
@@ -195,21 +196,24 @@ def discrimination_test(x, y, mode: OrderMode | None = None) -> DiscriminationRe
         )
     # Both order policies keep each order at most its segment length - 2.
     p1, p2, warnings = _segment_orders(xc, yc, mode)
-    # One autocovariance pass per segment, to the largest lag any fit needs;
-    # the shorter segment stops at its own last lag and the pooled range
-    # check reports a lag it cannot supply.
-    hi = max(p1, p2)
-    acov_x = sample_autocov(xc, min(hi, n1 - 1))
-    acov_y = sample_autocov(yc, min(hi, n2 - 1))
-    pooled = pooled_autocov(acov_x, acov_y, hi)
-    p0 = p1 if mode.kind == "fixed" else _bic_order_from_autocov(pooled, hi)
+    # The pooled BIC search stops at the larger segment order, and at the
+    # shorter segment's length - 2 (the rule the segment orders follow), so
+    # both segments supply every pooled lag.  One autocovariance pass per
+    # segment, to the largest lag any fit needs.
+    p0_max = min(max(p1, p2), min(n1, n2) - 2)
+    acov_x = sample_autocov(xc, max(p1, p0_max))
+    acov_y = sample_autocov(yc, max(p2, p0_max))
+    pooled = pooled_autocov(acov_x, acov_y, p0_max)
+    p0 = p1 if mode.kind == "fixed" else _bic_order_from_autocov(pooled, p0_max)
 
     fit_x = levinson_durbin(acov_x, p1)
     fit_y = levinson_durbin(acov_y, p2)
     fit_pooled = levinson_durbin(pooled, p0)
     for label, fit in (("first", fit_x), ("second", fit_y), ("pooled", fit_pooled)):
-        if not fit.sigma2 > 0.0:
-            raise DegenerateFitError(f"{label} segment fit has zero residual variance")
+        # An overflowing autocovariance gives sigma2 = inf, not a usable fit.
+        if not (fit.sigma2 > 0.0 and math.isfinite(fit.sigma2)):
+            what = "zero" if math.isfinite(fit.sigma2) else "non-finite"
+            raise DegenerateFitError(f"{label} segment fit has {what} residual variance")
 
     stat = n1 * math.log(fit_pooled.sigma2 / fit_x.sigma2) + n2 * math.log(
         fit_pooled.sigma2 / fit_y.sigma2

@@ -6,6 +6,7 @@ import pytest
 from arcpd.ar import mean_correct
 from arcpd.pipeline import detect_changepoints
 from arcpd.scan import (
+    CHUNK_VALUES,
     DEFAULT_RADIUS,
     CandidateSet,
     ScanConfig,
@@ -18,19 +19,26 @@ from arcpd.simulate import ArmaSpec, PiecewiseSpec, builtin_model, replicate_see
 
 
 def brute_force_scan_value(x, t, h, p):
-    """Per-window least-squares oracle, built independently of the prefix sums."""
+    """Per-window least-squares oracle, built independently of the prefix sums.
+
+    NaN when a piece is degenerate: rank-deficient lags or zero residuals.
+    """
 
     def piece(lo, hi):
         idx = np.arange(lo, hi)
         y = x[idx]
         if p:
             X = np.column_stack([x[idx - j] for j in range(1, p + 1)])
+            if np.linalg.matrix_rank(X) < p:
+                return math.nan
             coef, *_ = np.linalg.lstsq(X, y, rcond=None)
             r = y - X @ coef
         else:
             r = y
         n = len(idx)
         s2 = (r @ r) / n
+        if not s2 > 0.0:
+            return math.nan
         return -0.5 * n * (math.log(2 * math.pi * s2) + 1.0)
 
     a = t - h + p
@@ -40,6 +48,15 @@ def brute_force_scan_value(x, t, h, p):
 def ar1(seed, n, b=0.5):
     spec = PiecewiseSpec(((ArmaSpec(ar=(b,)), n),))
     return simulate_piecewise(spec, seed)
+
+
+# Radius 25 (so each half holds more targets than order 10 has coefficients)
+# and series lengths whose window counts are one chunk - 1, one chunk and one
+# chunk + 1.
+CHUNK_H = 25
+CHUNK_EDGE_LENGTHS = [
+    CHUNK_VALUES // (2 * CHUNK_H) + d + 2 * CHUNK_H - 1 for d in (-1, 0, 1)
+]
 
 
 class TestDefaultWindow:
@@ -70,14 +87,45 @@ class TestScanStatistics:
         assert prof.positions()[0] == 50
         assert prof.positions()[-1] == 1024 - 50
 
-    @pytest.mark.parametrize("order", [0, 1, 2, 4])
+    @pytest.mark.parametrize("order", range(11))
     def test_matches_brute_force(self, order):
-        x = mean_correct(ar1(7, 90, b=-0.4))
-        h = 15
+        h = CHUNK_H
+        for length in [90] + CHUNK_EDGE_LENGTHS:
+            x = mean_correct(ar1(7, length, b=-0.4))
+            prof = scan_statistics(x, ScanConfig(h, order))
+            assert len(prof.values) == length - 2 * h + 1
+            assert prof.degenerate == 0
+            want = [brute_force_scan_value(x, t, h, order) for t in prof.positions()]
+            np.testing.assert_allclose(prof.values, want, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_degenerate_count_matches_oracle(self, order):
+        # A zero stretch longer than a window, inside one chunk of regular
+        # windows: some pieces have all-zero lags (singular), others zero
+        # residuals; each window with any such piece scores 0 and is counted.
+        x = np.random.default_rng(21).standard_normal(200)
+        x[60:110] = 0.0
+        h = 8
+        assert len(x) - 2 * h + 1 <= CHUNK_VALUES // (2 * h)
         prof = scan_statistics(x, ScanConfig(h, order))
-        for i, t in enumerate(range(h, 90 - h + 1)):
-            want = brute_force_scan_value(x, t, h, order)
-            assert prof.values[i] == pytest.approx(want, abs=1e-9)
+        want = np.array([brute_force_scan_value(x, t, h, order) for t in prof.positions()])
+        bad = np.isnan(want)
+        assert 0 < bad.sum() < len(want) // 2
+        assert prof.degenerate == bad.sum()
+        assert (prof.values[bad] == 0.0).all()
+        np.testing.assert_allclose(prof.values[~bad], want[~bad], rtol=0, atol=1e-10)
+
+    def test_no_drift_on_long_near_unit_root_series(self):
+        # Window Gram matrices are differences of prefix sums over 2e5 points
+        # of an AR(0.999) series; the SSEs must not inherit that cancellation.
+        spec = PiecewiseSpec(((ArmaSpec(ar=(0.999,)), 200_000),))
+        x = mean_correct(simulate_piecewise(spec, 5))
+        h, order = 50, 2
+        prof = scan_statistics(x, ScanConfig(h, order))
+        m = len(prof.values)
+        idx = np.r_[0, m - 1, np.random.default_rng(0).choice(m, 200, replace=False)]
+        want = [brute_force_scan_value(x, prof.offset + i, h, order) for i in idx]
+        np.testing.assert_allclose(prof.values[idx], want, rtol=0, atol=1e-10)
 
     def test_nonnegative_on_random_series(self):
         for seed in range(20):

@@ -195,29 +195,34 @@ class TestDiscriminationTest:
 
     def test_bic_mode_pooled_recursion_stops_early(self):
         # Each segment's sum of squares is near the float maximum, so the
-        # pooled sum n1 * gx + n2 * gy overflows: the pooled recursion stops
-        # at order 0 while both segments reach their BIC orders.
+        # pooled sum n1 * gx + n2 * gy overflows: both segment fits are finite
+        # but the pooled residual variance is inf, which is no fit at all.
         x, y = ar1_pair(15, 200, 0.6, 0.6)
         x, y = mean_correct(x), mean_correct(y)
         x *= math.sqrt(1e308 / (x @ x))
         y *= math.sqrt(1e308 / (y @ y))
-        with np.errstate(over="ignore"):
-            res = discrimination_test(x, y, OrderMode.bic(6))
-        p1, p2, p0 = res.orders
-        assert min(p1, p2) >= 1
-        assert p0 == 0
-        assert res.fit_pooled.order == 0
-        assert res.df == p1 + p2 + 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(
+                DegenerateFitError, match="pooled segment fit has non-finite residual variance"
+            ):
+                discrimination_test(x, y, OrderMode.bic(6))
 
     def test_bic_mode_short_segment_cannot_supply_pooled_lag(self):
-        # BIC orders are chosen per segment; the pooled sequence needs lags up
-        # to the larger order, which the shorter segment cannot supply.
+        # BIC orders are chosen per segment; the pooled search stops at the
+        # shorter segment's length - 2, so a 5-point segment caps it at 3 even
+        # beside a segment of BIC order 8.
         rng = np.random.default_rng(16)
         x = rng.standard_normal(5)
         y = simulate_piecewise(PiecewiseSpec(((ArmaSpec(ma=(0.9,)), 400),)), 0)
         assert bic_select_order(mean_correct(y), 10) == 8
-        with pytest.raises(ValueError, match=r"max_lag must be in \[0, 4\]"):
-            discrimination_test(x, y, OrderMode.bic(10))
+        res = discrimination_test(x, y, OrderMode.bic(10))
+        p1, p2, p0 = res.orders
+        assert p2 == 8
+        assert p0 <= 3
+        assert res.fit_pooled.order == p0
+        assert res.df == max(1, p1 + p2 - p0 + 1)
+        assert math.isfinite(res.statistic)
+        assert 0.0 <= res.p_value <= 1.0
 
     def test_bic_mode_detects_difference(self):
         x, y = ar1_pair(11, 512, 0.8, -0.8)
