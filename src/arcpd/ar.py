@@ -3,7 +3,12 @@
 A time series is a 1-D float array.  Everything here treats the input as
 already mean-corrected unless noted; use :func:`mean_correct` first.
 
-Coefficient sign convention: an AR(p) fit is stored as the vector
+:func:`levinson_path` is the one Levinson-Durbin recursion: from one
+autocovariance array (:func:`sample_autocov`) it gives the Yule-Walker
+coefficients and innovation variance of every order up to the one asked
+for, so a caller that needs several orders of one sequence runs it once.
+
+Coefficient sign convention: an AR(p) fit is the vector
 ``(b_1, ..., b_p)`` of the whitening filter
 
     x[t] + b_1 * x[t-1] + ... + b_p * x[t-p] = e[t],
@@ -16,17 +21,14 @@ and negates at the boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "AutocovSeq",
-    "ARFit",
     "DegenerateFitError",
     "mean_correct",
     "sample_autocov",
-    "levinson_durbin",
+    "levinson_path",
     "bic_select_order",
 ]
 
@@ -49,34 +51,13 @@ def as_series(values) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class AutocovSeq:
-    """Sample autocovariances gamma[0..max_lag] plus the sample size behind them."""
-
-    gamma: np.ndarray
-    sample_size: int
-
-    @property
-    def max_lag(self) -> int:
-        return len(self.gamma) - 1
-
-
-@dataclass(frozen=True)
-class ARFit:
-    """AR(p) fit: whitening coefficients and innovation variance."""
-
-    order: int
-    coeffs: np.ndarray
-    sigma2: float
-
-
 def mean_correct(values) -> np.ndarray:
     """Subtract the arithmetic mean; the result sums to zero up to rounding."""
     x = as_series(values)
     return x - x.mean()
 
 
-def sample_autocov(values, max_lag: int) -> AutocovSeq:
+def sample_autocov(values, max_lag: int) -> np.ndarray:
     """Sample autocovariances with divisor T at every lag.
 
     gamma[j] = (1/T) * sum_{t=j}^{T-1} x[t] * x[t-j] for j = 0..max_lag.
@@ -91,18 +72,25 @@ def sample_autocov(values, max_lag: int) -> AutocovSeq:
     gamma = np.empty(max_lag + 1)
     for j in range(max_lag + 1):
         gamma[j] = x[j:] @ x[: n - j] / n
-    return AutocovSeq(gamma=gamma, sample_size=n)
+    return gamma
 
 
-def _levinson_path(gamma: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Run the recursion up to `order`, or to the last order it reaches.
+def levinson_path(gamma: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the Yule-Walker equations of every order up to `order`.
 
     Returns (phi, sigma2s) where phi[p-1, :p] are the predictor coefficients
-    of the order-p solution (x[t] ~ sum phi_j x[t-j]) and sigma2s[p] is the
-    innovation variance at order p, for p = 0..len(sigma2s) - 1.  Entering
-    order m needs a positive, finite sigma2s[m-1]; where it is not, the path
-    stops at order m - 1.
+    of the order-p solution (x[t] ~ sum phi_j x[t-j]; the whitening
+    coefficients are -phi[p-1, :p]) and sigma2s[p] is the innovation
+    variance at order p, for p = 0..len(sigma2s) - 1.  Each order is
+    equivalent to a dense Toeplitz solve but costs O(p).  Entering order m
+    needs a positive, finite sigma2s[m-1]; where it is not, the recursion
+    breaks down and the path stops at order m - 1, so callers check
+    ``len(sigma2s)`` before reading the order they want.
     """
+    if not 0 <= order < len(gamma):
+        raise ValueError(
+            f"need autocovariances to lag {order}, have {len(gamma) - 1}"
+        )
     sigma2s = np.empty(order + 1)
     sigma2s[0] = gamma[0]
     phi = np.zeros((order, order))
@@ -119,40 +107,6 @@ def _levinson_path(gamma: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarra
             phi[m - 1, : m - 1] = phi[m - 2, : m - 1] - reflect * phi[m - 2, m - 2 :: -1]
         sigma2s[m] = prev * (1.0 - reflect * reflect)
     return phi, sigma2s
-
-
-def levinson_durbin(acov: AutocovSeq, order: int) -> ARFit:
-    """Solve the Yule-Walker equations for the given order.
-
-    Coefficients come out in the whitening convention (see module docstring):
-    they solve -Gamma_p @ coeffs = gamma_p, and
-    sigma2 = gamma[0] + gamma_p @ coeffs.  Equivalent to a dense Toeplitz
-    solve but O(p^2).
-
-    Raises
-    ------
-    ValueError
-        if the autocovariance sequence is shorter than the order requires.
-    DegenerateFitError
-        if a recursion stage below `order` yields a non-positive (or
-        non-finite) residual variance, gamma[0] included.
-    """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    gamma = np.asarray(acov.gamma, dtype=float)
-    if len(gamma) < order + 1:
-        raise ValueError(
-            f"need autocovariances to lag {order}, have {len(gamma) - 1}"
-        )
-    phi, sigma2s = _levinson_path(gamma, order)
-    reached = len(sigma2s) - 1
-    if reached < order:
-        raise DegenerateFitError(
-            f"Levinson-Durbin broke down entering order {reached + 1}: "
-            f"residual variance {float(sigma2s[reached])!r} at order {reached}"
-        )
-    coeffs = -phi[order - 1, :order] if order else np.empty(0)
-    return ARFit(order=order, coeffs=coeffs, sigma2=float(sigma2s[order]))
 
 
 def _whitening_residuals(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -185,7 +139,7 @@ def bic_select_order(values, max_order: int) -> int:
         raise ValueError(
             f"series of length {n} too short for max_order {max_order}"
         )
-    phi, sigma2s = _levinson_path(sample_autocov(x, max_order).gamma, max_order)
+    phi, sigma2s = levinson_path(sample_autocov(x, max_order), max_order)
     log_t = math.log(n)
     best_order = None
     best_bic = math.inf

@@ -180,7 +180,8 @@ def _add_detect_flags(p: argparse.ArgumentParser) -> None:
                    help="scanning window radius h; the series needs at least 2h "
                         "points (default: 50)")
     p.add_argument("--scan-order", type=int, default=None,
-                   help="AR order used by the scan (default: BIC, capped at 10)")
+                   help="AR order used by the scan, at most (h - 1) / 2 "
+                        "(default: BIC, capped at min(10, (h - 1) // 2))")
     p.add_argument("--order-mode", choices=["fixed", "bic"], default="fixed",
                    help="order policy of the segment test (default: fixed)")
     p.add_argument("--v", type=float, default=1.5,

@@ -50,7 +50,7 @@ class DetectConfig:
     """Pipeline settings; None for window_radius means scan.DEFAULT_RADIUS (50)."""
 
     window_radius: int | None = None
-    scan_order: int | None = None  # None: BIC on the full series, capped at 10
+    scan_order: int | None = None  # None: BIC on the full series, capped at min(10, (h-1)//2)
     order_mode: OrderMode = field(default_factory=OrderMode.fixed)
     correction: str = "bh"
     alpha: float = 0.05
@@ -149,7 +149,7 @@ def _test_boundaries(
         ranges = ((bounds[i] + 1, pos), (pos + 1, bounds[i + 2]))
         try:
             res = discrimination_test(left, right, mode)
-        except (SegmentTooShortError, DegenerateFitError, ValueError) as exc:
+        except (SegmentTooShortError, DegenerateFitError) as exc:
             tests.append(
                 BoundaryTest(pos, *ranges, p_value=1.0, result=None, warning=str(exc))
             )

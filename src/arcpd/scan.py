@@ -79,9 +79,10 @@ class ScanConfig:
         if self.order is not None:
             if self.order < 0:
                 raise ValueError("scan order must be nonnegative")
-            if self.window_radius < self.order + 2:
+            # A half window has h - p targets for p coefficients.
+            if self.window_radius < 2 * self.order + 1:
                 raise ValueError(
-                    "window_radius must be at least scan order + 2 "
+                    "window_radius must be at least 2 * scan order + 1 "
                     f"(got h={self.window_radius}, order={self.order})"
                 )
 
@@ -112,7 +113,7 @@ class CandidateSet:
 def _resolve_order(x: np.ndarray, cfg: ScanConfig) -> int:
     if cfg.order is not None:
         return cfg.order
-    cap = min(AUTO_MAX_ORDER, cfg.window_radius - 2, len(x) - 1)
+    cap = min(AUTO_MAX_ORDER, (cfg.window_radius - 1) // 2, len(x) - 1)
     if cap < 1:
         return 0
     return bic_select_order(x, cap)

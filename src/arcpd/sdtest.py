@@ -9,7 +9,13 @@ spectral density), and the statistic
 
 is asymptotically chi-square, where s1, s2 are the innovation variances of
 separate Yule-Walker fits and s0 comes from a fit to the pooled
-autocovariances.  Two order policies are supported:
+autocovariances, the sample-size-weighted average
+
+    c[j] = (T1 * gx[j] + T2 * gy[j]) / (T1 + T2)
+
+of the per-segment autocovariances gx, gy.  Every variance is read off one
+:func:`arcpd.ar.levinson_path` per autocovariance sequence (x, y, pooled).
+Two order policies are supported:
 
 * fixed: both segments and the pooled fit use
   ``floor((ln T_min) ** exponent)`` with ``exponent > 1`` (autoregressive
@@ -30,12 +36,9 @@ import numpy as np
 
 from .ar import (
     LOG_2PI,
-    ARFit,
-    AutocovSeq,
     DegenerateFitError,
-    _levinson_path,
     bic_select_order,
-    levinson_durbin,
+    levinson_path,
     mean_correct,
     sample_autocov,
 )
@@ -44,7 +47,6 @@ __all__ = [
     "OrderMode",
     "DiscriminationResult",
     "SegmentTooShortError",
-    "pooled_autocov",
     "fixed_order",
     "discrimination_test",
     "chi_sq_upper_tail",
@@ -85,34 +87,9 @@ class DiscriminationResult:
     statistic: float
     df: int
     p_value: float
-    fit_x: ARFit
-    fit_y: ARFit
-    fit_pooled: ARFit
     orders: tuple[int, int, int]  # (segment x, segment y, pooled)
+    sigma2: tuple[float, float, float]  # innovation variances, same order
     warnings: tuple[str, ...] = ()
-
-
-def pooled_autocov(ax: AutocovSeq, ay: AutocovSeq, max_lag: int) -> AutocovSeq:
-    """Autocovariances of two segments pooled as one sample.
-
-    c[j] = (sum_t x[t] x[t-j] + sum_t y[t] y[t-j]) / (T1 + T2), i.e. the
-    sample-size-weighted average of the per-segment autocovariances
-    ``ax`` and ``ay`` (of mean-corrected segments), which must reach lag
-    ``max_lag``.
-    """
-    n1, n2 = ax.sample_size, ay.sample_size
-    if not 0 <= max_lag < min(n1, n2):
-        raise ValueError(
-            f"max_lag must be in [0, {min(n1, n2) - 1}], got {max_lag}"
-        )
-    if min(ax.max_lag, ay.max_lag) < max_lag:
-        raise ValueError(
-            f"need autocovariances to lag {max_lag}, have "
-            f"{min(ax.max_lag, ay.max_lag)}"
-        )
-    lags = slice(0, max_lag + 1)
-    pooled = (n1 * ax.gamma[lags] + n2 * ay.gamma[lags]) / (n1 + n2)
-    return AutocovSeq(gamma=pooled, sample_size=n1 + n2)
 
 
 def fixed_order(len_x: int, len_y: int, exponent: float) -> int:
@@ -131,15 +108,13 @@ def fixed_order(len_x: int, len_y: int, exponent: float) -> int:
     return max(1, min(raw, t_min // 3))
 
 
-def _bic_order_from_autocov(acov: AutocovSeq, max_order: int) -> int:
-    """BIC order selection using only autocovariances.
+def _bic_order(sigma2s: np.ndarray, n: int) -> int:
+    """BIC order over a Levinson path's innovation variances, for sample size n.
 
     Uses the concentrated Gaussian likelihood -N/2 (log(2 pi s_p) + 1) with
-    s_p the Levinson-Durbin innovation variance at order p, over the orders
-    the recursion reaches.
+    s_p the innovation variance at order p, over the orders up to the first
+    non-positive variance.
     """
-    n = acov.sample_size
-    _, sigma2s = _levinson_path(np.asarray(acov.gamma, dtype=float), max_order)
     best_p, best = 0, math.inf
     for p, s in enumerate(sigma2s):
         if not (s > 0.0):
@@ -178,8 +153,9 @@ def discrimination_test(x, y, mode: OrderMode | None = None) -> DiscriminationRe
 
     Each segment is mean-corrected here, so callers may pass raw segments.
     Returns the statistic, its chi-square degrees of freedom and upper-tail
-    p-value, plus the three underlying fits; accept/reject is left to the
-    caller.  Symmetric in (x, y) and invariant to rescaling both segments.
+    p-value, plus the orders and innovation variances of the three fits;
+    accept/reject is left to the caller.  Symmetric in (x, y) and invariant
+    to rescaling both segments.
 
     Raises SegmentTooShortError when a segment cannot support the resolved
     order and DegenerateFitError when a fit breaks down (zero or non-finite
@@ -198,26 +174,33 @@ def discrimination_test(x, y, mode: OrderMode | None = None) -> DiscriminationRe
     p1, p2, warnings = _segment_orders(xc, yc, mode)
     # The pooled BIC search stops at the larger segment order, and at the
     # shorter segment's length - 2 (the rule the segment orders follow), so
-    # both segments supply every pooled lag.  One autocovariance pass per
-    # segment, to the largest lag any fit needs.
+    # both segments supply every pooled lag.  One autocovariance pass and one
+    # Levinson path per sequence, to the largest order any fit needs.
     p0_max = min(max(p1, p2), min(n1, n2) - 2)
-    acov_x = sample_autocov(xc, max(p1, p0_max))
-    acov_y = sample_autocov(yc, max(p2, p0_max))
-    pooled = pooled_autocov(acov_x, acov_y, p0_max)
-    p0 = p1 if mode.kind == "fixed" else _bic_order_from_autocov(pooled, p0_max)
+    gx = sample_autocov(xc, max(p1, p0_max))
+    gy = sample_autocov(yc, max(p2, p0_max))
+    lags = slice(0, p0_max + 1)
+    pooled = (n1 * gx[lags] + n2 * gy[lags]) / (n1 + n2)
+    _, path_x = levinson_path(gx, p1)
+    _, path_y = levinson_path(gy, p2)
+    _, path_0 = levinson_path(pooled, p0_max)
+    p0 = p1 if mode.kind == "fixed" else _bic_order(path_0, n1 + n2)
 
-    fit_x = levinson_durbin(acov_x, p1)
-    fit_y = levinson_durbin(acov_y, p2)
-    fit_pooled = levinson_durbin(pooled, p0)
-    for label, fit in (("first", fit_x), ("second", fit_y), ("pooled", fit_pooled)):
+    fits = ((path_x, p1), (path_y, p2), (path_0, p0))
+    for path, p in fits:
+        if len(path) <= p:
+            raise DegenerateFitError(
+                f"Levinson-Durbin broke down entering order {len(path)}: "
+                f"residual variance {float(path[-1])!r} at order {len(path) - 1}"
+            )
+    s1, s2, s0 = (float(path[p]) for path, p in fits)
+    for label, s in (("first", s1), ("second", s2), ("pooled", s0)):
         # An overflowing autocovariance gives sigma2 = inf, not a usable fit.
-        if not (fit.sigma2 > 0.0 and math.isfinite(fit.sigma2)):
-            what = "zero" if math.isfinite(fit.sigma2) else "non-finite"
+        if not (s > 0.0 and math.isfinite(s)):
+            what = "zero" if math.isfinite(s) else "non-finite"
             raise DegenerateFitError(f"{label} segment fit has {what} residual variance")
 
-    stat = n1 * math.log(fit_pooled.sigma2 / fit_x.sigma2) + n2 * math.log(
-        fit_pooled.sigma2 / fit_y.sigma2
-    )
+    stat = n1 * math.log(s0 / s1) + n2 * math.log(s0 / s2)
     if stat < 0.0:
         # Exact nonnegativity only holds when the pooled order is nested in
         # both per-segment orders (always true in fixed mode); flag anything
@@ -242,76 +225,32 @@ def discrimination_test(x, y, mode: OrderMode | None = None) -> DiscriminationRe
         statistic=float(stat),
         df=df,
         p_value=chi_sq_upper_tail(stat_for_tail, df),
-        fit_x=fit_x,
-        fit_y=fit_y,
-        fit_pooled=fit_pooled,
         orders=(p1, p2, p0),
+        sigma2=(s1, s2, s0),
         warnings=tuple(warnings),
     )
 
 
 def chi_sq_upper_tail(stat: float, df: int) -> float:
-    """P(X > stat) for X chi-square with df degrees of freedom.
+    """P(X > stat) for X chi-square with integer df degrees of freedom.
 
-    Computed via the regularized incomplete gamma function: a power series
-    for the lower tail when stat is small and a Lentz continued fraction
-    for the upper tail otherwise.  Absolute accuracy is well inside 1e-10.
+    Closed form by the recurrence Q(1) = erfc(sqrt(x/2)), Q(2) = exp(-x/2),
+    Q(k+2) = Q(k) + (x/2)^(k/2) exp(-x/2) / Gamma(k/2 + 1).  Every term is
+    positive, so there is no cancellation, in the far tail either.
     """
-    if df < 1:
+    if df < 1 or df % 1:
         raise ValueError("df must be a positive integer")
     if not stat >= 0.0:
         raise ValueError(f"statistic must be nonnegative, got {stat}")
     if not math.isfinite(stat):
         return 0.0
-    return _regularized_upper_gamma(0.5 * df, 0.5 * stat)
-
-
-def _regularized_upper_gamma(a: float, x: float) -> float:
-    if x <= 0.0:
+    if stat == 0.0:
         return 1.0
-    if x < a + 1.0:
-        return min(1.0, max(0.0, 1.0 - _lower_gamma_series(a, x)))
-    return min(1.0, max(0.0, _upper_gamma_cont_frac(a, x)))
-
-
-def _log_gamma_prefactor(a: float, x: float) -> float:
-    return a * math.log(x) - x - math.lgamma(a)
-
-
-def _lower_gamma_series(a: float, x: float) -> float:
-    term = 1.0 / a
-    total = term
-    denom = a
-    for _ in range(1000):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < abs(total) * 1e-17:
-            break
-    return total * math.exp(_log_gamma_prefactor(a, x))
-
-
-def _upper_gamma_cont_frac(a: float, x: float) -> float:
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
-    frac = d
-    for i in range(1, 1000):
-        coef = -i * (i - a)
-        b += 2.0
-        d = coef * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + coef / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        frac *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    log_pref = _log_gamma_prefactor(a, x)
-    if log_pref < -745.0:  # exp underflow
-        return 0.0
-    return frac * math.exp(log_pref)
+    half = 0.5 * stat
+    k = 2 - df % 2
+    tail = math.erfc(math.sqrt(half)) if k == 1 else math.exp(-half)
+    log_half = math.log(half)
+    while k < df:
+        tail += math.exp(0.5 * k * log_half - half - math.lgamma(0.5 * k + 1.0))
+        k += 2
+    return min(1.0, tail)

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from arcpd.ar import (
-    AutocovSeq,
     DegenerateFitError,
-    _levinson_path,
     bic_select_order,
-    levinson_durbin,
+    levinson_path,
     mean_correct,
     sample_autocov,
 )
+from arcpd.sdtest import discrimination_test
 from arcpd.simulate import (
     ArmaSpec,
     PiecewiseSpec,
@@ -28,6 +27,13 @@ def toeplitz_solve(gamma, order):
     coeffs = np.linalg.solve(G, -g[1 : order + 1])
     sigma2 = g[0] + g[1 : order + 1] @ coeffs
     return coeffs, sigma2
+
+
+def yule_walker(gamma, order):
+    """(whitening coefficients, innovation variance) of the order-`order` fit,
+    read off one levinson_path."""
+    phi, sigma2s = levinson_path(np.asarray(gamma, dtype=float), order)
+    return -phi[order - 1, :order] if order else np.empty(0), sigma2s[order]
 
 
 def brute_force_bic_order(x, max_order):
@@ -102,15 +108,13 @@ class TestMeanCorrect:
 
 class TestSampleAutocov:
     def test_alternating(self):
-        acov = sample_autocov([1, -1, 1, -1], 1)
-        assert np.allclose(acov.gamma, [1.0, -0.75])
-        assert acov.sample_size == 4
+        assert np.allclose(sample_autocov([1, -1, 1, -1], 1), [1.0, -0.75])
 
     def test_zero_series(self):
-        assert np.allclose(sample_autocov([0, 0, 0, 0], 2).gamma, 0.0)
+        assert np.allclose(sample_autocov([0, 0, 0, 0], 2), 0.0)
 
     def test_impulse(self):
-        assert np.allclose(sample_autocov([2, 0, 0, 0], 1).gamma, [1.0, 0.0])
+        assert np.allclose(sample_autocov([2, 0, 0, 0], 1), [1.0, 0.0])
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(11)
@@ -118,7 +122,7 @@ class TestSampleAutocov:
         acov = sample_autocov(x, 7)
         for j in range(8):
             direct = sum(x[t] * x[t - j] for t in range(j, 40)) / 40
-            assert acov.gamma[j] == pytest.approx(direct, abs=1e-12)
+            assert acov[j] == pytest.approx(direct, abs=1e-12)
 
     def test_max_lag_too_large(self):
         with pytest.raises(ValueError):
@@ -127,119 +131,125 @@ class TestSampleAutocov:
 
 class TestLevinsonDurbin:
     def test_order_one(self):
-        fit = levinson_durbin(AutocovSeq(np.array([1.0, 0.5]), 10), 1)
-        assert fit.coeffs == pytest.approx([-0.5])
-        assert fit.sigma2 == pytest.approx(0.75)
+        coeffs, sigma2 = yule_walker([1.0, 0.5], 1)
+        assert coeffs == pytest.approx([-0.5])
+        assert sigma2 == pytest.approx(0.75)
 
     def test_white_noise(self):
-        fit = levinson_durbin(AutocovSeq(np.array([2.5, 0.0, 0.0]), 10), 2)
-        assert np.allclose(fit.coeffs, 0.0)
-        assert fit.sigma2 == pytest.approx(2.5)
+        coeffs, sigma2 = yule_walker([2.5, 0.0, 0.0], 2)
+        assert np.allclose(coeffs, 0.0)
+        assert sigma2 == pytest.approx(2.5)
 
     def test_ar1_consistent_order_two(self):
-        fit = levinson_durbin(AutocovSeq(np.array([1.0, 0.5, 0.25]), 10), 2)
-        assert fit.coeffs == pytest.approx([-0.5, 0.0], abs=1e-12)
-        assert fit.sigma2 == pytest.approx(0.75)
+        coeffs, sigma2 = yule_walker([1.0, 0.5, 0.25], 2)
+        assert coeffs == pytest.approx([-0.5, 0.0], abs=1e-12)
+        assert sigma2 == pytest.approx(0.75)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_dense_solve(self, seed):
         rng = np.random.default_rng(seed)
         acov = random_ar_autocov(rng)
         for order in (1, 3, 5, 8, 10):
-            fit = levinson_durbin(acov, order)
-            coeffs, sigma2 = toeplitz_solve(acov.gamma, order)
-            assert np.allclose(fit.coeffs, coeffs, rtol=1e-8)
-            assert fit.sigma2 == pytest.approx(sigma2, rel=1e-8)
+            coeffs, sigma2 = yule_walker(acov, order)
+            want_coeffs, want_sigma2 = toeplitz_solve(acov, order)
+            assert np.allclose(coeffs, want_coeffs, rtol=1e-8)
+            assert sigma2 == pytest.approx(want_sigma2, rel=1e-8)
 
     def test_residual_variance_monotone(self):
         rng = np.random.default_rng(77)
-        acov = random_ar_autocov(rng)
-        prev = acov.gamma[0]
-        for order in range(1, 11):
-            s2 = levinson_durbin(acov, order).sigma2
-            assert s2 <= prev + 1e-12
-            prev = s2
+        _, sigma2s = levinson_path(random_ar_autocov(rng), 10)
+        assert len(sigma2s) == 11
+        assert (np.diff(sigma2s) <= 1e-12).all()
 
+    # The segment test reads its fits off levinson_path and reports where
+    # the recursion broke down.
     def test_zero_gamma0_raises(self):
+        rng = np.random.default_rng(13)
         with pytest.raises(DegenerateFitError):
-            levinson_durbin(AutocovSeq(np.array([0.0, 0.0]), 4), 1)
+            discrimination_test(rng.standard_normal(50), np.zeros(50))
 
     def test_zero_gamma0_names_order_zero(self):
+        # an all-zero segment: the fixed-order fit cannot leave order 0
+        rng = np.random.default_rng(13)
         with pytest.raises(
             DegenerateFitError,
             match=r"entering order 1: residual variance 0\.0 at order 0$",
         ):
-            levinson_durbin(AutocovSeq(np.array([0.0, 0.0]), 4), 1)
+            discrimination_test(np.zeros(50), rng.standard_normal(50))
 
     def test_order_zero_needs_no_positive_variance(self):
-        fit = levinson_durbin(AutocovSeq(np.array([0.0]), 4), 0)
-        assert fit.order == 0 and fit.sigma2 == 0.0
+        phi, sigma2s = levinson_path(np.array([0.0]), 0)
+        assert phi.shape == (0, 0) and sigma2s.tolist() == [0.0]
 
     def test_breakdown_names_stage(self):
-        # perfectly correlated: order-1 fit has zero residual variance
-        acov = AutocovSeq(np.array([1.0, 1.0, 1.0]), 4)
+        # Each product of two values of size 2.3e-162 rounds to the smallest
+        # subnormal, so gamma[0] == gamma[1]: the order-1 fit has zero
+        # residual variance, below the fixed order 5 of a 20-point segment.
+        x = np.repeat([2.3e-162, -2.3e-162], 10)
         with pytest.raises(
             DegenerateFitError,
             match=r"entering order 2: residual variance 0\.0 at order 1$",
         ):
-            levinson_durbin(acov, 2)
+            discrimination_test(x, np.random.default_rng(0).standard_normal(40))
 
     def test_short_autocov_rejected(self):
-        with pytest.raises(ValueError):
-            levinson_durbin(AutocovSeq(np.array([1.0, 0.3]), 4), 2)
+        with pytest.raises(ValueError, match="need autocovariances to lag 2, have 1"):
+            levinson_path(np.array([1.0, 0.3]), 2)
 
 
 class TestFitAr:
-    """Yule-Walker fits as the pipeline makes them: levinson_durbin(sample_autocov(x, p), p)."""
+    """Yule-Walker fits as the pipeline makes them: one levinson_path over
+    sample_autocov(x, p), read at order p."""
 
     @staticmethod
     def fit(x, order):
-        return levinson_durbin(sample_autocov(x, order), order)
+        return yule_walker(sample_autocov(x, order), order)
 
     def test_order_zero_is_mean_square(self):
         rng = np.random.default_rng(9)
         x = mean_correct(rng.standard_normal(64))
-        fit = self.fit(x, 0)
-        assert fit.coeffs.size == 0
-        assert fit.sigma2 == pytest.approx(np.mean(x**2))
+        coeffs, sigma2 = self.fit(x, 0)
+        assert coeffs.size == 0
+        assert sigma2 == pytest.approx(np.mean(x**2))
 
     def test_composition_identity(self):
-        # one autocovariance pass and one path give every per-order fit bit
-        # for bit, which is what bic_select_order relies on
+        # one autocovariance pass and one path give every lower-order fit bit
+        # for bit, which bic_select_order and the segment test's pooled BIC
+        # order rely on
         rng = np.random.default_rng(10)
         x = mean_correct(rng.standard_normal(128))
-        phi, sigma2s = _levinson_path(sample_autocov(x, 6).gamma, 6)
+        phi, sigma2s = levinson_path(sample_autocov(x, 6), 6)
         assert len(sigma2s) == 7
         for p in range(1, 7):
-            fit = self.fit(x, p)
-            assert np.array_equal(-phi[p - 1, :p], fit.coeffs)
-            assert sigma2s[p] == fit.sigma2
+            coeffs, sigma2 = self.fit(x, p)
+            assert np.array_equal(-phi[p - 1, :p], coeffs)
+            assert sigma2s[p] == sigma2
 
     def test_recovers_ar1_coefficient(self):
         # generated with x[t] = 0.7 x[t-1] + e[t]; whitening sign flips it
         spec = PiecewiseSpec(((ArmaSpec(ar=(0.7,)), 4096),))
         x = simulate_piecewise(spec, 0)
-        fit = self.fit(mean_correct(x), 1)
-        assert abs(fit.coeffs[0] - (-0.7)) < 0.05
+        coeffs, _ = self.fit(mean_correct(x), 1)
+        assert abs(coeffs[0] - (-0.7)) < 0.05
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(30)
         x = mean_correct(rng.standard_normal(256))
-        base = self.fit(x, 4)
-        scaled = self.fit(7.5 * x, 4)
-        assert np.allclose(base.coeffs, scaled.coeffs, atol=1e-10)
-        assert scaled.sigma2 == pytest.approx(7.5**2 * base.sigma2, rel=1e-10)
+        base_coeffs, base_sigma2 = self.fit(x, 4)
+        coeffs, sigma2 = self.fit(7.5 * x, 4)
+        assert np.allclose(base_coeffs, coeffs, atol=1e-10)
+        assert sigma2 == pytest.approx(7.5**2 * base_sigma2, rel=1e-10)
 
 
 class TestLevinsonPath:
     def test_stops_at_last_order_reached(self):
         # perfectly correlated: zero residual variance at order 1
-        phi, sigma2s = _levinson_path(np.array([1.0, 1.0, 1.0, 1.0]), 3)
+        phi, sigma2s = levinson_path(np.array([1.0, 1.0, 1.0, 1.0]), 3)
         assert sigma2s.tolist() == [1.0, 0.0]
         assert phi[0, 0] == 1.0
 
     def test_zero_gamma0_stops_at_order_zero(self):
-        _, sigma2s = _levinson_path(np.zeros(4), 3)
+        _, sigma2s = levinson_path(np.zeros(4), 3)
         assert sigma2s.tolist() == [0.0]
 
 

@@ -115,6 +115,11 @@ class TestDetectCommand:
         assert main(["detect", str(path)]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_underdetermined_scan_window_is_exit_2(self, noise_csv, capsys):
+        # h = 15 leaves a half window 5 targets for 10 coefficients
+        assert main(["detect", noise_csv, "--window", "15", "--scan-order", "10"]) == 2
+        assert "window_radius must be at least 2 * scan order + 1" in capsys.readouterr().err
+
     def test_flags_are_wired_through(self, noise_csv, capsys):
         code = main(
             ["detect", noise_csv, "-w", "60", "--order-mode", "bic",

@@ -117,6 +117,15 @@ class TestDetect:
                 assert bt.p_value == 1.0
                 assert bt.warning
 
+    def test_unexpected_test_error_propagates(self, monkeypatch):
+        # only an untestable boundary becomes p = 1; any other error is a bug
+        def broken(*args):
+            raise ValueError("bug in the segment test")
+
+        monkeypatch.setattr("arcpd.pipeline.discrimination_test", broken)
+        with pytest.raises(ValueError, match="bug in the segment test"):
+            detect_changepoints(simulate_piecewise(builtin_model("C"), 0))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DetectConfig(correction="holm")

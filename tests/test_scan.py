@@ -164,8 +164,17 @@ class TestScanStatistics:
         assert np.isfinite(prof.values).all()
 
     def test_window_order_config_invariant(self):
-        with pytest.raises(ValueError):
-            ScanConfig(5, 4)
+        # a half window has h - p targets for p coefficients: h >= 2p + 1
+        for h, order in ((5, 4), (15, 10), (20, 10)):
+            with pytest.raises(ValueError, match="at least 2 \\* scan order \\+ 1"):
+                ScanConfig(h, order)
+        assert ScanConfig(21, 10).order == 10
+
+    def test_auto_order_capped_by_window(self):
+        # BIC picks order 8 on this series; at h = 15 the cap is (h - 1) // 2 = 7
+        x = mean_correct(simulate_piecewise(PiecewiseSpec(((ArmaSpec(ma=(0.9,)), 400),)), 0))
+        assert scan_statistics(x, ScanConfig(50)).order == 8
+        assert scan_statistics(x, ScanConfig(15)).order <= 7
 
     def test_argmax_near_true_change(self):
         spec = builtin_model("C")

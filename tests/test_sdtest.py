@@ -4,28 +4,34 @@ import mpmath
 import numpy as np
 import pytest
 
-from arcpd.ar import DegenerateFitError, bic_select_order, mean_correct, sample_autocov
+from arcpd.ar import DegenerateFitError, bic_select_order, mean_correct
 from arcpd.sdtest import (
     OrderMode,
     SegmentTooShortError,
     chi_sq_upper_tail,
     discrimination_test,
     fixed_order,
-    pooled_autocov,
 )
 from arcpd.simulate import ArmaSpec, PiecewiseSpec, replicate_seed, simulate_piecewise
 
 
 def chi2_tail_quadrature(stat, df):
     """Numerical-integration oracle: integrate the chi-square density
-    upper tail with tanh-sinh quadrature at 30 significant digits."""
+    upper tail with tanh-sinh quadrature at 30 significant digits.
+
+    The integrand is shifted to start at 0 and exp(-stat/2) is taken out of
+    it, so the far tail keeps its relative accuracy (integrating the density
+    over [stat, inf] directly is off by 1e-4 relative at stat = 400).
+    """
     with mpmath.workdps(30):
         k = mpmath.mpf(df) / 2
+        s = mpmath.mpf(stat)
 
-        def density(x):
-            return x ** (k - 1) * mpmath.exp(-x / 2) / (2**k * mpmath.gamma(k))
+        def shifted(u):
+            return (s + u) ** (k - 1) * mpmath.exp(-u / 2)
 
-        return float(mpmath.quad(density, [mpmath.mpf(stat), mpmath.inf]))
+        integral = mpmath.quad(shifted, [0, mpmath.inf])
+        return float(mpmath.exp(-s / 2) * integral / (2**k * mpmath.gamma(k)))
 
 
 def ar1_pair(seed, n, b1, b2):
@@ -34,54 +40,86 @@ def ar1_pair(seed, n, b1, b2):
     return x, y
 
 
-def pooled(x, y, max_lag):
-    """pooled_autocov of two series, each taken to lag max_lag."""
-    return pooled_autocov(sample_autocov(x, max_lag), sample_autocov(y, max_lag), max_lag)
+def dense_fit_variance(gamma, order):
+    """Innovation variance of the order-p Yule-Walker fit by a dense Toeplitz solve."""
+    if order == 0:
+        return gamma[0]
+    G = np.array([[gamma[abs(i - j)] for j in range(order)] for i in range(order)])
+    phi = np.linalg.solve(G, gamma[1 : order + 1])
+    return gamma[0] - gamma[1 : order + 1] @ phi
+
+
+def brute_force_discrimination(x, y, mode):
+    """Segment-test oracle: direct-sum autocovariances (divisor T), a dense
+    Toeplitz solve per fit, and the pooled fit on the sample-size-weighted
+    average (T1 * gx + T2 * gy) / (T1 + T2).  Segment BIC orders come from
+    bic_select_order (checked against its own oracle in test_ar.py); the
+    pooled BIC order minimizes T (ln(2 pi s_p) + 1) + (p + 1) ln T over
+    p = 0..min(max(p1, p2), T_min - 2), ties to the smallest order.
+    Returns (statistic, orders, sigma2)."""
+    xc = np.asarray(x, dtype=float) - np.mean(x)
+    yc = np.asarray(y, dtype=float) - np.mean(y)
+    n1, n2 = len(xc), len(yc)
+    t_min = min(n1, n2)
+    if mode.kind == "fixed":
+        p1 = p2 = max(1, min(math.floor(math.log(t_min) ** mode.exponent), t_min // 3))
+    else:
+        p1 = bic_select_order(xc, min(mode.max_order, n1 - 2))
+        p2 = bic_select_order(yc, min(mode.max_order, n2 - 2))
+    max_lag = max(p1, p2)
+
+    def acov(z):
+        n = len(z)
+        return np.array([sum(z[t] * z[t - j] for t in range(j, n)) / n for j in range(max_lag + 1)])
+
+    gx, gy = acov(xc), acov(yc)
+    p0_max = min(max_lag, t_min - 2)
+    pooled = (n1 * gx[: p0_max + 1] + n2 * gy[: p0_max + 1]) / (n1 + n2)
+    if mode.kind == "fixed":
+        p0 = p1
+    else:
+        n = n1 + n2
+        bics = [
+            n * (math.log(2 * math.pi * dense_fit_variance(pooled, p)) + 1) + (p + 1) * math.log(n)
+            for p in range(p0_max + 1)
+        ]
+        p0 = bics.index(min(bics))
+    s1, s2, s0 = (
+        dense_fit_variance(gx, p1),
+        dense_fit_variance(gy, p2),
+        dense_fit_variance(pooled, p0),
+    )
+    stat = n1 * math.log(s0 / s1) + n2 * math.log(s0 / s2)
+    return stat, (p1, p2, p0), (s1, s2, s0)
+
+
+def short_beside_ma_pair():
+    """A 5-point segment beside an MA(0.9) segment of 400 points whose BIC order is 8."""
+    x = np.random.default_rng(16).standard_normal(5)
+    y = simulate_piecewise(PiecewiseSpec(((ArmaSpec(ma=(0.9,)), 400),)), 0)
+    return x, y
 
 
 class TestPooledAutocov:
+    """The pooled fit reads the sample-size-weighted average of the two
+    segments' autocovariances, (T1 * gx + T2 * gy) / (T1 + T2)."""
+
     def test_identical_segments(self):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(50)
-        x = x - x.mean()
-        acov = pooled(x, x, 5)
-        assert np.allclose(acov.gamma, sample_autocov(x, 5).gamma)
-        assert acov.sample_size == 100
-
-    def test_zero_second_segment_halves(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal(40)
-        x = x - x.mean()
-        acov = pooled(x, np.zeros(40), 3)
-        assert np.allclose(acov.gamma, sample_autocov(x, 3).gamma / 2.0)
-
-    def test_mixed_example(self):
-        acov = pooled([1, -1, 1, -1], [1, 1, 1, 1], 1)
-        assert np.allclose(acov.gamma, [1.0, 0.0])
+        x = np.random.default_rng(0).standard_normal(50)
+        s1, s2, s0 = discrimination_test(x, x.copy()).sigma2
+        assert s1 == s2
+        assert s0 == pytest.approx(s1, rel=1e-12)
 
     def test_weighted_average_form(self):
         rng = np.random.default_rng(2)
-        x = rng.standard_normal(30)
-        y = rng.standard_normal(70)
-        x, y = x - x.mean(), y - y.mean()
-        acov = pooled(x, y, 4)
-        gx = sample_autocov(x, 4).gamma
-        gy = sample_autocov(y, 4).gamma
-        assert np.allclose(acov.gamma, (30 * gx + 70 * gy) / 100)
-
-    def test_longer_sequences_are_cut_to_max_lag(self):
-        rng = np.random.default_rng(3)
-        x, y = rng.standard_normal(30), rng.standard_normal(50)
-        acov = pooled_autocov(sample_autocov(x, 9), sample_autocov(y, 6), 4)
-        assert np.array_equal(acov.gamma, pooled(x, y, 4).gamma)
-
-    def test_bad_lag(self):
-        acov_x = sample_autocov([1.0, 2.0], 1)
-        acov_y = sample_autocov([1.0, 2.0, 3.0], 2)
-        with pytest.raises(ValueError, match=r"max_lag must be in \[0, 1\], got 2"):
-            pooled_autocov(acov_x, acov_y, 2)
-        with pytest.raises(ValueError, match="need autocovariances to lag 1, have 0"):
-            pooled_autocov(sample_autocov([1.0, 2.0], 0), acov_y, 1)
+        x, y = rng.standard_normal(30), rng.standard_normal(70)
+        res = discrimination_test(x, y, OrderMode.fixed(1.5))
+        p = res.orders[2]
+        xc, yc = x - x.mean(), y - y.mean()
+        gx = np.array([xc[j:] @ xc[: 30 - j] / 30 for j in range(p + 1)])
+        gy = np.array([yc[j:] @ yc[: 70 - j] / 70 for j in range(p + 1)])
+        want = dense_fit_variance((30 * gx + 70 * gy) / 100, p)
+        assert res.sigma2[2] == pytest.approx(want, rel=1e-10)
 
 
 class TestFixedOrder:
@@ -124,11 +162,16 @@ class TestChiSqUpperTail:
         assert chi_sq_upper_tail(3.841459, 1) == pytest.approx(oracle, abs=1e-10)
         assert chi_sq_upper_tail(3.841459, 1) == pytest.approx(0.05, abs=1e-4)
 
-    @pytest.mark.parametrize("df", [1, 3, 4, 10, 25])
+    @pytest.mark.parametrize("df", [1, 2, 3, 4, 10, 20, 25, 37])
     def test_matches_quadrature(self, df):
-        for stat in (0.3, 1.7, 5.0, 12.0, 40.0):
+        # df 37 is the largest fixed-mode df at T = 65536.  Where the tail is
+        # below 1e-10 an absolute check says nothing, so it is relative there.
+        for stat in (0.3, 1.7, 5.0, 12.0, 40.0, 80.0, 150.0, 250.0, 400.0):
             oracle = chi2_tail_quadrature(stat, df)
-            assert chi_sq_upper_tail(stat, df) == pytest.approx(oracle, abs=1e-10)
+            if oracle < 1e-10:
+                assert chi_sq_upper_tail(stat, df) == pytest.approx(oracle, rel=1e-12, abs=0)
+            else:
+                assert chi_sq_upper_tail(stat, df) == pytest.approx(oracle, abs=1e-10)
 
     def test_strictly_decreasing(self):
         for df in (1, 2, 8):
@@ -139,8 +182,43 @@ class TestChiSqUpperTail:
         with pytest.raises(ValueError):
             chi_sq_upper_tail(-0.1, 2)
 
+    def test_non_integer_df_rejected(self):
+        for df in (0, 2.5):
+            with pytest.raises(ValueError, match="df must be a positive integer"):
+                chi_sq_upper_tail(1.0, df)
+
 
 class TestDiscriminationTest:
+    @pytest.mark.parametrize(
+        "case,mode",
+        [
+            pytest.param("ar1", OrderMode.fixed(1.5), id="ar1-fixed1.5"),
+            pytest.param("ar1", OrderMode.bic(6), id="ar1-bic6"),
+            pytest.param("unequal", OrderMode.fixed(1.5), id="unequal-fixed1.5"),
+            pytest.param("unequal", OrderMode.fixed(2.5), id="unequal-fixed2.5"),
+            pytest.param("unequal", OrderMode.bic(10), id="unequal-bic10"),
+            pytest.param("short_beside_ma", OrderMode.fixed(1.5), id="short_beside_ma-fixed1.5"),
+            pytest.param("short_beside_ma", OrderMode.bic(10), id="short_beside_ma-bic10"),
+        ],
+    )
+    def test_matches_brute_force_oracle(self, case, mode):
+        if case == "ar1":
+            x, y = ar1_pair(20, 300, 0.6, -0.3)
+        elif case == "unequal":
+            x, _ = ar1_pair(21, 90, 0.8, 0.0)
+            y = simulate_piecewise(PiecewiseSpec(((ArmaSpec(ar=(1.69, -0.81)), 350),)), 3)
+        else:
+            x, y = short_beside_ma_pair()
+        res = discrimination_test(x, y, mode)
+        stat, orders, sigma2 = brute_force_discrimination(x, y, mode)
+        assert res.orders == orders
+        np.testing.assert_allclose(res.sigma2, sigma2, rtol=1e-10, atol=0)
+        assert res.statistic == pytest.approx(stat, rel=1e-8, abs=1e-8)
+        if case == "short_beside_ma" and mode.kind == "bic":
+            # the pooled search stops at the 5-point segment's length - 2,
+            # below the other segment's lag 8
+            assert orders[1] == 8 and orders[2] <= 3
+
     def test_identical_segments_lambda_zero(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal(300)
@@ -211,15 +289,12 @@ class TestDiscriminationTest:
         # BIC orders are chosen per segment; the pooled search stops at the
         # shorter segment's length - 2, so a 5-point segment caps it at 3 even
         # beside a segment of BIC order 8.
-        rng = np.random.default_rng(16)
-        x = rng.standard_normal(5)
-        y = simulate_piecewise(PiecewiseSpec(((ArmaSpec(ma=(0.9,)), 400),)), 0)
+        x, y = short_beside_ma_pair()
         assert bic_select_order(mean_correct(y), 10) == 8
         res = discrimination_test(x, y, OrderMode.bic(10))
         p1, p2, p0 = res.orders
         assert p2 == 8
         assert p0 <= 3
-        assert res.fit_pooled.order == p0
         assert res.df == max(1, p1 + p2 - p0 + 1)
         assert math.isfinite(res.statistic)
         assert 0.0 <= res.p_value <= 1.0
