@@ -7,6 +7,11 @@ already mean-corrected unless noted; use :func:`mean_correct` first.
 autocovariance array (:func:`sample_autocov`) it gives the Yule-Walker
 coefficients and innovation variance of every order up to the one asked
 for, so a caller that needs several orders of one sequence runs it once.
+:func:`bic_order` is the one BIC scorer, read off that path alone with the
+concentrated Gaussian likelihood: BIC(p) = n * (log(2 pi) + log sigma2_p + 1)
++ (p + 1) * log(n).  It needs no residual pass, and since the minimizer
+depends on the data only through ratios of innovation variances, the
+selected order does not depend on the units (scale) of the series.
 
 Coefficient sign convention: an AR(p) fit is the vector
 ``(b_1, ..., b_p)`` of the whitening filter
@@ -29,6 +34,7 @@ __all__ = [
     "mean_correct",
     "sample_autocov",
     "levinson_path",
+    "bic_order",
     "bic_select_order",
 ]
 
@@ -109,27 +115,35 @@ def levinson_path(gamma: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray
     return phi, sigma2s
 
 
-def _whitening_residuals(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """e[t] = x[t] + sum_j coeffs[j] * x[t-j-1] for t = p..T-1 (0-based)."""
-    p = len(coeffs)
-    if p == 0:
-        return x
-    e = x[p:].copy()
-    n = len(x)
-    for j, b in enumerate(coeffs, start=1):
-        e += b * x[p - j : n - j]
-    return e
+def bic_order(sigma2s: np.ndarray, n: int) -> int:
+    """BIC order over a Levinson path's innovation variances, for sample size n.
+
+    BIC(p) = n * (log(2 pi) + log sigma2s[p] + 1) + (p + 1) * log(n), less
+    n * (log(2 pi) + 1 + log sigma2s[0]), which no order changes: what is
+    scored is n * log(sigma2s[p] / sigma2s[0]) + (p + 1) * log(n).  Orders
+    stop at the first variance that is not positive and finite (0 when
+    sigma2s[0] is not); ties go to the smallest order.
+    """
+    log_n = math.log(n)
+    best_p, best = 0, math.inf
+    for p, s in enumerate(sigma2s):
+        if not 0.0 < s < math.inf:
+            break
+        bic = n * math.log(s / sigma2s[0]) + (p + 1) * log_n
+        if bic < best:
+            best_p, best = p, bic
+    return best_p
 
 
 def bic_select_order(values, max_order: int) -> int:
     """Pick the AR order in 0..max_order minimizing BIC; ties go to the smallest.
 
-    BIC(p) = -2 * loglik(p) + (p + 1) * log(T), where loglik(p) is the
-    Gaussian log-likelihood of the order-p Yule-Walker whitening residuals
-    e[p..T-1] with variance sigma2_p, conditional on the first p
-    observations.  One autocovariance pass and one Levinson-Durbin path
-    serve every order; orders the path does not reach, or whose residual
-    variance is not positive, are skipped.
+    One autocovariance pass and one Levinson-Durbin path to max_order, scored
+    by :func:`bic_order` with n = len(values): the concentrated likelihood
+    n * (log(2 pi) + log sigma2_p + 1) + (p + 1) * log(n).  The result does
+    not depend on scale: ``bic_select_order(c * x, m) == bic_select_order(x, m)``
+    for any c != 0 short of overflow or underflow.  Raises DegenerateFitError when the
+    order-0 variance is not positive and finite.
     """
     x = as_series(values)
     if max_order < 1:
@@ -139,22 +153,10 @@ def bic_select_order(values, max_order: int) -> int:
         raise ValueError(
             f"series of length {n} too short for max_order {max_order}"
         )
-    phi, sigma2s = levinson_path(sample_autocov(x, max_order), max_order)
-    log_t = math.log(n)
-    best_order = None
-    best_bic = math.inf
-    for p, sigma2 in enumerate(sigma2s):
-        if not sigma2 > 0.0:
-            continue
-        e = _whitening_residuals(x, -phi[p - 1, :p] if p else np.empty(0))
-        loglik = -0.5 * ((n - p) * (LOG_2PI + math.log(sigma2)) + e @ e / sigma2)
-        bic = -2.0 * loglik + (p + 1) * log_t
-        if bic < best_bic:
-            best_bic = bic
-            best_order = p
-    if best_order is None:
+    _, sigma2s = levinson_path(sample_autocov(x, max_order), max_order)
+    if not 0.0 < sigma2s[0] < math.inf:
         raise DegenerateFitError(
             f"BIC order selection failed at every order 0..{max_order}: "
             f"residual variance {float(sigma2s[0])!r} at order 0"
         )
-    return best_order
+    return bic_order(sigma2s, n)

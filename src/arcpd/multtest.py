@@ -23,10 +23,6 @@ class MultipleTestOutcome:
     rejected: tuple[bool, ...]
     adjusted: tuple[float, ...]
 
-    @property
-    def n_rejected(self) -> int:
-        return sum(self.rejected)
-
 
 def _validated(pvals, alpha: float) -> np.ndarray:
     if not 0.0 < alpha < 1.0:

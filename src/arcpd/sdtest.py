@@ -24,7 +24,8 @@ Two order policies are supported:
   are, and is the pipeline default.
 * bic: per-segment BIC orders plus a BIC order for the pooled fit, searched
   up to min(max(p1, p2), T_min - 2) (degrees of freedom = p1 + p2 - p0 + 1,
-  at least 1).  Preferable only when an AR model is trusted.
+  at least min(p1, p2) + 1).  All three orders come from the one BIC scorer,
+  :func:`arcpd.ar.bic_order`.  Preferable only when an AR model is trusted.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ar import (
-    LOG_2PI,
     DegenerateFitError,
+    bic_order,
     bic_select_order,
     levinson_path,
     mean_correct,
@@ -108,23 +109,6 @@ def fixed_order(len_x: int, len_y: int, exponent: float) -> int:
     return max(1, min(raw, t_min // 3))
 
 
-def _bic_order(sigma2s: np.ndarray, n: int) -> int:
-    """BIC order over a Levinson path's innovation variances, for sample size n.
-
-    Uses the concentrated Gaussian likelihood -N/2 (log(2 pi s_p) + 1) with
-    s_p the innovation variance at order p, over the orders up to the first
-    non-positive variance.
-    """
-    best_p, best = 0, math.inf
-    for p, s in enumerate(sigma2s):
-        if not (s > 0.0):
-            break
-        bic = n * (LOG_2PI + math.log(s) + 1.0) + (p + 1) * math.log(n)
-        if bic < best:
-            best_p, best = p, bic
-    return best_p
-
-
 def _segment_orders(
     xc: np.ndarray, yc: np.ndarray, mode: OrderMode
 ) -> tuple[int, int, list[str]]:
@@ -184,7 +168,7 @@ def discrimination_test(x, y, mode: OrderMode | None = None) -> DiscriminationRe
     _, path_x = levinson_path(gx, p1)
     _, path_y = levinson_path(gy, p2)
     _, path_0 = levinson_path(pooled, p0_max)
-    p0 = p1 if mode.kind == "fixed" else _bic_order(path_0, n1 + n2)
+    p0 = p1 if mode.kind == "fixed" else bic_order(path_0, n1 + n2)
 
     fits = ((path_x, p1), (path_y, p2), (path_0, p0))
     for path, p in fits:
@@ -211,16 +195,8 @@ def discrimination_test(x, y, mode: OrderMode | None = None) -> DiscriminationRe
     else:
         stat_for_tail = stat
 
-    if mode.kind == "fixed":
-        df = p1 + 1
-    else:
-        df = p1 + p2 - p0 + 1
-        if df < 1:
-            warnings.append(
-                f"degrees of freedom {df} floored to 1 (pooled order {p0} "
-                f"exceeds segment orders {p1}, {p2})"
-            )
-            df = 1
+    # p0 <= max(p1, p2), so the BIC-mode df is at least min(p1, p2) + 1.
+    df = p1 + 1 if mode.kind == "fixed" else p1 + p2 - p0 + 1
     return DiscriminationResult(
         statistic=float(stat),
         df=df,

@@ -37,27 +37,24 @@ def yule_walker(gamma, order):
 
 
 def brute_force_bic_order(x, max_order):
-    """BIC oracle: a dense Toeplitz solve per order and a direct Gaussian
-    density sum of the whitening residuals, conditional on the first p points.
+    """BIC oracle: a dense Toeplitz solve per order, scored with the
+    concentrated Gaussian likelihood.
 
-    BIC(p) = -2 * loglik + (p + 1) * ln T; ties go to the smallest order.  An
-    order counts only if its residual variance and every lower order's are
-    positive (a zero residual variance makes every larger Yule-Walker system
-    singular).  Returns None when no order counts.
+    BIC(p) = T * ln sigma2_p + (p + 1) * ln T, which differs from
+    T * (ln(2 pi sigma2_p) + 1) + (p + 1) * ln T by a constant; ties go to
+    the smallest order.  An order counts only if its residual variance and
+    every lower order's are positive (a zero residual variance makes every
+    larger Yule-Walker system singular).  Returns None when no order counts.
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
     gamma = [sum(x[t] * x[t - j] for t in range(j, n)) / n for j in range(max_order + 1)]
     best, best_bic = None, math.inf
     for p in range(max_order + 1):
-        coeffs, sigma2 = toeplitz_solve(gamma, p) if p else ([], gamma[0])
+        sigma2 = toeplitz_solve(gamma, p)[1] if p else gamma[0]
         if not sigma2 > 0.0:
             break
-        loglik = 0.0
-        for t in range(p, n):
-            e = x[t] + sum(coeffs[j] * x[t - j - 1] for j in range(p))
-            loglik += -0.5 * (math.log(2 * math.pi * sigma2) + e * e / sigma2)
-        bic = -2.0 * loglik + (p + 1) * math.log(n)
+        bic = n * math.log(sigma2) + (p + 1) * math.log(n)
         if bic < best_bic:
             best, best_bic = p, bic
     return best
@@ -302,6 +299,22 @@ class TestBicSelectOrder:
         x = np.array([(-1.0) ** t for t in range(length)])
         max_order = min(10, length - 1)
         assert bic_select_order(x, max_order) == brute_force_bic_order(x, max_order) == 1
+
+    @pytest.mark.parametrize(
+        "spec,seed",
+        [
+            pytest.param(PiecewiseSpec(((ArmaSpec(ar=(0.6,)), 200),)), 0, id="ar0.6"),
+            pytest.param(builtin_model("A", 0.4), replicate_seed(0, 0), id="A:0.4"),
+            pytest.param(builtin_model("B"), replicate_seed(0, 0), id="B"),
+            pytest.param(builtin_model("E"), replicate_seed(2, 0), id="E"),
+            pytest.param(builtin_model("H"), replicate_seed(4, 0), id="H"),
+        ],
+    )
+    def test_scale_invariance(self, spec, seed):
+        # the score depends on the data only through sigma2_p / sigma2_0
+        x = mean_correct(simulate_piecewise(spec, seed))
+        orders = [bic_select_order(c * x, 10) for c in (1e-100, 1e-10, 1.0, 1e10, 1e100)]
+        assert orders == [orders[2]] * 5
 
     def test_zero_series_breaks_down_at_order_zero(self):
         # the recursion stops at order 0, so no order can be scored

@@ -135,6 +135,27 @@ class TestDetect:
             DetectConfig(window_radius=0)
 
 
+@pytest.mark.parametrize("mode", [OrderMode.fixed(), OrderMode.bic()], ids=["fixed", "bic"])
+@pytest.mark.parametrize("model,replicate", [("B", 0), ("E", 1), ("G", 2), ("H", 0)])
+def test_scale_does_not_change_detection(model, replicate, mode):
+    # scan order, candidates, segment orders and final change points are the
+    # same whatever the scale of the series
+    x = simulate_piecewise(builtin_model(model), replicate_seed(0, replicate))
+    cfg = DetectConfig(order_mode=mode)
+
+    def summary(report):
+        return (
+            report.profile.order,
+            report.candidates.positions,
+            [bt.result.orders if bt.result else None for bt in report.boundary_tests],
+            report.final_cps,
+        )
+
+    want = summary(detect_changepoints(x, cfg))
+    for c in (1e-100, 1e-10, 1e10, 1e100):
+        assert summary(detect_changepoints(c * x, cfg)) == want, c
+
+
 class TestAgainstManualComposition:
     def test_final_cps_match_manual_correction(self):
         x = simulate_piecewise(builtin_model("C"), 11)

@@ -172,7 +172,7 @@ class TestScanStatistics:
 
     def test_auto_order_capped_by_window(self):
         # BIC picks order 8 on this series; at h = 15 the cap is (h - 1) // 2 = 7
-        x = mean_correct(simulate_piecewise(PiecewiseSpec(((ArmaSpec(ma=(0.9,)), 400),)), 0))
+        x = mean_correct(simulate_piecewise(PiecewiseSpec(((ArmaSpec(ma=(0.9,)), 800),)), 0))
         assert scan_statistics(x, ScanConfig(50)).order == 8
         assert scan_statistics(x, ScanConfig(15)).order <= 7
 

@@ -49,41 +49,45 @@ def dense_fit_variance(gamma, order):
     return gamma[0] - gamma[1 : order + 1] @ phi
 
 
+def dense_bic_order(gamma, n, max_order):
+    """Order in 0..max_order minimizing T * ln(2 pi s_p) + T + (p + 1) ln T,
+    s_p from a dense Toeplitz solve, ties to the smallest order."""
+    bics = [
+        n * (math.log(2 * math.pi * dense_fit_variance(gamma, p)) + 1) + (p + 1) * math.log(n)
+        for p in range(max_order + 1)
+    ]
+    return bics.index(min(bics))
+
+
 def brute_force_discrimination(x, y, mode):
     """Segment-test oracle: direct-sum autocovariances (divisor T), a dense
     Toeplitz solve per fit, and the pooled fit on the sample-size-weighted
-    average (T1 * gx + T2 * gy) / (T1 + T2).  Segment BIC orders come from
-    bic_select_order (checked against its own oracle in test_ar.py); the
-    pooled BIC order minimizes T (ln(2 pi s_p) + 1) + (p + 1) ln T over
-    p = 0..min(max(p1, p2), T_min - 2), ties to the smallest order.
-    Returns (statistic, orders, sigma2)."""
+    average (T1 * gx + T2 * gy) / (T1 + T2).  In BIC mode every order
+    minimizes the concentrated-likelihood BIC T (ln(2 pi s_p) + 1) + (p + 1) ln T
+    over dense-solve variances: segment i over p = 0..min(max_order, T_i - 2)
+    with its own T_i, the pooled fit over p = 0..min(max(p1, p2), T_min - 2)
+    with T = T1 + T2.  Returns (statistic, orders, sigma2)."""
     xc = np.asarray(x, dtype=float) - np.mean(x)
     yc = np.asarray(y, dtype=float) - np.mean(y)
     n1, n2 = len(xc), len(yc)
     t_min = min(n1, n2)
-    if mode.kind == "fixed":
-        p1 = p2 = max(1, min(math.floor(math.log(t_min) ** mode.exponent), t_min // 3))
-    else:
-        p1 = bic_select_order(xc, min(mode.max_order, n1 - 2))
-        p2 = bic_select_order(yc, min(mode.max_order, n2 - 2))
-    max_lag = max(p1, p2)
 
-    def acov(z):
+    def acov(z, max_lag):
         n = len(z)
         return np.array([sum(z[t] * z[t - j] for t in range(j, n)) / n for j in range(max_lag + 1)])
 
-    gx, gy = acov(xc), acov(yc)
-    p0_max = min(max_lag, t_min - 2)
-    pooled = (n1 * gx[: p0_max + 1] + n2 * gy[: p0_max + 1]) / (n1 + n2)
     if mode.kind == "fixed":
-        p0 = p1
+        p1 = p2 = max(1, min(math.floor(math.log(t_min) ** mode.exponent), t_min // 3))
+        gx, gy = acov(xc, p1), acov(yc, p2)
     else:
-        n = n1 + n2
-        bics = [
-            n * (math.log(2 * math.pi * dense_fit_variance(pooled, p)) + 1) + (p + 1) * math.log(n)
-            for p in range(p0_max + 1)
-        ]
-        p0 = bics.index(min(bics))
+        max1 = min(mode.max_order, n1 - 2)
+        max2 = min(mode.max_order, n2 - 2)
+        gx, gy = acov(xc, max(max1, max2)), acov(yc, max(max1, max2))
+        p1 = dense_bic_order(gx, n1, max1)
+        p2 = dense_bic_order(gy, n2, max2)
+    p0_max = min(max(p1, p2), t_min - 2)
+    pooled = (n1 * gx[: p0_max + 1] + n2 * gy[: p0_max + 1]) / (n1 + n2)
+    p0 = p1 if mode.kind == "fixed" else dense_bic_order(pooled, n1 + n2, p0_max)
     s1, s2, s0 = (
         dense_fit_variance(gx, p1),
         dense_fit_variance(gy, p2),
@@ -94,9 +98,9 @@ def brute_force_discrimination(x, y, mode):
 
 
 def short_beside_ma_pair():
-    """A 5-point segment beside an MA(0.9) segment of 400 points whose BIC order is 8."""
+    """A 5-point segment beside an MA(0.9) segment of 800 points whose BIC order is 8."""
     x = np.random.default_rng(16).standard_normal(5)
-    y = simulate_piecewise(PiecewiseSpec(((ArmaSpec(ma=(0.9,)), 400),)), 0)
+    y = simulate_piecewise(PiecewiseSpec(((ArmaSpec(ma=(0.9,)), 800),)), 0)
     return x, y
 
 
@@ -269,7 +273,7 @@ class TestDiscriminationTest:
         x, y = ar1_pair(10, 512, 0.8, -0.8)
         res = discrimination_test(x, y, OrderMode.bic(6))
         p1, p2, p0 = res.orders
-        assert res.df == max(p1 + p2 - p0 + 1, 1)
+        assert res.df == p1 + p2 - p0 + 1 >= min(p1, p2) + 1
 
     def test_bic_mode_pooled_recursion_stops_early(self):
         # Each segment's sum of squares is near the float maximum, so the
@@ -288,14 +292,14 @@ class TestDiscriminationTest:
     def test_bic_mode_short_segment_cannot_supply_pooled_lag(self):
         # BIC orders are chosen per segment; the pooled search stops at the
         # shorter segment's length - 2, so a 5-point segment caps it at 3 even
-        # beside a segment of BIC order 8.
+        # beside a segment of BIC order 8; the search ends at that cap.
         x, y = short_beside_ma_pair()
         assert bic_select_order(mean_correct(y), 10) == 8
         res = discrimination_test(x, y, OrderMode.bic(10))
         p1, p2, p0 = res.orders
         assert p2 == 8
-        assert p0 <= 3
-        assert res.df == max(1, p1 + p2 - p0 + 1)
+        assert p0 == 3
+        assert res.df == p1 + p2 - p0 + 1
         assert math.isfinite(res.statistic)
         assert 0.0 <= res.p_value <= 1.0
 
