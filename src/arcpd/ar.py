@@ -66,7 +66,8 @@ def mean_correct(values) -> np.ndarray:
 def sample_autocov(values, max_lag: int) -> np.ndarray:
     """Sample autocovariances with divisor T at every lag.
 
-    gamma[j] = (1/T) * sum_{t=j}^{T-1} x[t] * x[t-j] for j = 0..max_lag.
+    gamma[j] = (1/T) * sum_{t=j}^{T-1} x[t] * x[t-j] for j = 0..max_lag,
+    all lags from one ``np.correlate`` of x, zero-padded by max_lag, with x.
     No mean is subtracted here; the caller mean-corrects first.  The
     divisor-T form keeps the sequence positive semidefinite, which the
     Levinson-Durbin recursion relies on.
@@ -75,10 +76,7 @@ def sample_autocov(values, max_lag: int) -> np.ndarray:
     n = len(x)
     if not 0 <= max_lag < n:
         raise ValueError(f"max_lag must be in [0, {n - 1}], got {max_lag}")
-    gamma = np.empty(max_lag + 1)
-    for j in range(max_lag + 1):
-        gamma[j] = x[j:] @ x[: n - j] / n
-    return gamma
+    return np.correlate(np.concatenate([x, np.zeros(max_lag)]), x, "valid") / n
 
 
 def levinson_path(gamma: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -92,27 +90,32 @@ def levinson_path(gamma: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray
     needs a positive, finite sigma2s[m-1]; where it is not, the recursion
     breaks down and the path stops at order m - 1, so callers check
     ``len(sigma2s)`` before reading the order they want.
+
+    The orders here are small (at most a few dozen), so the recursion runs
+    on Python floats, one coefficient row as a list; numpy calls on arrays
+    this short cost more than the arithmetic.
     """
     if not 0 <= order < len(gamma):
         raise ValueError(
             f"need autocovariances to lag {order}, have {len(gamma) - 1}"
         )
-    sigma2s = np.empty(order + 1)
-    sigma2s[0] = gamma[0]
+    g = np.asarray(gamma, dtype=float)[: order + 1].tolist()
+    sigma2s = [g[0]]
     phi = np.zeros((order, order))
+    row: list[float] = []  # coefficients of the last order reached
     for m in range(1, order + 1):
-        prev = sigma2s[m - 1]
-        if not (prev > 0.0) or not math.isfinite(prev):
-            return phi, sigma2s[:m]
-        acc = gamma[m]
-        if m > 1:
-            acc -= phi[m - 2, : m - 1] @ gamma[m - 1 : 0 : -1]
-        reflect = acc / prev
-        phi[m - 1, m - 1] = reflect
-        if m > 1:
-            phi[m - 1, : m - 1] = phi[m - 2, : m - 1] - reflect * phi[m - 2, m - 2 :: -1]
-        sigma2s[m] = prev * (1.0 - reflect * reflect)
-    return phi, sigma2s
+        prev = sigma2s[-1]
+        if not 0.0 < prev < math.inf:
+            break
+        dot = 0.0
+        for c, lagged in zip(row, g[m - 1 : 0 : -1]):
+            dot += c * lagged
+        reflect = (g[m] - dot) / prev
+        row = [c - reflect * r for c, r in zip(row, reversed(row))]
+        row.append(reflect)
+        phi[m - 1, :m] = row
+        sigma2s.append(prev * (1.0 - reflect * reflect))
+    return phi, np.array(sigma2s)
 
 
 def bic_order(sigma2s: np.ndarray, n: int) -> int:

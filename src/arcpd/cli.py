@@ -1,12 +1,13 @@
 """Command-line front end: detect on CSVs, simulate builtin models, run benchmarks.
 
 Exit codes: 0 success, 1 series too short for the scanning window,
-2 malformed input / unknown model / bad arguments.
+2 malformed input / unknown model / bad arguments / unwritable output path.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -23,6 +24,15 @@ __all__ = ["main"]
 
 class InputError(Exception):
     """Malformed user input; maps to exit code 2."""
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn an OSError raised while writing `path` into an InputError (exit code 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from None
 
 
 def read_series_csv(path: str, column: str | None = None) -> list[float]:
@@ -116,12 +126,12 @@ def _cmd_detect(args) -> int:
         return 1
     text = json.dumps(report.to_dict(), indent=2)
     if args.out:
-        with open(args.out, "w") as fh:
+        with _writing(args.out), open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
     if args.plot:
-        with open(args.plot, "w", newline="") as fh:
+        with _writing(args.plot), open(args.plot, "w", newline="") as fh:
             fh.write(series_plot(values, report.final_cps, title=args.input))
     return 0
 
@@ -129,7 +139,7 @@ def _cmd_detect(args) -> int:
 def _cmd_simulate(args) -> int:
     spec = builtin_model(args.model)
     x = simulate_piecewise(spec, args.seed)
-    with open(args.out, "w", newline="") as fh:
+    with _writing(args.out), open(args.out, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["x"])
         for v in x:
@@ -150,7 +160,7 @@ def _cmd_simulate(args) -> int:
             for arma, end in spec.segments
         ],
     }
-    with open(args.out + ".json", "w") as fh:
+    with _writing(args.out + ".json"), open(args.out + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2)
         fh.write("\n")
     return 0
@@ -164,7 +174,8 @@ def _cmd_bench(args) -> int:
     for m in models:
         builtin_model(m)  # validate early so bad names exit before any work
     rows = run_bench(models, args.replicates, args.seed, _detect_config(args))
-    paths = write_bench_outputs(rows, args.out)
+    with _writing(args.out):
+        paths = write_bench_outputs(rows, args.out)
     for r in rows:
         print(
             f"{r.model}\t{r.method}\tR={r.replicates}\t"

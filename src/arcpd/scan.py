@@ -16,19 +16,22 @@ autoregressive structure at ``t``.
 The half fits are exact conditional maximum-likelihood (least-squares)
 AR fits; the per-piece maximizer property is what makes the ratio
 sign-controlled, which a moment-based fit would only achieve
-approximately.  Windows where a fit degenerates (singular normal
-equations, zero residual variance) score 0 and are counted in
-``ScanProfile.degenerate``.
+approximately.  A window scores 0 and is counted in
+``ScanProfile.degenerate`` when a piece has rank-deficient lags (an
+elimination pivot at most ``PIVOT_RTOL`` times its diagonal entry) or an
+exact fit (residual sum of squares at most ``EXACT_FIT_RTOL`` times that
+of its targets), as on a constant stretch.  Both rules are relative, so
+they do not depend on the scale of the series.
 
-Positions are evaluated in chunks of about ``CHUNK_VALUES / 2h``
-windows.  Per chunk and piece (left, right, pooled), the normal equations
-are differences of one prefix sum of lag outer products and are solved in
-one stacked call; a chunk holding a singular window is re-solved window
-by window.  The residual sum of squares is then summed from explicit
-residuals, not taken as ``g00 - g0' phi`` from the prefix sums: that
-difference cancels badly on long and near-unit-root series (errors near
-1e-9 on AR(0.999) at T = 2e5), while explicit residuals keep the profile
-within rounding of a per-window least-squares fit.
+Positions are evaluated in chunks of about ``CHUNK_VALUES / 2h`` windows.
+Left and right Gram matrices are differences of one prefix sum of lag
+outer products; the pooled targets are the union of theirs, so its Gram
+matrix is their sum.  All three stacks are solved by one batched LDL^T
+elimination, a p-step numpy loop.  The residual sums of squares come from
+explicit residuals over column slices of one sliding-window view, not
+from ``g00 - g0' phi``, which cancels badly on long and near-unit-root
+series (errors near 1e-9 on AR(0.999) at T = 2e5); explicit residuals
+keep the profile within rounding of a per-window least-squares fit.
 """
 
 from __future__ import annotations
@@ -57,6 +60,12 @@ AUTO_MAX_ORDER = 10
 # Scan positions per chunk: CHUNK_VALUES // (2h), so one piece's residuals
 # hold about CHUNK_VALUES floats.
 CHUNK_VALUES = 2**14
+
+# Degenerate-piece rules (module docstring).  A pivot ratio of 1e-10 means the
+# normal equations have lost about ten of sixteen digits; a residual sum of
+# squares of 1e-20 times the energy is rounding noise of an exact fit.
+PIVOT_RTOL = 1e-10
+EXACT_FIT_RTOL = 1e-20
 
 # Default window radius h: the paper's max(50, ceil(ln T)) is 50 for every T < e^50.
 DEFAULT_RADIUS = 50
@@ -120,52 +129,46 @@ def _resolve_order(x: np.ndarray, cfg: ScanConfig) -> int:
 
 
 def _gram_prefix(x: np.ndarray, p: int) -> np.ndarray:
-    """prefix[i+1] = sum of r_k r_k^T over targets k = p..i, r_k = (x[k], ..., x[k-p]).
+    """prefix[:, :, i+1] = sum of r_k r_k^T over targets k = p..i, r_k = (x[k-p], ..., x[k]).
 
-    prefix[0..p] are zero.  Built in place: one (n+1, p+1, p+1) array.
+    prefix[:, :, 0..p] are zero.  Built in place: one (p+1, p+1, n+1) array,
+    so the Gram matrices of a run of windows are a contiguous slice.  Index
+    p is the target and index i < p its lag p - i.
     """
     n, dim = len(x), p + 1
-    prefix = np.zeros((n + 1, dim, dim))
-    rows = sliding_window_view(x, dim)[:, ::-1]  # row k - p is r_k
-    np.einsum("ti,tj->tij", rows, rows, out=prefix[p + 1 :])
-    np.cumsum(prefix, axis=0, out=prefix)
+    prefix = np.zeros((dim, dim, n + 1))
+    rows = sliding_window_view(x, dim)  # row k - p is r_k
+    np.einsum("ti,tj->ijt", rows, rows, out=prefix[:, :, p + 1 :])
+    np.cumsum(prefix, axis=2, out=prefix)
     return prefix
 
 
 def _solve_stack(gram: np.ndarray) -> np.ndarray:
-    """AR coefficients of each Gram matrix in the stack; NaN rows where singular."""
-    a, b = gram[:, 1:, 1:], gram[:, 1:, :1]
-    try:
-        return np.linalg.solve(a, b)[:, :, 0]
-    except np.linalg.LinAlgError:
-        # One singular window fails the whole stack: retry one at a time.
-        phi = np.full(b.shape[:2], np.nan)
-        for i in range(len(gram)):
-            try:
-                phi[i] = np.linalg.solve(a[i], b[i])[:, 0]
-            except np.linalg.LinAlgError:
-                pass
-        return phi
+    """AR coefficients of a (p+1, p+1, N) stack of Gram matrices laid out as in _gram_prefix.
 
-
-def _piece_loglik(
-    x: np.ndarray, prefix: np.ndarray, p: int, lo: int, hi: int, count: int
-) -> np.ndarray:
-    """Max conditional logliks of the pieces with targets s .. s + count - 1, lo <= s < hi.
-
-    NaN where the fit degenerates (singular normal equations, residual
-    variance not positive and finite).
+    Solves gram[:p, :p] phi = gram[:p, p] for every member at once by
+    Gaussian elimination without pivoting, which on a symmetric positive
+    definite matrix is its LDL^T factorization (the eliminated rows are
+    D L^T).  phi[i] is the coefficient of lag p - i.  A member with a pivot
+    at most PIVOT_RTOL times its diagonal entry has rank-deficient lags: its
+    column of the (p, N) result is NaN.  Overwrites the lag rows gram[:p].
     """
-    windows = sliding_window_view(x, count)
-    resid = windows[lo:hi].copy()
-    if p:
-        phi = _solve_stack(prefix[lo + count : hi + count] - prefix[lo:hi])
-        for j in range(1, p + 1):
-            resid -= phi[:, j - 1, None] * windows[lo - j : hi - j]
-    sse = np.einsum("ij,ij->i", resid, resid)
-    ok = (sse > 0.0) & np.isfinite(sse)
-    log_s2 = np.log(sse / count, out=np.full(len(sse), np.nan), where=ok)
-    return -0.5 * count * (LOG_2PI + log_s2 + 1.0)
+    p = gram.shape[0] - 1
+    diag = np.diagonal(gram[:p, :p]).copy()  # (N, p)
+    phi = np.empty((p, gram.shape[2]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(p - 1):
+            factor = gram[k + 1 : p, k] / gram[k, k]
+            gram[k + 1 : p, k + 1 :] -= factor[:, None] * gram[k, k + 1 :]
+        # Elimination leaves row k's pivot on the diagonal.
+        ok = (np.diagonal(gram[:p, :p]) > PIVOT_RTOL * diag).all(axis=1)
+        for k in range(p - 1, -1, -1):
+            rhs = gram[k, p]
+            if k + 1 < p:
+                rhs = rhs - np.einsum("jn,jn->n", gram[k, k + 1 : p], phi[k + 1 :])
+            phi[k] = rhs / gram[k, k]
+    phi[:, ~ok] = np.nan
+    return phi
 
 
 def scan_statistics(series, cfg: ScanConfig) -> ScanProfile:
@@ -183,20 +186,40 @@ def scan_statistics(series, cfg: ScanConfig) -> ScanProfile:
         )
     p = _resolve_order(x, cfg)
     prefix = _gram_prefix(x, p)
+    windows = sliding_window_view(x, 2 * h)
 
-    # Position index k (scan position t = h + k) has its window's targets at
-    # 0-based k + p .. k + 2h - 1.  Each piece is (first target - k, count).
-    pieces = ((p, h - p), (h, h), (p, 2 * h - p))  # left, right, pooled
+    # Window k (scan position t = h + k) is windows[k] = x[k .. k + 2h - 1];
+    # each piece is a column range of its targets.
+    pieces = ((p, h), (h, 2 * h), (p, 2 * h))  # left, right, pooled
+    # With L = -n/2 (log 2pi + log(sse / n) + 1) per piece, the scan value
+    # (L_left + L_right - L_pooled) / h is a constant plus weights @ log(sse).
+    counts = np.array([hi - lo for lo, hi in pieces], dtype=float)
+    weights = -0.5 * np.array([1.0, 1.0, -1.0]) * counts / h
+    const = float(weights @ (LOG_2PI + 1.0 - np.log(counts)))
     m = n - 2 * h + 1
     chunk = max(1, CHUNK_VALUES // (2 * h))
     values = np.empty(m)
     for k0 in range(0, m, chunk):
         k1 = min(k0 + chunk, m)
-        left, right, pooled = (
-            _piece_loglik(x, prefix, p, k0 + first, k1 + first, count)
-            for first, count in pieces
-        )
-        values[k0:k1] = (left + right - pooled) / h
+        c = k1 - k0
+        gram = np.empty((p + 1, p + 1, 3, c))
+        for i, (lo, hi) in enumerate(pieces[:2]):
+            np.subtract(prefix[:, :, k0 + hi : k1 + hi], prefix[:, :, k0 + lo : k1 + lo],
+                        out=gram[:, :, i])
+        np.add(gram[:, :, 0], gram[:, :, 1], out=gram[:, :, 2])
+        energy = gram[p, p]  # _solve_stack leaves the target row alone
+        phi = _solve_stack(gram.reshape(p + 1, p + 1, 3 * c)).reshape(p, 3, c)
+        w = windows[k0:k1]
+        sse = np.empty((3, c))
+        for i, (lo, hi) in enumerate(pieces):
+            resid = w[:, lo:hi].copy()
+            for j in range(1, p + 1):
+                resid -= phi[p - j, i, :, None] * w[:, lo - j : hi - j]
+            np.einsum("ij,ij->i", resid, resid, out=sse[i])
+        # NaN phi (rank-deficient lags) gives NaN sse.
+        ok = (sse > EXACT_FIT_RTOL * energy) & np.isfinite(sse)
+        log_sse = np.log(sse, out=np.full((3, c), np.nan), where=ok)
+        values[k0:k1] = weights @ log_sse + const
     bad = np.isnan(values)
     values[bad] = 0.0
     return ScanProfile(

@@ -121,9 +121,23 @@ class TestSampleAutocov:
             direct = sum(x[t] * x[t - j] for t in range(j, 40)) / 40
             assert acov[j] == pytest.approx(direct, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "n, max_lag", [(1, 0), (2, 1), (7, 0), (7, 6), (64, 10), (64, 63)]
+    )
+    def test_matches_per_lag_definition(self, n, max_lag):
+        # gamma[j] = sum_t x[t] x[t-j] / n, up to the last lag max_lag = n - 1
+        x = np.random.default_rng(n + max_lag).standard_normal(n)
+        acov = sample_autocov(x, max_lag)
+        assert acov.shape == (max_lag + 1,)
+        for j in range(max_lag + 1):
+            direct = sum(x[t] * x[t - j] for t in range(j, n)) / n
+            assert acov[j] == pytest.approx(direct, rel=1e-12, abs=1e-15)
+
     def test_max_lag_too_large(self):
         with pytest.raises(ValueError):
             sample_autocov([1.0, 2.0], 2)
+        with pytest.raises(ValueError):
+            sample_autocov([1.0], 1)
 
 
 class TestLevinsonDurbin:

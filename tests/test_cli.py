@@ -133,6 +133,35 @@ class TestDetectCommand:
         assert report["config"]["alpha"] == 0.01
 
 
+@pytest.fixture
+def blocked_dir(tmp_path):
+    """A regular file: any path below it cannot be written, even by root."""
+    path = tmp_path / "blocker"
+    path.write_text("")
+    return path
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written is exit code 2, not a traceback."""
+
+    @pytest.mark.parametrize("flag", ["--out", "--plot"])
+    def test_detect(self, noise_csv, blocked_dir, capsys, flag):
+        target = str(blocked_dir / "report")
+        assert main(["detect", noise_csv, flag, target]) == 2
+        assert f"error: cannot write {target}: " in capsys.readouterr().err
+
+    def test_simulate(self, blocked_dir, capsys):
+        target = str(blocked_dir / "b.csv")
+        assert main(["simulate", "--model", "B", "-o", target]) == 2
+        assert f"error: cannot write {target}: " in capsys.readouterr().err
+
+    def test_bench(self, blocked_dir, capsys):
+        target = str(blocked_dir / "bench")
+        code = main(["bench", "--model", "I", "--replicates", "2", "--out", target])
+        assert code == 2
+        assert f"error: cannot write {target}: " in capsys.readouterr().err
+
+
 class TestSimulateCommand:
     def test_simulate_b(self, tmp_path):
         out = tmp_path / "b.csv"

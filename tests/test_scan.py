@@ -8,10 +8,12 @@ from arcpd.pipeline import detect_changepoints
 from arcpd.scan import (
     CHUNK_VALUES,
     DEFAULT_RADIUS,
+    EXACT_FIT_RTOL,
     CandidateSet,
     ScanConfig,
     ScanProfile,
     SeriesTooShortError,
+    _solve_stack,
     extract_candidates,
     scan_statistics,
 )
@@ -43,6 +45,48 @@ def brute_force_scan_value(x, t, h, p):
 
     a = t - h + p
     return (piece(a, t) + piece(t, t + h) - piece(a, t + h)) / h
+
+
+def rank_checked_scan_value(x, t, h, p):
+    """Per-window least-squares oracle with the scan's two degeneracy rules.
+
+    NaN when a piece's lag matrix is rank-deficient (``matrix_rank``) or its
+    fit is exact: residual sum of squares at most EXACT_FIT_RTOL times the
+    sum of squares of its targets.
+    """
+
+    def piece(lo, hi):
+        idx = np.arange(lo, hi)
+        y = x[idx]
+        X = np.column_stack([x[idx - j] for j in range(1, p + 1)])
+        if np.linalg.matrix_rank(X) < p:
+            return math.nan
+        coef, *_ = np.linalg.lstsq(X, y, rcond=None)
+        r = y - X @ coef
+        sse = r @ r
+        if not sse > EXACT_FIT_RTOL * (y @ y):
+            return math.nan
+        return -0.5 * len(idx) * (math.log(2 * math.pi * sse / len(idx)) + 1.0)
+
+    a = t - h + p
+    return (piece(a, t) + piece(t, t + h) - piece(a, t + h)) / h
+
+
+def flat_run_walk(seed, n=532):
+    """Random walk with two flat stretches: cumulative sums of normals with
+    two runs of 30-89 zero increments at random places."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(n)
+    for _ in range(2):
+        length = int(rng.integers(30, 90))
+        start = int(rng.integers(0, n - length))
+        z[start : start + length] = 0.0
+    return np.cumsum(z)
+
+
+def gram_stack(X):
+    """(p+1, p+1, N) Gram matrices of N designs X[n] (rows, p+1), target column last."""
+    return np.einsum("nti,ntj->ijn", X, X)
 
 
 def ar1(seed, n, b=0.5):
@@ -115,6 +159,27 @@ class TestScanStatistics:
         assert (prof.values[bad] == 0.0).all()
         np.testing.assert_allclose(prof.values[~bad], want[~bad], rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_degenerate_windows_match_rank_checked_oracle(self, order):
+        # Flat stretches of a random walk make whole pieces constant: their
+        # lag columns are equal (rank-deficient at order >= 2) or fitted
+        # exactly by phi = 1.  Prefix-sum Gram matrices are never exactly
+        # singular there, so only the relative pivot and SSE rules find them.
+        h = 28
+        for seed in range(40):
+            x = flat_run_walk(seed)
+            prof = scan_statistics(x, ScanConfig(h, order))
+            want = np.array(
+                [rank_checked_scan_value(x, t, h, order) for t in prof.positions()]
+            )
+            bad = np.isnan(want)
+            assert bad.any()
+            assert prof.degenerate == bad.sum(), seed
+            assert (prof.values[bad] == 0.0).all()
+            np.testing.assert_allclose(prof.values[~bad], want[~bad], rtol=0, atol=1e-10)
+            for c in (1e-100, 1e100):
+                assert scan_statistics(c * x, ScanConfig(h, order)).degenerate == prof.degenerate
+
     def test_no_drift_on_long_near_unit_root_series(self):
         # Window Gram matrices are differences of prefix sums over 2e5 points
         # of an AR(0.999) series; the SSEs must not inherit that cancellation.
@@ -182,6 +247,28 @@ class TestScanStatistics:
         prof = scan_statistics(x, ScanConfig(50, 1))
         t = prof.offset + int(np.argmax(prof.values))
         assert min(abs(t - 400), abs(t - 612)) <= 40
+
+
+class TestSolveStack:
+    @pytest.mark.parametrize("p", range(1, 11))
+    def test_matches_numpy_solve(self, p):
+        gram = gram_stack(np.random.default_rng(p).standard_normal((50, 60, p + 1)))
+        a = gram.transpose(2, 0, 1)
+        want = np.linalg.solve(a[:, :p, :p], a[:, :p, p:])[:, :, 0].T
+        got = _solve_stack(gram.copy())
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 10])
+    def test_singular_members_are_nan(self, p):
+        X = np.random.default_rng(100 + p).standard_normal((40, 60, p + 1))
+        X[29, :, :p] = 0.0  # all-zero lag block
+        planted = [29]
+        if p > 1:
+            X[3, :, 0] = X[3, :, p - 1]  # duplicated lag column
+            planted = [3, 29]
+        phi = _solve_stack(gram_stack(X))
+        assert np.flatnonzero(np.isnan(phi).any(axis=0)).tolist() == planted
+        assert np.isnan(phi[:, planted]).all()
 
 
 class TestExtractCandidates:
