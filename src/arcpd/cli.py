@@ -1,7 +1,8 @@
 """Command-line front end: detect on CSVs, simulate builtin models, run benchmarks.
 
 Exit codes: 0 success, 1 series too short for the scanning window,
-2 malformed input / unknown model / bad arguments / unwritable output path.
+2 malformed input (including a constant series or one whose squares
+overflow) / unknown model / bad arguments / unwritable output path.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import sys
 
 from .bench import run_bench, write_bench_outputs
@@ -173,6 +175,8 @@ def _cmd_bench(args) -> int:
         models.extend(m.strip() for m in item.split(",") if m.strip())
     for m in models:
         builtin_model(m)  # validate early so bad names exit before any work
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)  # an unwritable --out also exits before any work
     rows = run_bench(models, args.replicates, args.seed, _detect_config(args))
     with _writing(args.out):
         paths = write_bench_outputs(rows, args.out)

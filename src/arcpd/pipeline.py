@@ -18,6 +18,7 @@ rejected, and is reported with a warning.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,7 +168,9 @@ def detect_changepoints(series, cfg: DetectConfig | None = None) -> ChangePointR
     """Run the full detector on a raw series.
 
     Deterministic for identical inputs.  Raises SeriesTooShortError when
-    the series cannot hold one scanning window (T < 2h).  With
+    the series cannot hold one scanning window (T < 2h), and ValueError
+    when it is constant or its mean-corrected sum of squares is 0 or
+    overflows (|x| beyond about 1e150).  With
     ``cfg.iterate`` the surviving candidates are re-tested on their merged
     partition until the set is stable; the reported boundary tests and
     correction outcome always describe the first pass over the complete
@@ -182,7 +185,19 @@ def detect_changepoints(series, cfg: DetectConfig | None = None) -> ChangePointR
         raise SeriesTooShortError(
             f"series too short: length {n} < 2h = {2 * radius}"
         )
-    xc = mean_correct(x)
+    if (x == x[0]).all():
+        raise ValueError(
+            f"series is constant (every value is {float(x[0])!r}): "
+            "it has no autoregressive structure to test"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc = mean_correct(x)
+        energy = float(np.dot(xc, xc))
+    if not 0.0 < energy < math.inf:
+        raise ValueError(
+            f"series is out of range: its mean-corrected sum of squares is {energy!r}; "
+            "rescale it"
+        )
     profile = scan_statistics(xc, ScanConfig(window_radius=radius, order=cfg.scan_order))
     candidates = extract_candidates(profile)
 

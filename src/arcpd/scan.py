@@ -23,7 +23,10 @@ exact fit (residual sum of squares at most ``EXACT_FIT_RTOL`` times that
 of its targets), as on a constant stretch.  Both rules are relative, so
 they do not depend on the scale of the series.
 
-Positions are evaluated in chunks of about ``CHUNK_VALUES / 2h`` windows.
+Positions are evaluated in chunks of about ``CHUNK_VALUES / 2h`` windows
+(``CHUNK_VALUES = 2**15``: 327 windows at h = 50, so a T = 65536 series
+takes 201 chunks; each chunk costs a few dozen numpy calls whatever its
+size, and one piece's residuals hold at most 256 KB).
 Left and right Gram matrices are differences of one prefix sum of lag
 outer products; the pooled targets are the union of theirs, so its Gram
 matrix is their sum.  All three stacks are solved by one batched LDL^T
@@ -32,6 +35,11 @@ explicit residuals over column slices of one sliding-window view, not
 from ``g00 - g0' phi``, which cancels badly on long and near-unit-root
 series (errors near 1e-9 on AR(0.999) at T = 2e5); explicit residuals
 keep the profile within rounding of a per-window least-squares fit.
+
+:func:`extract_candidates` takes the h-wide window maxima on each side of
+every position from block prefix and suffix maxima (rows of h values, one
+``np.maximum.accumulate`` each way), O(T) instead of O(T h).  Maxima are
+exact, so ties resolve as in a direct scan of each window.
 """
 
 from __future__ import annotations
@@ -58,8 +66,10 @@ __all__ = [
 AUTO_MAX_ORDER = 10
 
 # Scan positions per chunk: CHUNK_VALUES // (2h), so one piece's residuals
-# hold about CHUNK_VALUES floats.
-CHUNK_VALUES = 2**14
+# hold about CHUNK_VALUES floats.  At 2**16 glibc malloc hands the chunk
+# buffers back to the system after every chunk, and faulting them in again
+# made the T = 1024 scan 1.3-1.8x slower than at 2**15.
+CHUNK_VALUES = 2**15
 
 # Degenerate-piece rules (module docstring).  A pivot ratio of 1e-10 means the
 # normal equations have lost about ten of sixteen digits; a residual sum of
@@ -240,14 +250,22 @@ def extract_candidates(profile: ScanProfile) -> CandidateSet:
     if n == 0:
         raise ValueError("empty scan profile")
     h = profile.radius
-    pad = np.full(h, -np.inf)
-    ext = np.concatenate([pad, vals, pad])
-    windows = sliding_window_view(ext, h)
-    before = windows[:n].max(axis=1)
-    after = windows[h + 1 : h + 1 + n].max(axis=1)
+    # ext is the profile with h -inf before it and at least h after, cut into
+    # rows of h.  A window ext[k : k + h] is the suffix of k's row from k plus
+    # the prefix of the next row up to k + h - 1, so win[k], its maximum, is
+    # the larger of the two.  before[i] = win[i] covers vals[i - h .. i - 1],
+    # after[i] = win[i + h + 1] covers vals[i + 1 .. i + h].
+    ext = np.full((-(-n // h) + 2) * h, -np.inf)
+    ext[h : h + n] = vals
+    rows = ext.reshape(-1, h)
+    prefix = np.maximum.accumulate(rows, axis=1).ravel()
+    suffix = np.maximum.accumulate(rows[:, ::-1], axis=1)[:, ::-1].ravel()
+    win = np.maximum(suffix[: n + h + 1], prefix[h - 1 : n + 2 * h])
+    before = win[:n]
+    after = win[h + 1 :]
     keep = (vals > before) & (vals >= after)
     idx = np.flatnonzero(keep)
     return CandidateSet(
-        positions=tuple(int(profile.offset + i) for i in idx),
-        scan_values=tuple(float(vals[i]) for i in idx),
+        positions=tuple((profile.offset + idx).tolist()),
+        scan_values=tuple(vals[idx].tolist()),
     )

@@ -13,6 +13,13 @@ Reproducibility: draws come from a Philox counter-based generator keyed by
 bit-identical for identical inputs; independent replicate streams are
 derived as ``SeedSequence(seed, spawn_key=(replicate,))`` (see
 :func:`replicate_seed`).
+
+The ARMA recursion runs on Python floats, one segment at a time.  Each step
+adds the same IEEE double terms in the same order as a per-sample loop over
+numpy scalars (the innovation, then AR lags 1..p, then MA lags 1..q, lags
+before the first sample skipped), so the series are byte for byte the same,
+signed zeros of a zero-noise regime included; ``tests/test_simulate.py`` pins
+their sha256 digests and keeps that loop as a reference.
 """
 
 from __future__ import annotations
@@ -97,29 +104,28 @@ def simulate_piecewise(spec: PiecewiseSpec, seed) -> np.ndarray:
 
     `seed` is an int or a numpy SeedSequence.
     """
-    total = BURN_IN + spec.total_length
-    # Segment index for every padded position; burn-in belongs to segment 0.
-    seg_of = np.zeros(total, dtype=np.intp)
-    start = BURN_IN
-    for idx, (_, end) in enumerate(spec.segments):
-        seg_of[start : BURN_IN + end] = idx
-        start = BURN_IN + end
+    # Padded end of every segment; the burn-in belongs to segment 0.
+    ends = [BURN_IN + end for _, end in spec.segments]
+    sds = np.repeat([arma.noise_sd for arma, _ in spec.segments], np.diff(ends, prepend=0))
+    eps = (sds * _rng(seed).standard_normal(ends[-1])).tolist()
 
-    sds = np.array([arma.noise_sd for arma, _ in spec.segments])
-    eps = sds[seg_of] * _rng(seed).standard_normal(total)
-
-    x = np.zeros(total)
-    for t in range(total):
-        arma = spec.segments[seg_of[t]][0]
-        acc = eps[t]
-        for j, a in enumerate(arma.ar, start=1):
-            if t - j >= 0:
-                acc += a * x[t - j]
-        for k, b in enumerate(arma.ma, start=1):
-            if t - k >= 0:
-                acc += b * eps[t - k]
-        x[t] = acc
-    return x[BURN_IN:]
+    # Python floats: the numpy-scalar steps at a fraction of the cost (module docstring).
+    x: list[float] = []
+    start = 0
+    for (arma, _), stop in zip(spec.segments, ends):
+        ar = tuple(enumerate(arma.ar, start=1))
+        ma = tuple(enumerate(arma.ma, start=1))
+        for t in range(start, stop):
+            acc = eps[t]
+            for j, a in ar:
+                if t >= j:
+                    acc += a * x[t - j]
+            for k, b in ma:
+                if t >= k:
+                    acc += b * eps[t - k]
+            x.append(acc)
+        start = stop
+    return np.array(x[BURN_IN:])
 
 
 def _piecewise(*segments: tuple[ArmaSpec, int]) -> PiecewiseSpec:

@@ -120,6 +120,21 @@ class TestDetectCommand:
         assert main(["detect", noise_csv, "--window", "15", "--scan-order", "10"]) == 2
         assert "window_radius must be at least 2 * scan order + 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [[], ["--scan-order", "1"]], ids=["bic", "order1"])
+    def test_constant_series_is_exit_2(self, tmp_path, capsys, flags):
+        path = tmp_path / "flat.csv"
+        write_csv(path, [["x"]] + [[1.5]] * 300)
+        assert main(["detect", str(path), *flags]) == 2
+        assert "error: series is constant (every value is 1.5)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [[], ["--scan-order", "1"]], ids=["bic", "order1"])
+    def test_overflowing_series_is_exit_2(self, tmp_path, capsys, flags):
+        path = tmp_path / "huge.csv"
+        values = 1e160 * np.random.default_rng(0).standard_normal(300)
+        write_csv(path, [["x"]] + [[repr(float(v))] for v in values])
+        assert main(["detect", str(path), *flags]) == 2
+        assert "mean-corrected sum of squares is inf" in capsys.readouterr().err
+
     def test_flags_are_wired_through(self, noise_csv, capsys):
         code = main(
             ["detect", noise_csv, "-w", "60", "--order-mode", "bic",
@@ -155,7 +170,12 @@ class TestUnwritableOutput:
         assert main(["simulate", "--model", "B", "-o", target]) == 2
         assert f"error: cannot write {target}: " in capsys.readouterr().err
 
-    def test_bench(self, blocked_dir, capsys):
+    def test_bench(self, blocked_dir, capsys, monkeypatch):
+        # the output directory is checked before any replicate runs
+        def no_run(*args):
+            raise AssertionError("run_bench called before --out was checked")
+
+        monkeypatch.setattr("arcpd.cli.run_bench", no_run)
         target = str(blocked_dir / "bench")
         code = main(["bench", "--model", "I", "--replicates", "2", "--out", target])
         assert code == 2

@@ -126,6 +126,30 @@ class TestDetect:
         with pytest.raises(ValueError, match="bug in the segment test"):
             detect_changepoints(simulate_piecewise(builtin_model("C"), 0))
 
+    @pytest.mark.parametrize("scan_order", [None, 1], ids=["bic", "order1"])
+    @pytest.mark.parametrize("value", [1.5, 0.1, 0.0])
+    def test_constant_series_is_a_value_error(self, value, scan_order):
+        # 0.1 leaves mean-correction residues of about 1e-17, not exact zeros
+        with pytest.raises(ValueError, match=r"series is constant \(every value is "):
+            detect_changepoints(np.full(300, value), DetectConfig(scan_order=scan_order))
+
+    @pytest.mark.parametrize("scan_order", [None, 1], ids=["bic", "order1"])
+    @pytest.mark.parametrize(
+        "x,energy",
+        [
+            (1e160 * np.random.default_rng(0).standard_normal(300), "inf"),
+            (np.r_[np.full(150, 1.7e308), np.full(150, -1.7e308)], "nan"),
+            (np.r_[np.zeros(150), np.full(150, 5e-324)], "0.0"),
+        ],
+        ids=["squares-overflow", "mean-overflows", "squares-underflow"],
+    )
+    def test_out_of_range_series_is_a_value_error(self, x, energy, scan_order):
+        with pytest.raises(
+            ValueError,
+            match=rf"series is out of range: its mean-corrected sum of squares is {energy};",
+        ):
+            detect_changepoints(x, DetectConfig(scan_order=scan_order))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DetectConfig(correction="holm")

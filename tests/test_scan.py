@@ -306,6 +306,24 @@ class TestExtractCandidates:
         got = [p - h for p in extract_candidates(prof).positions]
         assert got == self.rule_oracle(values, h)
 
+    @pytest.mark.parametrize(
+        "n,h",
+        # h >= n, n a multiple of h or one off it, and 12 drawn shapes
+        [(1, 1), (1, 60), (5, 60), (60, 60), (61, 60), (119, 60), (400, 1), (400, 40)]
+        + [(int(n), int(h)) for n, h in zip(
+            np.random.default_rng(8).integers(1, 401, 12),
+            np.random.default_rng(9).integers(1, 61, 12),
+        )],
+    )
+    def test_tie_heavy_profiles_match_rule_oracle(self, n, h):
+        # integer values in 0..3 put ties inside nearly every window
+        rng = np.random.default_rng(1000 * n + h)
+        for _ in range(5):
+            values = rng.integers(0, 4, size=n).astype(float)
+            prof = ScanProfile(values, offset=h, radius=h, order=0)
+            got = [p - h for p in extract_candidates(prof).positions]
+            assert got == self.rule_oracle(values, h)
+
     def test_spacing_exceeds_radius(self):
         for seed in range(10):
             x = mean_correct(ar1(seed, 700, b=0.6))
