@@ -13,14 +13,10 @@ concentrated Gaussian likelihood: BIC(p) = n * (log(2 pi) + log sigma2_p + 1)
 depends on the data only through ratios of innovation variances, the
 selected order does not depend on the units (scale) of the series.
 
-Coefficient sign convention: an AR(p) fit is the vector
-``(b_1, ..., b_p)`` of the whitening filter
-
-    x[t] + b_1 * x[t-1] + ... + b_p * x[t-p] = e[t],
-
-so a process generated as ``x[t] = a * x[t-1] + e[t]`` fits with
-``coeffs[0] ~= -a``.  The simulation module uses the generating convention
-and negates at the boundary.
+Coefficients are those of the predictor: ``phi[p-1, :p]`` of
+:func:`levinson_path` fits x[t] ~ phi_1 x[t-1] + ... + phi_p x[t-p], the
+generating convention of :mod:`arcpd.simulate`, so a process simulated with
+``ar=(0.7,)`` gives ``phi[0, 0] ~= 0.7``.
 """
 
 from __future__ import annotations
@@ -49,7 +45,7 @@ def as_series(values) -> np.ndarray:
     """Coerce to a 1-D float array and validate basic invariants."""
     x = np.asarray(values, dtype=float)
     if x.ndim != 1:
-        x = x.ravel()
+        raise ValueError(f"time series must be 1-D, got an array of shape {x.shape}")
     if x.size < 1:
         raise ValueError("time series must contain at least one observation")
     if not np.all(np.isfinite(x)):

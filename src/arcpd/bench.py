@@ -34,7 +34,6 @@ class BenchResult:
     model: str
     method: str
     replicates: int
-    exact_detection_rate: float
     locations: tuple[tuple[int, ...], ...]  # per replicate, estimated positions
     true_cps: tuple[int, ...]
     series_length: int
@@ -43,6 +42,10 @@ class BenchResult:
     def correct_flags(self) -> tuple[bool, ...]:
         want = len(self.true_cps)
         return tuple(len(locs) == want for locs in self.locations)
+
+    @property
+    def exact_detection_rate(self) -> float:
+        return sum(self.correct_flags) / self.replicates
 
 
 def _one_replicate(spec: PiecewiseSpec, seed: int, rep: int, cfg: DetectConfig):
@@ -70,21 +73,17 @@ def run_model(
         cfg = DetectConfig()
     spec = builtin_model(model)
     per_rep = [_one_replicate(spec, seed, rep, cfg) for rep in range(replicates)]
-    results = {}
-    want = len(spec.true_cps)
-    for method in ("bh", "bonferroni"):
-        locations = tuple(r[method] for r in per_rep)
-        correct = sum(len(locs) == want for locs in locations)
-        results[method] = BenchResult(
+    return {
+        method: BenchResult(
             model=model,
             method=METHOD_LABELS[method],
             replicates=replicates,
-            exact_detection_rate=correct / replicates,
-            locations=locations,
+            locations=tuple(r[method] for r in per_rep),
             true_cps=spec.true_cps,
             series_length=spec.total_length,
         )
-    return results
+        for method in ("bh", "bonferroni")
+    }
 
 
 def run_bench(
@@ -136,14 +135,14 @@ def write_bench_outputs(rows: list[BenchResult], out_dir: str) -> list[str]:
     for r in rows:
         by_model.setdefault(r.model, []).append(r)
     for model, model_rows in by_model.items():
-        panels = {}
-        for r in model_rows:
-            want = len(r.true_cps)
-            panels[r.method] = [
+        panels = {
+            r.method: [
                 (rep, list(locs))
-                for rep, locs in enumerate(r.locations)
-                if len(locs) == want
+                for rep, (locs, ok) in enumerate(zip(r.locations, r.correct_flags))
+                if ok
             ]
+            for r in model_rows
+        }
         svg = locations_plot(
             model_label=f"model {model}",
             series_length=model_rows[0].series_length,

@@ -15,8 +15,8 @@ import os
 import sys
 
 from .bench import run_bench, write_bench_outputs
-from .pipeline import DetectConfig, detect_changepoints
-from .scan import SeriesTooShortError
+from .pipeline import CORRECTIONS, DetectConfig, detect_changepoints
+from .scan import DEFAULT_RADIUS, SeriesTooShortError
 from .sdtest import OrderMode
 from .simulate import builtin_model, builtin_model_names, simulate_piecewise
 from .svgplot import series_plot
@@ -170,14 +170,15 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_bench(args) -> int:
     models: list[str] = []
-    for item in args.model or ["A:-0.7", "A:-0.1", "A:0.4", "A:0.7",
-                               "B", "C", "D", "E", "F", "G", "H", "I"]:
+    for item in args.model or builtin_model_names():
         models.extend(m.strip() for m in item.split(",") if m.strip())
+    # Bad names, settings and an unwritable --out all exit before any work.
     for m in models:
-        builtin_model(m)  # validate early so bad names exit before any work
+        builtin_model(m)
+    cfg = _detect_config(args)
     with _writing(args.out):
-        os.makedirs(args.out, exist_ok=True)  # an unwritable --out also exits before any work
-    rows = run_bench(models, args.replicates, args.seed, _detect_config(args))
+        os.makedirs(args.out, exist_ok=True)
+    rows = run_bench(models, args.replicates, args.seed, cfg)
     with _writing(args.out):
         paths = write_bench_outputs(rows, args.out)
     for r in rows:
@@ -191,9 +192,9 @@ def _cmd_bench(args) -> int:
 
 
 def _add_detect_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-w", "--window", type=int, default=None,
+    p.add_argument("-w", "--window", type=int, default=DEFAULT_RADIUS,
                    help="scanning window radius h; the series needs at least 2h "
-                        "points (default: 50)")
+                        f"points (default: {DEFAULT_RADIUS})")
     p.add_argument("--scan-order", type=int, default=None,
                    help="AR order used by the scan, at most (h - 1) / 2 "
                         "(default: BIC, capped at min(10, (h - 1) // 2))")
@@ -203,7 +204,7 @@ def _add_detect_flags(p: argparse.ArgumentParser) -> None:
                    help="fixed-order exponent, > 1 (default: 1.5)")
     p.add_argument("--max-order", type=int, default=10,
                    help="max order in bic mode (default: 10)")
-    p.add_argument("--correction", choices=["bh", "bonferroni"], default="bh",
+    p.add_argument("--correction", choices=sorted(CORRECTIONS), default="bh",
                    help="multiple-testing correction (default: bh)")
     p.add_argument("--alpha", type=float, default=0.05,
                    help="test level (default: 0.05)")

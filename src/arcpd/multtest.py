@@ -29,7 +29,7 @@ def _validated(pvals, alpha: float) -> np.ndarray:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     p = np.asarray(pvals, dtype=float)
     if p.ndim != 1:
-        p = p.ravel()
+        raise ValueError(f"p-values must be 1-D, got an array of shape {p.shape}")
     bad = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
     if bad.size:
         raise ValueError(

@@ -28,7 +28,6 @@ from .multtest import MultipleTestOutcome, bh_procedure, bonferroni_procedure
 from .scan import (
     DEFAULT_RADIUS,
     CandidateSet,
-    ScanConfig,
     ScanProfile,
     SeriesTooShortError,
     extract_candidates,
@@ -48,9 +47,9 @@ CORRECTIONS = {"bh": bh_procedure, "bonferroni": bonferroni_procedure}
 
 @dataclass(frozen=True)
 class DetectConfig:
-    """Pipeline settings; None for window_radius means scan.DEFAULT_RADIUS (50)."""
+    """Pipeline settings, checked on construction."""
 
-    window_radius: int | None = None
+    window_radius: int = DEFAULT_RADIUS
     scan_order: int | None = None  # None: BIC on the full series, capped at min(10, (h-1)//2)
     order_mode: OrderMode = field(default_factory=OrderMode.fixed)
     correction: str = "bh"
@@ -58,8 +57,17 @@ class DetectConfig:
     iterate: bool = False
 
     def __post_init__(self):
-        if self.window_radius is not None and self.window_radius < 1:
+        if self.window_radius < 1:
             raise ValueError("window_radius must be positive")
+        if self.scan_order is not None:
+            if self.scan_order < 0:
+                raise ValueError("scan order must be nonnegative")
+            # A half window has h - p targets for p coefficients.
+            if self.window_radius < 2 * self.scan_order + 1:
+                raise ValueError(
+                    "window_radius must be at least 2 * scan order + 1 "
+                    f"(got h={self.window_radius}, order={self.scan_order})"
+                )
         if self.correction not in CORRECTIONS:
             raise ValueError(
                 f"correction must be one of {sorted(CORRECTIONS)}, got {self.correction!r}"
@@ -180,10 +188,9 @@ def detect_changepoints(series, cfg: DetectConfig | None = None) -> ChangePointR
         cfg = DetectConfig()
     x = as_series(series)
     n = len(x)
-    radius = cfg.window_radius if cfg.window_radius is not None else DEFAULT_RADIUS
-    if n < 2 * radius:
+    if n < 2 * cfg.window_radius:
         raise SeriesTooShortError(
-            f"series too short: length {n} < 2h = {2 * radius}"
+            f"series too short: length {n} < 2h = {2 * cfg.window_radius}"
         )
     if (x == x[0]).all():
         raise ValueError(
@@ -198,7 +205,7 @@ def detect_changepoints(series, cfg: DetectConfig | None = None) -> ChangePointR
             f"series is out of range: its mean-corrected sum of squares is {energy!r}; "
             "rescale it"
         )
-    profile = scan_statistics(xc, ScanConfig(window_radius=radius, order=cfg.scan_order))
+    profile = scan_statistics(xc, cfg.window_radius, cfg.scan_order)
     candidates = extract_candidates(profile)
 
     correct = CORRECTIONS[cfg.correction]
@@ -208,42 +215,37 @@ def detect_changepoints(series, cfg: DetectConfig | None = None) -> ChangePointR
             f"{profile.degenerate} scan window(s) had degenerate fits (scored 0)"
         )
 
-    tests, pvals = _test_boundaries(xc, candidates.positions, cfg.order_mode)
-    outcome = correct(pvals, cfg.alpha)
-    final = tuple(
-        pos for pos, rej in zip(candidates.positions, outcome.rejected) if rej
-    )
-    for bt in tests:
+    # Test, correct, keep; with cfg.iterate the kept set goes round again
+    # until it is stable.  The report holds the first pass.
+    positions = candidates.positions
+    passes = 0
+    while True:
+        tests, pvals = _test_boundaries(xc, positions, cfg.order_mode)
+        outcome = correct(pvals, cfg.alpha)
+        kept = tuple(pos for pos, rej in zip(positions, outcome.rejected) if rej)
+        passes += 1
+        if passes == 1:
+            first_tests, first_outcome, first_kept = tests, outcome, kept
+        if not cfg.iterate or kept == positions:
+            break
+        positions = kept
+    for bt in first_tests:
         if bt.warning:
             diagnostics.append(f"boundary {bt.position}: {bt.warning}")
-
-    if cfg.iterate:
-        rounds = 0
-        current = final
-        while True:
-            retests, repvals = _test_boundaries(xc, current, cfg.order_mode)
-            reout = correct(repvals, cfg.alpha)
-            kept = tuple(
-                pos for pos, rej in zip(current, reout.rejected) if rej
-            )
-            rounds += 1
-            if kept == current:
-                break
-            current = kept
-        if current != final:
-            diagnostics.append(
-                f"iterative re-testing removed {len(final) - len(current)} more "
-                f"candidate(s) in {rounds} round(s)"
-            )
-        final = current
+    if kept != first_kept:
+        # The rounds are the passes after the first; the last kept all it tested.
+        diagnostics.append(
+            f"iterative re-testing removed {len(first_kept) - len(kept)} more "
+            f"candidate(s) in {passes - 1} round(s)"
+        )
 
     return ChangePointReport(
         series_length=n,
         config=cfg,
         profile=profile,
         candidates=candidates,
-        boundary_tests=tuple(tests),
-        outcome=outcome,
-        final_cps=final,
+        boundary_tests=tuple(first_tests),
+        outcome=first_outcome,
+        final_cps=kept,
         diagnostics=tuple(diagnostics),
     )

@@ -52,7 +52,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .ar import LOG_2PI, as_series, bic_select_order
 
 __all__ = [
-    "ScanConfig",
     "ScanProfile",
     "CandidateSet",
     "SeriesTooShortError",
@@ -86,27 +85,6 @@ class SeriesTooShortError(ValueError):
 
 
 @dataclass(frozen=True)
-class ScanConfig:
-    """Window radius and scan order; ``order=None`` selects it by BIC."""
-
-    window_radius: int
-    order: int | None = None
-
-    def __post_init__(self):
-        if self.window_radius < 1:
-            raise ValueError("window_radius must be positive")
-        if self.order is not None:
-            if self.order < 0:
-                raise ValueError("scan order must be nonnegative")
-            # A half window has h - p targets for p coefficients.
-            if self.window_radius < 2 * self.order + 1:
-                raise ValueError(
-                    "window_radius must be at least 2 * scan order + 1 "
-                    f"(got h={self.window_radius}, order={self.order})"
-                )
-
-
-@dataclass(frozen=True)
 class ScanProfile:
     """Scan values at positions offset, offset+1, ..., offset + len(values) - 1."""
 
@@ -129,10 +107,10 @@ class CandidateSet:
         return len(self.positions)
 
 
-def _resolve_order(x: np.ndarray, cfg: ScanConfig) -> int:
-    if cfg.order is not None:
-        return cfg.order
-    cap = min(AUTO_MAX_ORDER, (cfg.window_radius - 1) // 2, len(x) - 1)
+def _resolve_order(x: np.ndarray, h: int, order: int | None) -> int:
+    if order is not None:
+        return order
+    cap = min(AUTO_MAX_ORDER, (h - 1) // 2, len(x) - 1)
     if cap < 1:
         return 0
     return bic_select_order(x, cap)
@@ -181,20 +159,22 @@ def _solve_stack(gram: np.ndarray) -> np.ndarray:
     return phi
 
 
-def scan_statistics(series, cfg: ScanConfig) -> ScanProfile:
-    """Compute the scan profile at every admissible position.
+def scan_statistics(series, h: int, order: int | None = None) -> ScanProfile:
+    """Compute the scan profile with window radius h at every admissible position.
 
-    The series should be mean-corrected.  Raises SeriesTooShortError when
-    T < 2h.  The profile has length T - 2h + 1.
+    The series should be mean-corrected.  ``order=None`` selects the AR
+    order by BIC on the whole series, capped at min(AUTO_MAX_ORDER,
+    (h - 1) // 2); a given order needs h >= 2 * order + 1, as
+    :class:`arcpd.pipeline.DetectConfig` checks.  Raises SeriesTooShortError
+    when T < 2h.  The profile has length T - 2h + 1.
     """
     x = as_series(series)
     n = len(x)
-    h = cfg.window_radius
     if n < 2 * h:
         raise SeriesTooShortError(
             f"series of length {n} is shorter than one window (2h = {2 * h})"
         )
-    p = _resolve_order(x, cfg)
+    p = _resolve_order(x, h, order)
     prefix = _gram_prefix(x, p)
     windows = sliding_window_view(x, 2 * h)
 

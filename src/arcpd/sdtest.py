@@ -13,19 +13,24 @@ autocovariances, the sample-size-weighted average
 
     c[j] = (T1 * gx[j] + T2 * gy[j]) / (T1 + T2)
 
-of the per-segment autocovariances gx, gy.  Every variance is read off one
-:func:`arcpd.ar.levinson_path` per autocovariance sequence (x, y, pooled).
-Two order policies are supported:
+of the per-segment autocovariances gx, gy.  Each segment gets one
+autocovariance pass, the pooled lags are a slice of those two arrays, and
+each of the three sequences (x, y, pooled) gets one
+:func:`arcpd.ar.levinson_path`: every order and variance is read off that
+path.  Two order policies are supported:
 
 * fixed: both segments and the pooled fit use
   ``floor((ln T_min) ** exponent)`` with ``exponent > 1`` (autoregressive
-  approximation; degrees of freedom = order + 1).  This stays valid when
-  the data are not truly autoregressive, at some cost in power when they
-  are, and is the pipeline default.
-* bic: per-segment BIC orders plus a BIC order for the pooled fit, searched
-  up to min(max(p1, p2), T_min - 2) (degrees of freedom = p1 + p2 - p0 + 1,
-  at least min(p1, p2) + 1).  All three orders come from the one BIC scorer,
+  approximation).  This stays valid when the data are not truly
+  autoregressive, at some cost in power when they are, and is the
+  pipeline default.
+* bic: per-segment BIC orders, searched up to min(max_order, T_i - 2),
+  plus a BIC order for the pooled fit, searched up to
+  min(max(p1, p2), T_min - 2).  All three come from the one BIC scorer,
   :func:`arcpd.ar.bic_order`.  Preferable only when an AR model is trusted.
+
+The degrees of freedom are p1 + p2 - p0 + 1 under both policies: order + 1
+in fixed mode, at least min(p1, p2) + 1 in bic mode.
 """
 
 from __future__ import annotations
@@ -35,14 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ar import (
-    DegenerateFitError,
-    bic_order,
-    bic_select_order,
-    levinson_path,
-    mean_correct,
-    sample_autocov,
-)
+from .ar import DegenerateFitError, bic_order, levinson_path, mean_correct, sample_autocov
+
+# Not called here: kept as a module attribute so that perfbench/spans.py TARGETS can wrap it.
+from .ar import bic_select_order  # noqa: F401
 
 __all__ = [
     "OrderMode",
@@ -109,29 +110,6 @@ def fixed_order(len_x: int, len_y: int, exponent: float) -> int:
     return max(1, min(raw, t_min // 3))
 
 
-def _segment_orders(
-    xc: np.ndarray, yc: np.ndarray, mode: OrderMode
-) -> tuple[int, int, list[str]]:
-    """Orders of the two per-segment fits, plus any warnings."""
-    n1, n2 = len(xc), len(yc)
-    warnings: list[str] = []
-    if mode.kind == "fixed":
-        p = fixed_order(n1, n2, mode.exponent)
-        raw = math.floor(math.log(min(n1, n2)) ** mode.exponent)
-        if raw > p:
-            warnings.append(
-                f"fixed order {raw} capped to {p} for segment lengths ({n1}, {n2})"
-            )
-        return p, p, warnings
-    max1 = min(mode.max_order, n1 - 2)
-    max2 = min(mode.max_order, n2 - 2)
-    if max1 < 1 or max2 < 1:
-        raise SegmentTooShortError(
-            f"segments of lengths ({n1}, {n2}) too short for BIC order selection"
-        )
-    return bic_select_order(xc, max1), bic_select_order(yc, max2), warnings
-
-
 def discrimination_test(x, y, mode: OrderMode | None = None) -> DiscriminationResult:
     """Test whether two adjacent segments come from the same AR process.
 
@@ -154,19 +132,43 @@ def discrimination_test(x, y, mode: OrderMode | None = None) -> DiscriminationRe
         raise SegmentTooShortError(
             f"segments of lengths ({n1}, {n2}) are too short to compare"
         )
-    # Both order policies keep each order at most its segment length - 2.
-    p1, p2, warnings = _segment_orders(xc, yc, mode)
+    warnings: list[str] = []
+    if mode.kind == "fixed":
+        lag1 = lag2 = fixed_order(n1, n2, mode.exponent)
+        raw = math.floor(math.log(min(n1, n2)) ** mode.exponent)
+        if raw > lag1:
+            warnings.append(
+                f"fixed order {raw} capped to {lag1} for segment lengths ({n1}, {n2})"
+            )
+    else:
+        lag1 = min(mode.max_order, n1 - 2)
+        lag2 = min(mode.max_order, n2 - 2)
+        if lag1 < 1 or lag2 < 1:
+            raise SegmentTooShortError(
+                f"segments of lengths ({n1}, {n2}) too short for BIC order selection"
+            )
+    # One autocovariance pass and one Levinson path per segment, to the
+    # largest order any of its fits needs.
+    gx = sample_autocov(xc, lag1)
+    gy = sample_autocov(yc, lag2)
+    _, path_x = levinson_path(gx, lag1)
+    _, path_y = levinson_path(gy, lag2)
+    if mode.kind == "fixed":
+        p1, p2 = lag1, lag2
+    else:
+        for path, lag in ((path_x, lag1), (path_y, lag2)):
+            if not 0.0 < path[0] < math.inf:
+                raise DegenerateFitError(
+                    f"BIC order selection failed at every order 0..{lag}: "
+                    f"residual variance {float(path[0])!r} at order 0"
+                )
+        p1, p2 = bic_order(path_x, n1), bic_order(path_y, n2)
     # The pooled BIC search stops at the larger segment order, and at the
-    # shorter segment's length - 2 (the rule the segment orders follow), so
-    # both segments supply every pooled lag.  One autocovariance pass and one
-    # Levinson path per sequence, to the largest order any fit needs.
+    # shorter segment's length - 2 (the cap on lag1 and lag2), so both
+    # segments' autocovariances reach every pooled lag.
     p0_max = min(max(p1, p2), min(n1, n2) - 2)
-    gx = sample_autocov(xc, max(p1, p0_max))
-    gy = sample_autocov(yc, max(p2, p0_max))
     lags = slice(0, p0_max + 1)
     pooled = (n1 * gx[lags] + n2 * gy[lags]) / (n1 + n2)
-    _, path_x = levinson_path(gx, p1)
-    _, path_y = levinson_path(gy, p2)
     _, path_0 = levinson_path(pooled, p0_max)
     p0 = p1 if mode.kind == "fixed" else bic_order(path_0, n1 + n2)
 
@@ -195,8 +197,8 @@ def discrimination_test(x, y, mode: OrderMode | None = None) -> DiscriminationRe
     else:
         stat_for_tail = stat
 
-    # p0 <= max(p1, p2), so the BIC-mode df is at least min(p1, p2) + 1.
-    df = p1 + 1 if mode.kind == "fixed" else p1 + p2 - p0 + 1
+    # p0 <= max(p1, p2), so df >= min(p1, p2) + 1; in fixed mode it is p + 1.
+    df = p1 + p2 - p0 + 1
     return DiscriminationResult(
         statistic=float(stat),
         df=df,

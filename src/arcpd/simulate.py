@@ -4,9 +4,9 @@ Coefficients here use the generating convention
 
     x[t] = ar_1 x[t-1] + ... + ar_p x[t-p] + e[t] + ma_1 e[t-1] + ... + ma_q e[t-q]
 
-with ``e[t] ~ N(0, noise_sd**2)``.  This is the opposite sign convention to
-the fitting module (:mod:`arcpd.ar`); an AR(1) generated with ``ar=(0.7,)``
-fits with ``coeffs[0] ~= -0.7``.
+with ``e[t] ~ N(0, noise_sd**2)``.  The fitting module (:mod:`arcpd.ar`)
+uses the same sign: an AR(1) generated with ``ar=(0.7,)`` has Levinson
+predictor coefficient ``phi[0, 0] ~= 0.7``.
 
 Reproducibility: draws come from a Philox counter-based generator keyed by
 ``numpy.random.SeedSequence``.  ``simulate_piecewise(spec, seed)`` is
@@ -190,35 +190,26 @@ def builtin_model_names() -> tuple[str, ...]:
     return a_names + tuple(sorted(_BUILTINS))
 
 
-def builtin_model(name: str, coeff: float | None = None) -> PiecewiseSpec:
+def builtin_model(name: str) -> PiecewiseSpec:
     """Look up a benchmark model by name.
 
     Models B-I take no parameter.  Model A is a single stationary AR(1)
-    regime (no change points) and requires its coefficient, given either as
-    the second argument or inline as ``"A:0.4"``.
+    regime (no change points) named with its coefficient, as ``"A:0.4"``.
     """
-    key = name.strip()
-    if ":" in key:
-        key, _, inline = key.partition(":")
-        key = key.strip().upper()
-        if key != "A":
-            raise ValueError(f"only model A takes a parameter, got {name!r}")
-        if coeff is not None:
-            raise ValueError("model A coefficient given twice")
+    key, colon, inline = name.strip().partition(":")
+    key = key.strip().upper()
+    if colon and key != "A":
+        raise ValueError(f"only model A takes a parameter, got {name!r}")
+    if key == "A":
+        if not colon:
+            raise ValueError(
+                f"model A needs a coefficient from {MODEL_A_COEFFS}, e.g. 'A:0.4'"
+            )
         try:
             coeff = float(inline)
         except ValueError:
             raise ValueError(f"bad model A coefficient {inline!r}") from None
-    else:
-        key = key.upper()
-    if key == "A":
-        if coeff is None:
-            raise ValueError(
-                f"model A needs a coefficient from {MODEL_A_COEFFS}, e.g. 'A:0.4'"
-            )
         return _model_a(coeff)
-    if coeff is not None:
-        raise ValueError(f"model {key} takes no parameter")
     try:
         return _BUILTINS[key]()
     except KeyError:

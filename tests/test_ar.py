@@ -102,6 +102,10 @@ class TestMeanCorrect:
         with pytest.raises(ValueError):
             mean_correct([1.0, math.nan])
 
+    def test_rejects_multidimensional(self):
+        with pytest.raises(ValueError, match=r"must be 1-D, got an array of shape \(4, 2\)"):
+            mean_correct(np.zeros((4, 2)))
+
 
 class TestSampleAutocov:
     def test_alternating(self):
@@ -237,11 +241,14 @@ class TestFitAr:
             assert sigma2s[p] == sigma2
 
     def test_recovers_ar1_coefficient(self):
-        # generated with x[t] = 0.7 x[t-1] + e[t]; whitening sign flips it
+        # generated with x[t] = 0.7 x[t-1] + e[t]: levinson_path's predictor
+        # keeps the sign, the whitening coefficients of yule_walker flip it
         spec = PiecewiseSpec(((ArmaSpec(ar=(0.7,)), 4096),))
-        x = simulate_piecewise(spec, 0)
-        coeffs, _ = self.fit(mean_correct(x), 1)
-        assert abs(coeffs[0] - (-0.7)) < 0.05
+        x = mean_correct(simulate_piecewise(spec, 0))
+        phi, _ = levinson_path(sample_autocov(x, 1), 1)
+        assert abs(phi[0, 0] - 0.7) < 0.05
+        coeffs, _ = self.fit(x, 1)
+        assert coeffs[0] == -phi[0, 0]
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(30)
@@ -318,7 +325,7 @@ class TestBicSelectOrder:
         "spec,seed",
         [
             pytest.param(PiecewiseSpec(((ArmaSpec(ar=(0.6,)), 200),)), 0, id="ar0.6"),
-            pytest.param(builtin_model("A", 0.4), replicate_seed(0, 0), id="A:0.4"),
+            pytest.param(builtin_model("A:0.4"), replicate_seed(0, 0), id="A:0.4"),
             pytest.param(builtin_model("B"), replicate_seed(0, 0), id="B"),
             pytest.param(builtin_model("E"), replicate_seed(2, 0), id="E"),
             pytest.param(builtin_model("H"), replicate_seed(4, 0), id="H"),

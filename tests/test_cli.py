@@ -243,6 +243,18 @@ class TestBenchCommand:
                      "--out", str(tmp_path / "x")])
         assert code == 2
 
+    def test_bench_bad_settings_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("run_bench called with invalid settings")
+
+        monkeypatch.setattr("arcpd.cli.run_bench", no_run)
+        out = tmp_path / "d"
+        code = main(["bench", "--model", "B", "--replicates", "1", "--window", "15",
+                     "--scan-order", "10", "--out", str(out)])
+        assert code == 2
+        assert "window_radius must be at least 2 * scan order + 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bench_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         args = ["bench", "--model", "I", "--replicates", "8", "--seed", "4"]

@@ -66,6 +66,12 @@ class TestBH:
         with pytest.raises(ValueError):
             bh_procedure([0.5], 0.0)
 
+    @pytest.mark.parametrize("proc", [bh_procedure, bonferroni_procedure])
+    def test_rejects_multidimensional(self, proc):
+        # a (2, 2) table used to be flattened into four hypotheses
+        with pytest.raises(ValueError, match=r"must be 1-D, got an array of shape \(2, 2\)"):
+            proc([[0.01, 0.5], [0.2, 0.9]], 0.05)
+
 
 class TestBonferroni:
     def test_example(self):

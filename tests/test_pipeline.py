@@ -87,6 +87,21 @@ class TestDetect:
         assert set(iterated.final_cps) <= set(plain.final_cps)
         assert iterated.candidates.positions == plain.candidates.positions
 
+    def test_iterate_diagnostic(self):
+        # the first pass keeps 3 change points; re-testing drops 746 and then
+        # 199, and the third round keeps 889 alone.  The report's boundary
+        # tests and correction stay those of the first pass.
+        x = simulate_piecewise(builtin_model("E"), 21)
+        plain = detect_changepoints(x, DetectConfig())
+        iterated = detect_changepoints(x, DetectConfig(iterate=True))
+        assert plain.final_cps == (199, 746, 889)
+        assert iterated.final_cps == (889,)
+        assert iterated.diagnostics == (
+            "iterative re-testing removed 2 more candidate(s) in 3 round(s)",
+        )
+        assert iterated.boundary_tests == plain.boundary_tests
+        assert iterated.outcome == plain.outcome
+
     def test_to_dict_schema(self):
         x = simulate_piecewise(builtin_model("I"), 0)
         d = detect_changepoints(x).to_dict()
@@ -151,12 +166,22 @@ class TestDetect:
             detect_changepoints(x, DetectConfig(scan_order=scan_order))
 
     def test_config_validation(self):
+        assert DetectConfig().window_radius == 50
         with pytest.raises(ValueError):
             DetectConfig(correction="holm")
         with pytest.raises(ValueError):
             DetectConfig(alpha=1.0)
         with pytest.raises(ValueError):
             DetectConfig(window_radius=0)
+        with pytest.raises(ValueError, match="scan order must be nonnegative"):
+            DetectConfig(scan_order=-1)
+
+    def test_multidimensional_series_rejected(self):
+        # two columns used to be interleaved into one series of length 2048
+        b = simulate_piecewise(builtin_model("B"), 0)
+        c = simulate_piecewise(builtin_model("C"), 0)
+        with pytest.raises(ValueError, match=r"shape \(1024, 2\)"):
+            detect_changepoints(np.column_stack([b, c]))
 
 
 @pytest.mark.parametrize("mode", [OrderMode.fixed(), OrderMode.bic()], ids=["fixed", "bic"])

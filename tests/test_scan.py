@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from arcpd.ar import mean_correct
-from arcpd.pipeline import detect_changepoints
+from arcpd.pipeline import DetectConfig, detect_changepoints
 from arcpd.scan import (
     CHUNK_VALUES,
     DEFAULT_RADIUS,
     EXACT_FIT_RTOL,
     CandidateSet,
-    ScanConfig,
     ScanProfile,
     SeriesTooShortError,
     _solve_stack,
@@ -125,7 +124,7 @@ class TestDefaultWindow:
 class TestScanStatistics:
     def test_profile_length(self):
         x = mean_correct(ar1(0, 1024))
-        prof = scan_statistics(x, ScanConfig(50, 1))
+        prof = scan_statistics(x, 50, 1)
         assert len(prof.values) == 1024 - 2 * 50 + 1
         assert prof.offset == 50
         assert prof.positions()[0] == 50
@@ -136,7 +135,7 @@ class TestScanStatistics:
         h = CHUNK_H
         for length in [90] + CHUNK_EDGE_LENGTHS:
             x = mean_correct(ar1(7, length, b=-0.4))
-            prof = scan_statistics(x, ScanConfig(h, order))
+            prof = scan_statistics(x, h, order)
             assert len(prof.values) == length - 2 * h + 1
             assert prof.degenerate == 0
             want = [brute_force_scan_value(x, t, h, order) for t in prof.positions()]
@@ -151,7 +150,7 @@ class TestScanStatistics:
         x[60:110] = 0.0
         h = 8
         assert len(x) - 2 * h + 1 <= CHUNK_VALUES // (2 * h)
-        prof = scan_statistics(x, ScanConfig(h, order))
+        prof = scan_statistics(x, h, order)
         want = np.array([brute_force_scan_value(x, t, h, order) for t in prof.positions()])
         bad = np.isnan(want)
         assert 0 < bad.sum() < len(want) // 2
@@ -168,7 +167,7 @@ class TestScanStatistics:
         h = 28
         for seed in range(40):
             x = flat_run_walk(seed)
-            prof = scan_statistics(x, ScanConfig(h, order))
+            prof = scan_statistics(x, h, order)
             want = np.array(
                 [rank_checked_scan_value(x, t, h, order) for t in prof.positions()]
             )
@@ -178,7 +177,7 @@ class TestScanStatistics:
             assert (prof.values[bad] == 0.0).all()
             np.testing.assert_allclose(prof.values[~bad], want[~bad], rtol=0, atol=1e-10)
             for c in (1e-100, 1e100):
-                assert scan_statistics(c * x, ScanConfig(h, order)).degenerate == prof.degenerate
+                assert scan_statistics(c * x, h, order).degenerate == prof.degenerate
 
     def test_no_drift_on_long_near_unit_root_series(self):
         # Window Gram matrices are differences of prefix sums over 2e5 points
@@ -186,7 +185,7 @@ class TestScanStatistics:
         spec = PiecewiseSpec(((ArmaSpec(ar=(0.999,)), 200_000),))
         x = mean_correct(simulate_piecewise(spec, 5))
         h, order = 50, 2
-        prof = scan_statistics(x, ScanConfig(h, order))
+        prof = scan_statistics(x, h, order)
         m = len(prof.values)
         idx = np.r_[0, m - 1, np.random.default_rng(0).choice(m, 200, replace=False)]
         want = [brute_force_scan_value(x, prof.offset + i, h, order) for i in idx]
@@ -195,36 +194,36 @@ class TestScanStatistics:
     def test_nonnegative_on_random_series(self):
         for seed in range(20):
             x = mean_correct(ar1(seed, 512, b=0.7))
-            prof = scan_statistics(x, ScanConfig(40, 2))
+            prof = scan_statistics(x, 40, 2)
             assert prof.values.min() >= -1e-8
 
     def test_identical_halves_score_zero(self):
         # constant-free periodic window: both halves and the pool fit identically
         x = np.tile([1.0, -1.0], 30)
-        prof = scan_statistics(x, ScanConfig(10, 0))
+        prof = scan_statistics(x, 10, 0)
         mid = prof.values[len(prof.values) // 2]
         assert abs(mid) < 1e-12
 
     def test_scale_invariance(self):
         x = mean_correct(ar1(3, 400, b=0.3))
-        a = scan_statistics(x, ScanConfig(30, 1)).values
-        b = scan_statistics(100.0 * x, ScanConfig(30, 1)).values
+        a = scan_statistics(x, 30, 1).values
+        b = scan_statistics(100.0 * x, 30, 1).values
         assert np.allclose(a, b, atol=1e-6)
 
     def test_auto_order_is_recorded(self):
         spec = PiecewiseSpec(((ArmaSpec(ar=(1.69, -0.81)), 600),))
         x = mean_correct(simulate_piecewise(spec, 0))
-        prof = scan_statistics(x, ScanConfig(50))
+        prof = scan_statistics(x, 50)
         assert prof.order == 2
 
     def test_too_short_raises(self):
         with pytest.raises(SeriesTooShortError):
-            scan_statistics(np.zeros(99), ScanConfig(50, 0))
+            scan_statistics(np.zeros(99), 50, 0)
 
     def test_degenerate_windows_score_zero(self):
         x = np.zeros(64)
         x[40] = 1.0  # most windows are all-zero: sse == 0
-        prof = scan_statistics(x, ScanConfig(8, 1))
+        prof = scan_statistics(x, 8, 1)
         assert prof.degenerate > 0
         assert np.isfinite(prof.values).all()
 
@@ -232,19 +231,19 @@ class TestScanStatistics:
         # a half window has h - p targets for p coefficients: h >= 2p + 1
         for h, order in ((5, 4), (15, 10), (20, 10)):
             with pytest.raises(ValueError, match="at least 2 \\* scan order \\+ 1"):
-                ScanConfig(h, order)
-        assert ScanConfig(21, 10).order == 10
+                DetectConfig(window_radius=h, scan_order=order)
+        assert DetectConfig(window_radius=21, scan_order=10).scan_order == 10
 
     def test_auto_order_capped_by_window(self):
         # BIC picks order 8 on this series; at h = 15 the cap is (h - 1) // 2 = 7
         x = mean_correct(simulate_piecewise(PiecewiseSpec(((ArmaSpec(ma=(0.9,)), 800),)), 0))
-        assert scan_statistics(x, ScanConfig(50)).order == 8
-        assert scan_statistics(x, ScanConfig(15)).order <= 7
+        assert scan_statistics(x, 50).order == 8
+        assert scan_statistics(x, 15).order <= 7
 
     def test_argmax_near_true_change(self):
         spec = builtin_model("C")
         x = mean_correct(simulate_piecewise(spec, 0))
-        prof = scan_statistics(x, ScanConfig(50, 1))
+        prof = scan_statistics(x, 50, 1)
         t = prof.offset + int(np.argmax(prof.values))
         assert min(abs(t - 400), abs(t - 612)) <= 40
 
@@ -327,7 +326,7 @@ class TestExtractCandidates:
     def test_spacing_exceeds_radius(self):
         for seed in range(10):
             x = mean_correct(ar1(seed, 700, b=0.6))
-            prof = scan_statistics(x, ScanConfig(35, 1))
+            prof = scan_statistics(x, 35, 1)
             pos = extract_candidates(prof).positions
             assert all(b - a > 35 for a, b in zip(pos, pos[1:]))
 
@@ -342,7 +341,7 @@ def test_location_sanity_model_c():
     hits = 0
     for rep in range(50):
         x = mean_correct(simulate_piecewise(spec, replicate_seed(1000, rep)))
-        prof = scan_statistics(x, ScanConfig(50, 1))
+        prof = scan_statistics(x, 50, 1)
         pos = extract_candidates(prof).positions
         if all(min(abs(p - cp) for p in pos) <= 50 for cp in (400, 612)):
             hits += 1

@@ -321,6 +321,20 @@ class TestDiscriminationTest:
         with pytest.raises(DegenerateFitError):
             discrimination_test(np.zeros(50), rng.standard_normal(50))
 
+    def test_degenerate_segment_bic_mode(self):
+        # a zero segment has order-0 variance 0, so no BIC order exists; the
+        # search range named is the segment's own, min(max_order, T_i - 2)
+        rng = np.random.default_rng(13)
+        y = rng.standard_normal(50)
+        with pytest.raises(
+            DegenerateFitError, match=r"every order 0\.\.6: residual variance 0\.0 at order 0$"
+        ):
+            discrimination_test(np.zeros(50), y, OrderMode.bic(6))
+        with pytest.raises(
+            DegenerateFitError, match=r"every order 0\.\.3: residual variance 0\.0 at order 0$"
+        ):
+            discrimination_test(y, np.zeros(5), OrderMode.bic(6))
+
     def test_capped_order_warns(self):
         x, y = ar1_pair(14, 12, 0.2, 0.2)
         res = discrimination_test(x, y, OrderMode.fixed(2.5))

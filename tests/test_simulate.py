@@ -211,25 +211,27 @@ class TestBuiltinSpecs:
 
     def test_model_a_variants(self):
         for beta in (-0.7, -0.1, 0.4, 0.7):
-            spec = builtin_model("A", beta)
+            spec = builtin_model(f"A:{beta}")
             assert spec.true_cps == ()
             assert spec.total_length == 1024
             assert spec.segments[0][0].ar == (beta,)
 
     def test_model_a_inline_syntax(self):
-        assert builtin_model("A:0.4") == builtin_model("A", 0.4)
+        assert builtin_model(" a:0.40 ") == builtin_model("A:0.4")
+        with pytest.raises(ValueError, match="bad model A coefficient 'x'"):
+            builtin_model("A:x")
 
     def test_model_a_requires_known_coefficient(self):
         with pytest.raises(ValueError):
-            builtin_model("A", 0.5)
-        with pytest.raises(ValueError):
+            builtin_model("A:0.5")
+        with pytest.raises(ValueError, match="model A needs a coefficient"):
             builtin_model("A")
 
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             builtin_model("Z")
-        with pytest.raises(ValueError):
-            builtin_model("B", 0.4)
+        with pytest.raises(ValueError, match="only model A takes a parameter"):
+            builtin_model("B:0.4")
 
 
 class TestSpecValidation:
