@@ -3,11 +3,17 @@
 A time series is a 1-D float array.  Everything here treats the input as
 already mean-corrected unless noted; use :func:`mean_correct` first.
 
-:func:`levinson_path` is the one Levinson-Durbin recursion: from one
-autocovariance array (:func:`sample_autocov`) it gives the Yule-Walker
-coefficients and innovation variance of every order up to the one asked
-for, so a caller that needs several orders of one sequence runs it once.
-:func:`bic_order` is the one BIC scorer, read off that path alone with the
+:func:`levinson_path` is the one Levinson-Durbin recursion.  It takes a
+stack of autocovariance rows (shape (..., L); a 1-D input is one row, as
+from :func:`sample_autocov`) and gives each row's Yule-Walker coefficients
+and innovation variance at every order up to the one asked for, with
+vector operations across rows and a Python loop over orders only.  A row's
+result depends on that row alone, bit for bit, stacked or not.  Breakdown
+follows one convention for every row: a row whose variance at order m - 1
+is not positive and finite stops there, and its later variances and
+coefficient rows are NaN.
+
+:func:`bic_order` is the one BIC scorer, read off such paths alone with the
 concentrated Gaussian likelihood: BIC(p) = n * (log(2 pi) + log sigma2_p + 1)
 + (p + 1) * log(n).  It needs no residual pass, and since the minimizer
 depends on the data only through ratios of innovation variances, the
@@ -75,63 +81,72 @@ def sample_autocov(values, max_lag: int) -> np.ndarray:
     return np.correlate(np.concatenate([x, np.zeros(max_lag)]), x, "valid") / n
 
 
-def levinson_path(gamma: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the Yule-Walker equations of every order up to `order`.
+def levinson_path(gamma, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the Yule-Walker equations of every order up to `order`, per row.
 
-    Returns (phi, sigma2s) where phi[p-1, :p] are the predictor coefficients
-    of the order-p solution (x[t] ~ sum phi_j x[t-j]; the whitening
-    coefficients are -phi[p-1, :p]) and sigma2s[p] is the innovation
-    variance at order p, for p = 0..len(sigma2s) - 1.  Each order is
-    equivalent to a dense Toeplitz solve but costs O(p).  Entering order m
-    needs a positive, finite sigma2s[m-1]; where it is not, the recursion
-    breaks down and the path stops at order m - 1, so callers check
-    ``len(sigma2s)`` before reading the order they want.
-
-    The orders here are small (at most a few dozen), so the recursion runs
-    on Python floats, one coefficient row as a list; numpy calls on arrays
-    this short cost more than the arithmetic.
+    gamma is one autocovariance row or a stack of rows, shape (..., L) with
+    L > order.  Returns (phi, sigma2s) of shapes (..., order, order) and
+    (..., order + 1): phi[..., p-1, :p] are the predictor coefficients of
+    the order-p solution (x[t] ~ sum phi_j x[t-j]; the whitening
+    coefficients are -phi[..., p-1, :p]) and sigma2s[..., p] is the
+    innovation variance at order p.  Each order is equivalent to a dense
+    Toeplitz solve but costs O(p) per row.  A row whose sigma2s[m-1] is not
+    positive and finite breaks down entering order m: its sigma2s past
+    m - 1 and its phi rows from order m on are NaN.  Callers read a row's
+    breakdown order off its first variance that is not positive and finite.
     """
-    if not 0 <= order < len(gamma):
+    g = np.asarray(gamma, dtype=float)
+    if not 0 <= order < g.shape[-1]:
         raise ValueError(
-            f"need autocovariances to lag {order}, have {len(gamma) - 1}"
+            f"need autocovariances to lag {order}, have {g.shape[-1] - 1}"
         )
-    g = np.asarray(gamma, dtype=float)[: order + 1].tolist()
-    sigma2s = [g[0]]
-    phi = np.zeros((order, order))
-    row: list[float] = []  # coefficients of the last order reached
-    for m in range(1, order + 1):
-        prev = sigma2s[-1]
-        if not 0.0 < prev < math.inf:
-            break
-        dot = 0.0
-        for c, lagged in zip(row, g[m - 1 : 0 : -1]):
-            dot += c * lagged
-        reflect = (g[m] - dot) / prev
-        row = [c - reflect * r for c, r in zip(row, reversed(row))]
-        row.append(reflect)
-        phi[m - 1, :m] = row
-        sigma2s.append(prev * (1.0 - reflect * reflect))
-    return phi, np.array(sigma2s)
+    rows = g.reshape(-1, g.shape[-1])
+    count = len(rows)
+    phi = np.zeros((count, order, order))
+    sigma2s = np.empty((count, order + 1))
+    sigma2s[:, 0] = rows[:, 0]
+    # A row keeps computing after it breaks down; what it computes then is
+    # masked with NaN below, so its warnings mean nothing.
+    with np.errstate(all="ignore"):
+        for m in range(1, order + 1):
+            prev = sigma2s[:, m - 1]
+            last = phi[:, m - 2, : m - 1]  # order m - 1 coefficients (none at m = 1)
+            dot = (last * rows[:, m - 1 : 0 : -1]).sum(axis=1)
+            reflect = (rows[:, m] - dot) / prev
+            phi[:, m - 1, : m - 1] = last - reflect[:, None] * last[:, ::-1]
+            phi[:, m - 1, m - 1] = reflect
+            sigma2s[:, m] = prev * (1.0 - reflect * reflect)
+    usable = (0.0 < sigma2s) & (sigma2s < math.inf)
+    broken = ~np.logical_and.accumulate(usable, axis=1)[:, :-1]  # entering order m
+    sigma2s[:, 1:][broken] = np.nan
+    phi[broken] = np.nan
+    shape = g.shape[:-1]
+    return phi.reshape(shape + (order, order)), sigma2s.reshape(shape + (order + 1,))
 
 
-def bic_order(sigma2s: np.ndarray, n: int) -> int:
-    """BIC order over a Levinson path's innovation variances, for sample size n.
+def bic_order(sigma2s, n):
+    """BIC order of each Levinson path in a stack, for sample sizes n.
 
-    BIC(p) = n * (log(2 pi) + log sigma2s[p] + 1) + (p + 1) * log(n), less
-    n * (log(2 pi) + 1 + log sigma2s[0]), which no order changes: what is
-    scored is n * log(sigma2s[p] / sigma2s[0]) + (p + 1) * log(n).  Orders
-    stop at the first variance that is not positive and finite (0 when
-    sigma2s[0] is not); ties go to the smallest order.
+    sigma2s is one path's innovation variances (1-D: the result is an int)
+    or a stack of them (shape (..., L), with n broadcasting against the
+    leading axes: an int array).  BIC(p) = n * (log(2 pi) + log sigma2s[p]
+    + 1) + (p + 1) * log(n), less n * (log(2 pi) + 1 + log sigma2s[0]),
+    which no order changes: what is scored is
+    n * log(sigma2s[p] / sigma2s[0]) + (p + 1) * log(n).  Orders stop at the
+    first variance that is not positive and finite (0 when sigma2s[0] is
+    not), so a caller limits a row's search by setting its later entries to
+    NaN; ties go to the smallest order.
     """
-    log_n = math.log(n)
-    best_p, best = 0, math.inf
-    for p, s in enumerate(sigma2s):
-        if not 0.0 < s < math.inf:
-            break
-        bic = n * math.log(s / sigma2s[0]) + (p + 1) * log_n
-        if bic < best:
-            best_p, best = p, bic
-    return best_p
+    s = np.asarray(sigma2s, dtype=float)
+    n = np.asarray(n)
+    # math.log: numpy's log of an integer can differ from it in the last bit.
+    log_n = np.array([math.log(v) for v in n.ravel().tolist()]).reshape(n.shape)
+    usable = np.logical_and.accumulate((0.0 < s) & (s < math.inf), axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = n[..., None] * np.log(s / s[..., :1])
+    score += np.arange(1, s.shape[-1] + 1) * log_n[..., None]
+    best = np.where(usable, score, math.inf).argmin(axis=-1)
+    return int(best) if s.ndim == 1 else best
 
 
 def bic_select_order(values, max_order: int) -> int:

@@ -176,6 +176,8 @@ def _cmd_bench(args) -> int:
     for m in models:
         builtin_model(m)
     cfg = _detect_config(args)
+    if args.replicates < 1:
+        raise ValueError("replicates must be >= 1")
     with _writing(args.out):
         os.makedirs(args.out, exist_ok=True)
     rows = run_bench(models, args.replicates, args.seed, cfg)

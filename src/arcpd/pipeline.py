@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ar import DegenerateFitError, as_series, mean_correct
+from .ar import as_series, mean_correct
 from .multtest import MultipleTestOutcome, bh_procedure, bonferroni_procedure
 from .scan import (
     DEFAULT_RADIUS,
@@ -33,12 +33,7 @@ from .scan import (
     extract_candidates,
     scan_statistics,
 )
-from .sdtest import (
-    DiscriminationResult,
-    OrderMode,
-    SegmentTooShortError,
-    discrimination_test,
-)
+from .sdtest import DiscriminationResult, OrderMode, discrimination_test
 
 __all__ = ["DetectConfig", "BoundaryTest", "ChangePointReport", "detect_changepoints"]
 
@@ -144,34 +139,6 @@ class ChangePointReport:
         }
 
 
-def _test_boundaries(
-    xc: np.ndarray, positions: tuple[int, ...], mode: OrderMode
-) -> tuple[list[BoundaryTest], list[float]]:
-    """Run the adjacent-segment test at every position of the partition."""
-    n = len(xc)
-    bounds = (0, *positions, n)
-    tests: list[BoundaryTest] = []
-    pvals: list[float] = []
-    for i, pos in enumerate(positions):
-        left = xc[bounds[i] : pos]
-        right = xc[pos : bounds[i + 2]]
-        ranges = ((bounds[i] + 1, pos), (pos + 1, bounds[i + 2]))
-        try:
-            res = discrimination_test(left, right, mode)
-        except (SegmentTooShortError, DegenerateFitError) as exc:
-            tests.append(
-                BoundaryTest(pos, *ranges, p_value=1.0, result=None, warning=str(exc))
-            )
-            pvals.append(1.0)
-            continue
-        warning = "; ".join(res.warnings) if res.warnings else None
-        tests.append(
-            BoundaryTest(pos, *ranges, p_value=res.p_value, result=res, warning=warning)
-        )
-        pvals.append(res.p_value)
-    return tests, pvals
-
-
 def detect_changepoints(series, cfg: DetectConfig | None = None) -> ChangePointReport:
     """Run the full detector on a raw series.
 
@@ -220,8 +187,17 @@ def detect_changepoints(series, cfg: DetectConfig | None = None) -> ChangePointR
     positions = candidates.positions
     passes = 0
     while True:
-        tests, pvals = _test_boundaries(xc, positions, cfg.order_mode)
-        outcome = correct(pvals, cfg.alpha)
+        bounds = (0, *positions, n)
+        results = discrimination_test(xc, positions, cfg.order_mode)
+        tests: list[BoundaryTest] = []
+        for i, (pos, res) in enumerate(zip(positions, results)):
+            ranges = ((bounds[i] + 1, pos), (pos + 1, bounds[i + 2]))
+            if isinstance(res, DiscriminationResult):
+                warning = "; ".join(res.warnings) or None
+                tests.append(BoundaryTest(pos, *ranges, res.p_value, res, warning))
+            else:  # untestable: p = 1, never rejected
+                tests.append(BoundaryTest(pos, *ranges, 1.0, None, str(res)))
+        outcome = correct([bt.p_value for bt in tests], cfg.alpha)
         kept = tuple(pos for pos, rej in zip(positions, outcome.rejected) if rej)
         passes += 1
         if passes == 1:

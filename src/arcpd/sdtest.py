@@ -1,9 +1,9 @@
-"""Likelihood-ratio test for whether two segments share one AR structure.
+"""Likelihood-ratio test for whether adjacent segments share one AR structure.
 
-Both segments are mean-corrected individually, so a pure level shift is
-not evidence of a change; only second-order structure is compared.  Under
-the null the segments share an autocovariance structure (equivalently, a
-spectral density), and the statistic
+Each segment is mean-corrected individually, so a pure level shift is not
+evidence of a change; only second-order structure is compared.  Under the
+null two adjacent segments share an autocovariance structure
+(equivalently, a spectral density), and the statistic
 
     stat = T1 * log(s0 / s1) + T2 * log(s0 / s2)
 
@@ -13,11 +13,17 @@ autocovariances, the sample-size-weighted average
 
     c[j] = (T1 * gx[j] + T2 * gy[j]) / (T1 + T2)
 
-of the per-segment autocovariances gx, gy.  Each segment gets one
-autocovariance pass, the pooled lags are a slice of those two arrays, and
-each of the three sequences (x, y, pooled) gets one
-:func:`arcpd.ar.levinson_path`: every order and variance is read off that
-path.  Two order policies are supported:
+of the per-segment autocovariances gx, gy.
+
+:func:`discrimination_test` tests every boundary of a partition in one
+vectorised pass; a pair test is the one-boundary partition.  Each segment
+gets one row of one autocovariance table (lag by lag: the centred series
+times its lagged copy, the products that cross a segment bound zeroed,
+summed per segment), so an inner segment is fitted once for both of its
+boundaries.  Adjacent rows are pooled, and one stacked
+:func:`arcpd.ar.levinson_path` runs every segment row and every pooled row
+at once; each fit reads its variance at its own order, which is exact
+because the path is prefix-consistent.  Two order policies are supported:
 
 * fixed: both segments and the pooled fit use
   ``floor((ln T_min) ** exponent)`` with ``exponent > 1`` (autoregressive
@@ -27,7 +33,8 @@ path.  Two order policies are supported:
 * bic: per-segment BIC orders, searched up to min(max_order, T_i - 2),
   plus a BIC order for the pooled fit, searched up to
   min(max(p1, p2), T_min - 2).  All three come from the one BIC scorer,
-  :func:`arcpd.ar.bic_order`.  Preferable only when an AR model is trusted.
+  :func:`arcpd.ar.bic_order`, over the same paths.  Preferable only when an
+  AR model is trusted.
 
 The degrees of freedom are p1 + p2 - p0 + 1 under both policies: order + 1
 in fixed mode, at least min(p1, p2) + 1 in bic mode.
@@ -40,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ar import DegenerateFitError, bic_order, levinson_path, mean_correct, sample_autocov
+from .ar import DegenerateFitError, as_series, bic_order, levinson_path
 
 # Not called here: kept as a module attribute so that perfbench/spans.py TARGETS can wrap it.
 from .ar import bic_select_order  # noqa: F401
@@ -110,103 +117,162 @@ def fixed_order(len_x: int, len_y: int, exponent: float) -> int:
     return max(1, min(raw, t_min // 3))
 
 
-def discrimination_test(x, y, mode: OrderMode | None = None) -> DiscriminationResult:
-    """Test whether two adjacent segments come from the same AR process.
+def discrimination_test(
+    x, positions, mode: OrderMode | None = None
+) -> list[DiscriminationResult | SegmentTooShortError | DegenerateFitError]:
+    """Test every boundary of the partition of x at `positions` in one pass.
 
-    Each segment is mean-corrected here, so callers may pass raw segments.
-    Returns the statistic, its chi-square degrees of freedom and upper-tail
-    p-value, plus the orders and innovation variances of the three fits;
-    accept/reject is left to the caller.  Symmetric in (x, y) and invariant
-    to rescaling both segments.
-
-    Raises SegmentTooShortError when a segment cannot support the resolved
-    order and DegenerateFitError when a fit breaks down (zero or non-finite
-    residual variance, as when the pooled autocovariance overflows).
+    Boundary i splits x[positions[i-1]:positions[i]] from
+    x[positions[i]:positions[i+1]] (with x's ends as outer bounds);
+    positions must increase strictly inside (0, len(x)).  Each segment is
+    mean-corrected here, so callers may pass a raw series.  Returns, in
+    order, one DiscriminationResult per boundary (the statistic, its
+    chi-square degrees of freedom and upper-tail p-value, the orders and
+    innovation variances of the three fits; accept/reject is left to the
+    caller), or, for a boundary that cannot be tested, the error instance
+    that says why: SegmentTooShortError when a segment cannot support the
+    resolved order, DegenerateFitError when a fit breaks down (zero or
+    non-finite residual variance, as when the pooled autocovariance
+    overflows).  Nothing is raised per boundary.  Each result is symmetric
+    in its two segments and invariant to rescaling x.
     """
     if mode is None:
         mode = OrderMode.fixed()
-    xc = mean_correct(x)
-    yc = mean_correct(y)
-    n1, n2 = len(xc), len(yc)
-    if min(n1, n2) < 3:
-        raise SegmentTooShortError(
-            f"segments of lengths ({n1}, {n2}) are too short to compare"
-        )
-    warnings: list[str] = []
+    x = as_series(x)
+    bounds = np.array([0, *positions, len(x)])
+    n = np.diff(bounds)
+    if (n < 1).any():
+        raise ValueError("positions must increase strictly inside (0, len(x))")
+    if len(n) == 1:
+        return []
+    starts = bounds[:-1]
+    n1, n2 = n[:-1], n[1:]
+    t_min = np.minimum(n1, n2)
+    testable = t_min >= 3
+
     if mode.kind == "fixed":
-        lag1 = lag2 = fixed_order(n1, n2, mode.exponent)
-        raw = math.floor(math.log(min(n1, n2)) ** mode.exponent)
-        if raw > lag1:
-            warnings.append(
-                f"fixed order {raw} capped to {lag1} for segment lengths ({n1}, {n2})"
-            )
+        # (order, uncapped order) per shortest length, by the scalar rule.
+        rule = {
+            t: (fixed_order(t, t, mode.exponent), math.floor(math.log(t) ** mode.exponent))
+            for t in set(t_min[testable].tolist())
+        }
+        p1 = np.array([rule[t][0] if t >= 3 else 0 for t in t_min.tolist()])
+        p2 = p1
+        lags = np.maximum(np.r_[p1, 0], np.r_[0, p1])  # per segment
     else:
-        lag1 = min(mode.max_order, n1 - 2)
-        lag2 = min(mode.max_order, n2 - 2)
-        if lag1 < 1 or lag2 < 1:
-            raise SegmentTooShortError(
-                f"segments of lengths ({n1}, {n2}) too short for BIC order selection"
-            )
-    # One autocovariance pass and one Levinson path per segment, to the
-    # largest order any of its fits needs.
-    gx = sample_autocov(xc, lag1)
-    gy = sample_autocov(yc, lag2)
-    _, path_x = levinson_path(gx, lag1)
-    _, path_y = levinson_path(gy, lag2)
-    if mode.kind == "fixed":
-        p1, p2 = lag1, lag2
+        lags = np.minimum(mode.max_order, n - 2)
+    width = max(int(lags.max()), 0)
+
+    # One autocovariance table: row s holds segment s's lags 0..width.
+    # reduceat adds a segment's first value to the pairwise sum of the rest;
+    # behind a zero it gives the pairwise sum itself, np.mean's, so each
+    # segment's mean is its own mean bit for bit (a constant centres to 0).
+    sums = np.add.reduceat(np.insert(x, starts, 0.0), starts + np.arange(len(n)))
+    xc = x - np.repeat(sums / n, n)
+    table = np.empty((len(n), width + 1))
+    prod = np.empty(len(x))
+    for j in range(width + 1):
+        np.multiply(xc[j:], xc[: len(x) - j], out=prod[j:])
+        # Zero the products x[t] * x[t-j] that cross a bound: t = start_s + k,
+        # k < j, for every segment s (which covers t < j, left over from the
+        # last lag).
+        k = np.arange(j)
+        prod[(starts[:, None] + k)[k < n[:, None]]] = 0.0
+        table[:, j] = np.add.reduceat(prod, starts)
+    table /= n[:, None]
+    pooled = (n1[:, None] * table[:-1] + n2[:, None] * table[1:]) / (n1 + n2)[:, None]
+
+    _, paths = levinson_path(np.concatenate([table, pooled]), width)
+    path_seg, path_0 = paths[: len(n)], paths[len(n) :]
+    orders = np.arange(width + 1)
+    if mode.kind == "bic":
+        seg_order = bic_order(np.where(orders <= lags[:, None], path_seg, np.nan), n)
+        p1, p2 = seg_order[:-1], seg_order[1:]
+        # The pooled search stops at the larger segment order, and at the
+        # shorter segment's length - 2 (the cap on the segment lags).
+        p0_max = np.minimum(np.maximum(p1, p2), t_min - 2)
+        p0 = bic_order(np.where(orders <= p0_max[:, None], path_0, np.nan), n1 + n2)
     else:
-        for path, lag in ((path_x, lag1), (path_y, lag2)):
-            if not 0.0 < path[0] < math.inf:
-                raise DegenerateFitError(
-                    f"BIC order selection failed at every order 0..{lag}: "
-                    f"residual variance {float(path[0])!r} at order 0"
+        p0 = p1
+    # Per boundary, the x, y and pooled fits: paths, orders, and the index
+    # of each path's first variance that is not positive and finite.
+    fit_paths = np.stack([path_seg[:-1], path_seg[1:], path_0])
+    fit_orders = np.stack([p1, p2, p0])
+    usable = (0.0 < fit_paths) & (fit_paths < math.inf)
+    fit_stops = np.where(usable.all(axis=2), width + 1, usable.argmin(axis=2))
+    fitted = testable & (fit_stops > fit_orders).all(axis=0)
+    s1, s2, s0 = np.take_along_axis(fit_paths, fit_orders[:, :, None], axis=2)[:, :, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):  # boundaries not fitted
+        stat = np.where(fitted, n1 * np.log(s0 / s1) + n2 * np.log(s0 / s2), 0.0)
+
+    results = []
+    columns = (n1, n2, p1, p2, p0, testable, fitted, stat, s1, s2, s0)
+    for i, (l1, l2, q1, q2, q0, ok, fit, st, v1, v2, v0) in enumerate(
+        zip(*(c.tolist() for c in columns))
+    ):
+        if not ok:
+            results.append(
+                SegmentTooShortError(f"segments of lengths ({l1}, {l2}) are too short to compare")
+            )
+            continue
+        if not fit:
+            bic_lags = (lags[i], lags[i + 1]) if mode.kind == "bic" else None
+            results.append(
+                _fit_failure(fit_paths[:, i], fit_orders[:, i], fit_stops[:, i], bic_lags)
+            )
+            continue
+        warnings: list[str] = []
+        if mode.kind == "fixed":
+            capped, raw = rule[min(l1, l2)]
+            if raw > capped:
+                warnings.append(
+                    f"fixed order {raw} capped to {capped} for segment lengths ({l1}, {l2})"
                 )
-        p1, p2 = bic_order(path_x, n1), bic_order(path_y, n2)
-    # The pooled BIC search stops at the larger segment order, and at the
-    # shorter segment's length - 2 (the cap on lag1 and lag2), so both
-    # segments' autocovariances reach every pooled lag.
-    p0_max = min(max(p1, p2), min(n1, n2) - 2)
-    lags = slice(0, p0_max + 1)
-    pooled = (n1 * gx[lags] + n2 * gy[lags]) / (n1 + n2)
-    _, path_0 = levinson_path(pooled, p0_max)
-    p0 = p1 if mode.kind == "fixed" else bic_order(path_0, n1 + n2)
-
-    fits = ((path_x, p1), (path_y, p2), (path_0, p0))
-    for path, p in fits:
-        if len(path) <= p:
-            raise DegenerateFitError(
-                f"Levinson-Durbin broke down entering order {len(path)}: "
-                f"residual variance {float(path[-1])!r} at order {len(path) - 1}"
-            )
-    s1, s2, s0 = (float(path[p]) for path, p in fits)
-    for label, s in (("first", s1), ("second", s2), ("pooled", s0)):
-        # An overflowing autocovariance gives sigma2 = inf, not a usable fit.
-        if not (s > 0.0 and math.isfinite(s)):
-            what = "zero" if math.isfinite(s) else "non-finite"
-            raise DegenerateFitError(f"{label} segment fit has {what} residual variance")
-
-    stat = n1 * math.log(s0 / s1) + n2 * math.log(s0 / s2)
-    if stat < 0.0:
         # Exact nonnegativity only holds when the pooled order is nested in
         # both per-segment orders (always true in fixed mode); flag anything
         # beyond rounding.
-        if stat < -1e-8:
-            warnings.append(f"statistic {stat:.3e} below zero; clamped")
-        stat_for_tail = 0.0
-    else:
-        stat_for_tail = stat
+        if st < -1e-8:
+            warnings.append(f"statistic {st:.3e} below zero; clamped")
+        # p0 <= max(p1, p2), so df >= min(p1, p2) + 1; in fixed mode it is p + 1.
+        df = q1 + q2 - q0 + 1
+        results.append(
+            DiscriminationResult(
+                statistic=st,
+                df=df,
+                p_value=chi_sq_upper_tail(max(st, 0.0), df),
+                orders=(q1, q2, q0),
+                sigma2=(v1, v2, v0),
+                warnings=tuple(warnings),
+            )
+        )
+    return results
 
-    # p0 <= max(p1, p2), so df >= min(p1, p2) + 1; in fixed mode it is p + 1.
-    df = p1 + p2 - p0 + 1
-    return DiscriminationResult(
-        statistic=float(stat),
-        df=df,
-        p_value=chi_sq_upper_tail(stat_for_tail, df),
-        orders=(p1, p2, p0),
-        sigma2=(s1, s2, s0),
-        warnings=tuple(warnings),
-    )
+
+def _fit_failure(paths, orders, stops, bic_lags) -> DegenerateFitError:
+    """Why a boundary's x, y and pooled fits (paths read at orders) give no
+    test: the first segment whose BIC search (over 0..bic_lags, in bic mode)
+    has no order-0 variance, else the first path that breaks down before
+    its order, else the first variance that is not positive and finite."""
+    if bic_lags is not None:
+        for path, lag in zip(paths, bic_lags):
+            if not 0.0 < path[0] < math.inf:
+                return DegenerateFitError(
+                    f"BIC order selection failed at every order 0..{lag}: "
+                    f"residual variance {float(path[0])!r} at order 0"
+                )
+    for path, p, k in zip(paths, orders, stops):
+        if k < p:
+            return DegenerateFitError(
+                f"Levinson-Durbin broke down entering order {k + 1}: "
+                f"residual variance {float(path[k])!r} at order {k}"
+            )
+    for label, path, p in zip(("first", "second", "pooled"), paths, orders):
+        # An overflowing autocovariance gives sigma2 = inf, not a usable fit.
+        s = float(path[p])
+        if not (s > 0.0 and math.isfinite(s)):
+            what = "zero" if math.isfinite(s) else "non-finite"
+            return DegenerateFitError(f"{label} segment fit has {what} residual variance")
+    raise AssertionError("every fit is usable")
 
 
 def chi_sq_upper_tail(stat: float, df: int) -> float:

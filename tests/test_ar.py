@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from arcpd.ar import (
     DegenerateFitError,
+    bic_order,
     bic_select_order,
     levinson_path,
     mean_correct,
@@ -18,6 +20,15 @@ from arcpd.simulate import (
     replicate_seed,
     simulate_piecewise,
 )
+
+
+def pair_test(x, y, mode=None):
+    """Test x against y as the one-boundary partition; an untestable
+    boundary's error is raised."""
+    res = discrimination_test(np.concatenate([x, y]), [len(x)], mode)[0]
+    if isinstance(res, Exception):
+        raise res
+    return res
 
 
 def toeplitz_solve(gamma, order):
@@ -181,7 +192,7 @@ class TestLevinsonDurbin:
     def test_zero_gamma0_raises(self):
         rng = np.random.default_rng(13)
         with pytest.raises(DegenerateFitError):
-            discrimination_test(rng.standard_normal(50), np.zeros(50))
+            pair_test(rng.standard_normal(50), np.zeros(50))
 
     def test_zero_gamma0_names_order_zero(self):
         # an all-zero segment: the fixed-order fit cannot leave order 0
@@ -190,7 +201,7 @@ class TestLevinsonDurbin:
             DegenerateFitError,
             match=r"entering order 1: residual variance 0\.0 at order 0$",
         ):
-            discrimination_test(np.zeros(50), rng.standard_normal(50))
+            pair_test(np.zeros(50), rng.standard_normal(50))
 
     def test_order_zero_needs_no_positive_variance(self):
         phi, sigma2s = levinson_path(np.array([0.0]), 0)
@@ -205,7 +216,7 @@ class TestLevinsonDurbin:
             DegenerateFitError,
             match=r"entering order 2: residual variance 0\.0 at order 1$",
         ):
-            discrimination_test(x, np.random.default_rng(0).standard_normal(40))
+            pair_test(x, np.random.default_rng(0).standard_normal(40))
 
     def test_short_autocov_rejected(self):
         with pytest.raises(ValueError, match="need autocovariances to lag 2, have 1"):
@@ -261,14 +272,48 @@ class TestFitAr:
 
 class TestLevinsonPath:
     def test_stops_at_last_order_reached(self):
-        # perfectly correlated: zero residual variance at order 1
+        # perfectly correlated: zero residual variance at order 1, NaN past it
         phi, sigma2s = levinson_path(np.array([1.0, 1.0, 1.0, 1.0]), 3)
-        assert sigma2s.tolist() == [1.0, 0.0]
-        assert phi[0, 0] == 1.0
+        assert sigma2s[:2].tolist() == [1.0, 0.0] and np.isnan(sigma2s[2:]).all()
+        assert phi[0, 0] == 1.0 and np.isnan(phi[1:]).all()
 
     def test_zero_gamma0_stops_at_order_zero(self):
-        _, sigma2s = levinson_path(np.zeros(4), 3)
-        assert sigma2s.tolist() == [0.0]
+        phi, sigma2s = levinson_path(np.zeros(4), 3)
+        assert sigma2s[0] == 0.0 and np.isnan(sigma2s[1:]).all()
+        assert np.isnan(phi).all()
+
+    @pytest.mark.parametrize("order", [3, 10])
+    def test_stack_matches_rows_one_at_a_time(self, order):
+        rng = np.random.default_rng(order)
+        rows = [random_ar_autocov(rng)[: order + 1] for _ in range(3)]
+        alone = [levinson_path(row, order) for row in rows]
+        # all zero stops at order 0; all one ([1, 1, 1, 1] at order 3) at order 1
+        for broken, stop in ((np.zeros(order + 1), 0), (np.ones(order + 1), 1)):
+            stack = np.stack([rows[0], broken, rows[1], rows[2]])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                phi, sigma2s = levinson_path(stack, order)
+            assert phi.shape == (4, order, order) and sigma2s.shape == (4, order + 1)
+            for k, (want_phi, want_sigma2s) in zip((0, 2, 3), alone):
+                assert np.array_equal(phi[k], want_phi)
+                assert np.array_equal(sigma2s[k], want_sigma2s)
+            broken_phi, broken_sigma2s = levinson_path(broken, order)
+            assert np.array_equal(phi[1], broken_phi, equal_nan=True)
+            assert np.array_equal(sigma2s[1], broken_sigma2s, equal_nan=True)
+            assert sigma2s[1, stop] == 0.0 and np.isfinite(sigma2s[1, :stop]).all()
+            assert np.isnan(sigma2s[1, stop + 1 :]).all()
+            # any leading shape stacks the same way
+            _, nested = levinson_path(stack.reshape(2, 2, order + 1), order)
+            assert np.array_equal(nested.reshape(4, order + 1), sigma2s, equal_nan=True)
+
+    def test_bic_order_of_a_stack_is_each_rows(self):
+        rng = np.random.default_rng(3)
+        gammas = np.stack([random_ar_autocov(rng) for _ in range(3)] + [np.zeros(13)])
+        _, paths = levinson_path(gammas, 12)
+        n = np.array([40, 200, 1000, 50])
+        want = [bic_order(path, int(m)) for path, m in zip(paths, n)]
+        assert bic_order(paths, n).tolist() == want
+        assert want[3] == 0
 
 
 class TestBicSelectOrder:

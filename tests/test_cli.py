@@ -255,6 +255,13 @@ class TestBenchCommand:
         assert "window_radius must be at least 2 * scan order + 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bench_zero_replicates_exit_2_without_out(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        code = main(["bench", "--model", "B", "--replicates", "0", "--out", str(out)])
+        assert code == 2
+        assert "replicates must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bench_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         args = ["bench", "--model", "I", "--replicates", "8", "--seed", "4"]

@@ -15,6 +15,15 @@ from arcpd.sdtest import (
 from arcpd.simulate import ArmaSpec, PiecewiseSpec, replicate_seed, simulate_piecewise
 
 
+def pair_test(x, y, mode=None):
+    """Test x against y as the one-boundary partition; an untestable
+    boundary's error is raised."""
+    res = discrimination_test(np.concatenate([x, y]), [len(x)], mode)[0]
+    if isinstance(res, Exception):
+        raise res
+    return res
+
+
 def chi2_tail_quadrature(stat, df):
     """Numerical-integration oracle: integrate the chi-square density
     upper tail with tanh-sinh quadrature at 30 significant digits.
@@ -104,20 +113,34 @@ def short_beside_ma_pair():
     return x, y
 
 
+def oracle_partition():
+    """Segments of one partition: two AR(1) segments of 300, a 2-point
+    segment, an AR(0.8) segment of 90, a constant segment (its mean is exact,
+    so it centres to zeros), an AR(2) segment of 350, a 12-point segment, and
+    the 5-point and MA(0.9) segments of short_beside_ma_pair.  The 12- and
+    5-point segments cap the fixed order."""
+    a, b = ar1_pair(20, 300, 0.6, -0.3)
+    c, _ = ar1_pair(21, 90, 0.8, 0.0)
+    d = simulate_piecewise(PiecewiseSpec(((ArmaSpec(ar=(1.69, -0.81)), 350),)), 3)
+    e, _ = ar1_pair(14, 12, 0.2, 0.2)
+    five, ma = short_beside_ma_pair()
+    return [a, b, np.array([0.3, -1.2]), c, np.full(40, 1.5), d, e, five, ma]
+
+
 class TestPooledAutocov:
     """The pooled fit reads the sample-size-weighted average of the two
     segments' autocovariances, (T1 * gx + T2 * gy) / (T1 + T2)."""
 
     def test_identical_segments(self):
         x = np.random.default_rng(0).standard_normal(50)
-        s1, s2, s0 = discrimination_test(x, x.copy()).sigma2
+        s1, s2, s0 = pair_test(x, x.copy()).sigma2
         assert s1 == s2
         assert s0 == pytest.approx(s1, rel=1e-12)
 
     def test_weighted_average_form(self):
         rng = np.random.default_rng(2)
         x, y = rng.standard_normal(30), rng.standard_normal(70)
-        res = discrimination_test(x, y, OrderMode.fixed(1.5))
+        res = pair_test(x, y, OrderMode.fixed(1.5))
         p = res.orders[2]
         xc, yc = x - x.mean(), y - y.mean()
         gx = np.array([xc[j:] @ xc[: 30 - j] / 30 for j in range(p + 1)])
@@ -213,7 +236,7 @@ class TestDiscriminationTest:
             y = simulate_piecewise(PiecewiseSpec(((ArmaSpec(ar=(1.69, -0.81)), 350),)), 3)
         else:
             x, y = short_beside_ma_pair()
-        res = discrimination_test(x, y, mode)
+        res = pair_test(x, y, mode)
         stat, orders, sigma2 = brute_force_discrimination(x, y, mode)
         assert res.orders == orders
         np.testing.assert_allclose(res.sigma2, sigma2, rtol=1e-10, atol=0)
@@ -226,52 +249,52 @@ class TestDiscriminationTest:
     def test_identical_segments_lambda_zero(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal(300)
-        res = discrimination_test(x, x.copy(), OrderMode.fixed(1.5))
+        res = pair_test(x, x.copy(), OrderMode.fixed(1.5))
         assert res.statistic == pytest.approx(0.0, abs=1e-10)
         assert res.p_value == pytest.approx(1.0)
 
     def test_scale_invariance(self):
         x, y = ar1_pair(5, 250, 0.5, 0.5)
-        a = discrimination_test(x, y, OrderMode.fixed(1.5))
-        b = discrimination_test(4.2 * x, 4.2 * y, OrderMode.fixed(1.5))
+        a = pair_test(x, y, OrderMode.fixed(1.5))
+        b = pair_test(4.2 * x, 4.2 * y, OrderMode.fixed(1.5))
         assert b.statistic == pytest.approx(a.statistic, abs=1e-8)
         assert b.p_value == pytest.approx(a.p_value, abs=1e-10)
         assert b.df == a.df
 
     def test_swap_symmetry(self):
         x, y = ar1_pair(6, 200, 0.3, -0.4)
-        a = discrimination_test(x, y, OrderMode.fixed(1.5))
-        b = discrimination_test(y, x, OrderMode.fixed(1.5))
+        a = pair_test(x, y, OrderMode.fixed(1.5))
+        b = pair_test(y, x, OrderMode.fixed(1.5))
         assert b.statistic == pytest.approx(a.statistic, abs=1e-8)
         assert b.p_value == pytest.approx(a.p_value, abs=1e-10)
 
     def test_level_shift_is_not_a_change(self):
         x, y = ar1_pair(7, 400, 0.5, 0.5)
-        shifted = discrimination_test(x, y + 50.0, OrderMode.fixed(1.5))
-        plain = discrimination_test(x, y, OrderMode.fixed(1.5))
+        shifted = pair_test(x, y + 50.0, OrderMode.fixed(1.5))
+        plain = pair_test(x, y, OrderMode.fixed(1.5))
         assert shifted.statistic == pytest.approx(plain.statistic, abs=1e-6)
 
     def test_fixed_mode_orders_and_df(self):
         x, y = ar1_pair(8, 256, 0.2, 0.2)
-        res = discrimination_test(x, y, OrderMode.fixed(1.5))
+        res = pair_test(x, y, OrderMode.fixed(1.5))
         assert res.orders == (13, 13, 13)
         assert res.df == 14
 
     def test_fixed_mode_nonnegative_statistic(self):
         for seed in range(25):
             x, y = ar1_pair(100 + seed, 120, 0.6, -0.6)
-            res = discrimination_test(x, y, OrderMode.fixed(1.5))
+            res = pair_test(x, y, OrderMode.fixed(1.5))
             assert res.statistic >= -1e-8
 
     def test_default_mode_is_fixed(self):
         x, y = ar1_pair(9, 128, 0.1, 0.1)
-        assert discrimination_test(x, y).orders == discrimination_test(
+        assert pair_test(x, y).orders == pair_test(
             x, y, OrderMode.fixed(1.5)
         ).orders
 
     def test_bic_mode_df_rule(self):
         x, y = ar1_pair(10, 512, 0.8, -0.8)
-        res = discrimination_test(x, y, OrderMode.bic(6))
+        res = pair_test(x, y, OrderMode.bic(6))
         p1, p2, p0 = res.orders
         assert res.df == p1 + p2 - p0 + 1 >= min(p1, p2) + 1
 
@@ -287,7 +310,7 @@ class TestDiscriminationTest:
             with pytest.raises(
                 DegenerateFitError, match="pooled segment fit has non-finite residual variance"
             ):
-                discrimination_test(x, y, OrderMode.bic(6))
+                pair_test(x, y, OrderMode.bic(6))
 
     def test_bic_mode_short_segment_cannot_supply_pooled_lag(self):
         # BIC orders are chosen per segment; the pooled search stops at the
@@ -295,7 +318,7 @@ class TestDiscriminationTest:
         # beside a segment of BIC order 8; the search ends at that cap.
         x, y = short_beside_ma_pair()
         assert bic_select_order(mean_correct(y), 10) == 8
-        res = discrimination_test(x, y, OrderMode.bic(10))
+        res = pair_test(x, y, OrderMode.bic(10))
         p1, p2, p0 = res.orders
         assert p2 == 8
         assert p0 == 3
@@ -305,21 +328,21 @@ class TestDiscriminationTest:
 
     def test_bic_mode_detects_difference(self):
         x, y = ar1_pair(11, 512, 0.8, -0.8)
-        res = discrimination_test(x, y, OrderMode.bic(6))
+        res = pair_test(x, y, OrderMode.bic(6))
         assert res.p_value < 1e-6
 
     def test_distinct_processes_reject(self):
         x, y = ar1_pair(12, 300, 0.7, -0.7)
-        assert discrimination_test(x, y).p_value < 1e-6
+        assert pair_test(x, y).p_value < 1e-6
 
     def test_too_short_segment(self):
         with pytest.raises(SegmentTooShortError):
-            discrimination_test([1.0, 2.0], [1.0, 2.0, 3.0, 4.0])
+            pair_test([1.0, 2.0], [1.0, 2.0, 3.0, 4.0])
 
     def test_degenerate_segment(self):
         rng = np.random.default_rng(13)
         with pytest.raises(DegenerateFitError):
-            discrimination_test(np.zeros(50), rng.standard_normal(50))
+            pair_test(np.zeros(50), rng.standard_normal(50))
 
     def test_degenerate_segment_bic_mode(self):
         # a zero segment has order-0 variance 0, so no BIC order exists; the
@@ -329,15 +352,15 @@ class TestDiscriminationTest:
         with pytest.raises(
             DegenerateFitError, match=r"every order 0\.\.6: residual variance 0\.0 at order 0$"
         ):
-            discrimination_test(np.zeros(50), y, OrderMode.bic(6))
+            pair_test(np.zeros(50), y, OrderMode.bic(6))
         with pytest.raises(
             DegenerateFitError, match=r"every order 0\.\.3: residual variance 0\.0 at order 0$"
         ):
-            discrimination_test(y, np.zeros(5), OrderMode.bic(6))
+            pair_test(y, np.zeros(5), OrderMode.bic(6))
 
     def test_capped_order_warns(self):
         x, y = ar1_pair(14, 12, 0.2, 0.2)
-        res = discrimination_test(x, y, OrderMode.fixed(2.5))
+        res = pair_test(x, y, OrderMode.fixed(2.5))
         assert res.orders[0] == 4  # floor((ln 12)^2.5) = 11 capped to 12 // 3
         assert any("capped" in w for w in res.warnings)
 
@@ -349,6 +372,54 @@ def test_null_calibration_small():
     for i in range(200):
         x = simulate_piecewise(spec, replicate_seed(2024, 2 * i))
         y = simulate_piecewise(spec, replicate_seed(2024, 2 * i + 1))
-        res = discrimination_test(x, y, OrderMode.fixed(1.5))
+        res = pair_test(x, y, OrderMode.fixed(1.5))
         rejections += res.p_value <= 0.05
     assert 0.005 <= rejections / 200 <= 0.125
+
+
+BROKE_AT_ZERO = "Levinson-Durbin broke down entering order 1: residual variance 0.0 at order 0"
+NO_BIC_ORDER = "BIC order selection failed at every order 0..10: residual variance 0.0 at order 0"
+
+
+class TestPartition:
+    """The pass over a whole partition against the brute-force oracle on
+    each boundary's own pair; untestable boundaries carry the error a pair
+    test of their two segments raises."""
+
+    @pytest.mark.parametrize(
+        "mode,constant_error",
+        [
+            pytest.param(OrderMode.fixed(1.5), BROKE_AT_ZERO, id="fixed1.5"),
+            pytest.param(OrderMode.fixed(2.5), BROKE_AT_ZERO, id="fixed2.5"),
+            pytest.param(OrderMode.bic(10), NO_BIC_ORDER, id="bic10"),
+        ],
+    )
+    def test_every_boundary_matches_its_pair(self, mode, constant_error):
+        segs = oracle_partition()
+        positions = np.cumsum([len(s) for s in segs])[:-1]
+        results = discrimination_test(np.concatenate(segs), positions, mode)
+        assert len(results) == len(segs) - 1
+        untestable = {
+            1: (SegmentTooShortError, "segments of lengths (300, 2) are too short to compare"),
+            2: (SegmentTooShortError, "segments of lengths (2, 90) are too short to compare"),
+            3: (DegenerateFitError, constant_error),
+            4: (DegenerateFitError, constant_error),
+        }
+        for i, res in enumerate(results):
+            if i in untestable:
+                kind, text = untestable[i]
+                assert type(res) is kind and str(res) == text
+                continue
+            stat, orders, _ = brute_force_discrimination(segs[i], segs[i + 1], mode)
+            assert res.orders == orders
+            assert res.df == orders[0] + orders[1] - orders[2] + 1
+            assert res.statistic == pytest.approx(stat, rel=1e-9, abs=1e-9)
+            capped = mode.kind == "fixed" and (i in (6, 7) or (i == 5 and mode.exponent == 2.5))
+            assert any("capped" in w for w in res.warnings) == capped
+
+    def test_positions_must_increase_inside_the_series(self):
+        x = np.random.default_rng(0).standard_normal(20)
+        assert discrimination_test(x, []) == []
+        for bad in ([0], [20], [5, 5], [8, 4]):
+            with pytest.raises(ValueError, match="positions must increase strictly"):
+                discrimination_test(x, bad)
