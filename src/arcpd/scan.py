@@ -26,15 +26,32 @@ they do not depend on the scale of the series.
 Positions are evaluated in chunks of about ``CHUNK_VALUES / 2h`` windows
 (``CHUNK_VALUES = 2**15``: 327 windows at h = 50, so a T = 65536 series
 takes 201 chunks; each chunk costs a few dozen numpy calls whatever its
-size, and one piece's residuals hold at most 256 KB).
-Left and right Gram matrices are differences of one prefix sum of lag
-outer products; the pooled targets are the union of theirs, so its Gram
-matrix is their sum.  All three stacks are solved by one batched LDL^T
-elimination, a p-step numpy loop.  The residual sums of squares come from
-explicit residuals over column slices of one sliding-window view, not
-from ``g00 - g0' phi``, which cancels badly on long and near-unit-root
-series (errors near 1e-9 on AR(0.999) at T = 2e5); explicit residuals
-keep the profile within rounding of a per-window least-squares fit.
+size).  A piece's Gram matrix of lags and target is a set of range sums of
+the p + 1 lag products x[s] x[s + l].  They are block-local (van Herk;
+Gil & Werman): cut the products of a chunk into blocks of the range
+length, and each range is the suffix of one block plus the prefix of the
+next, so every entry sums the piece's own terms and its rounding scales
+with them, not with the length of the series.  Left pieces (h - p targets)
+use blocks of h - p; a right piece (h targets) is such a range plus its
+last p products, and the pooled matrix is the sum of the two.  All three
+stacks go through one batched elimination of the p lag rows, target row
+included, so the last pivot of each matrix is its residual sum of squares
+(SSE): no coefficients and no residuals.
+
+That SSE is a difference of the target energy and the part the lags
+explain, and it loses about log10(energy / SSE) digits, more where the
+lags are nearly collinear.  So a window whose pieces are not all well
+conditioned takes its SSEs from explicit residuals instead, with
+coefficients solved from the same Gram matrices; this fallback is
+counted in ``ScanProfile.fallback``.  A piece is well conditioned when
+every lag pivot exceeds ``FALLBACK_RTOL`` times its diagonal entry and
+its SSE exceeds ``FALLBACK_RTOL`` times its energy plus each lag's
+explained part scaled by that lag's diagonal-to-pivot ratio (the factor
+by which rounding in that part is amplified).  Degenerate pieces fail the
+test, so the ``PIVOT_RTOL`` and ``EXACT_FIT_RTOL`` rules are only applied
+on the fallback path.  The profile stays within about 1e-12 of a
+per-window least-squares fit at the default radius, near-unit-root
+models included.
 
 :func:`extract_candidates` takes the h-wide window maxima on each side of
 every position from block prefix and suffix maxima (rows of h values, one
@@ -64,10 +81,10 @@ __all__ = [
 # Cap for the automatic (BIC) scan order.
 AUTO_MAX_ORDER = 10
 
-# Scan positions per chunk: CHUNK_VALUES // (2h), so one piece's residuals
-# hold about CHUNK_VALUES floats.  At 2**16 glibc malloc hands the chunk
-# buffers back to the system after every chunk, and faulting them in again
-# made the T = 1024 scan 1.3-1.8x slower than at 2**15.
+# Scan positions per chunk: CHUNK_VALUES // (2h).  A chunk is a few dozen
+# numpy calls on arrays of a few (p + 1)^2 values per window.  2**16 scanned
+# T = 65536 (p = 2) about 30% faster than 2**15, but its larger chunk buffers
+# raised the peak RSS of T = 1024 benchmark runs by 0.8-1.8 MB; 2**15 did not.
 CHUNK_VALUES = 2**15
 
 # Degenerate-piece rules (module docstring).  A pivot ratio of 1e-10 means the
@@ -75,6 +92,10 @@ CHUNK_VALUES = 2**15
 # squares of 1e-20 times the energy is rounding noise of an exact fit.
 PIVOT_RTOL = 1e-10
 EXACT_FIT_RTOL = 1e-20
+# Conditioning below which a window's SSEs come from explicit residuals
+# (module docstring): a well-conditioned SSE carries a relative error of a
+# few roundoffs / FALLBACK_RTOL, about 1e-12.
+FALLBACK_RTOL = 3e-4
 
 # Default window radius h: the paper's max(50, ceil(ln T)) is 50 for every T < e^50.
 DEFAULT_RADIUS = 50
@@ -93,6 +114,7 @@ class ScanProfile:
     radius: int
     order: int
     degenerate: int = 0
+    fallback: int = 0  # windows whose SSEs came from explicit residuals
 
     def positions(self) -> np.ndarray:
         return np.arange(self.offset, self.offset + len(self.values))
@@ -116,46 +138,66 @@ def _resolve_order(x: np.ndarray, h: int, order: int | None) -> int:
     return bic_select_order(x, cap)
 
 
-def _gram_prefix(x: np.ndarray, p: int) -> np.ndarray:
-    """prefix[:, :, i+1] = sum of r_k r_k^T over targets k = p..i, r_k = (x[k-p], ..., x[k]).
+def _range_sums(z: np.ndarray, length: int, out: np.ndarray) -> None:
+    """out[:, s] = z[:, s] + ... + z[:, s + length - 1] for every column s of out.
 
-    prefix[:, :, 0..p] are zero.  Built in place: one (p+1, p+1, n+1) array,
-    so the Gram matrices of a run of windows are a contiguous slice.  Index
-    p is the target and index i < p its lag p - i.
+    Van Herk / Gil-Werman: cut each row of z into blocks of ``length``; a
+    range is the suffix of one block plus the prefix of the next, from one
+    cumulative sum each way inside the blocks.  Each value sums the range's
+    own terms only, so its rounding scales with them, not with the rest of
+    the series (and it is exactly 0 over zeros).  out is C-contiguous with a
+    multiple of ``length`` columns, and z has ``length`` more.
     """
-    n, dim = len(x), p + 1
-    prefix = np.zeros((dim, dim, n + 1))
-    rows = sliding_window_view(x, dim)  # row k - p is r_k
-    np.einsum("ti,tj->ijt", rows, rows, out=prefix[:, :, p + 1 :])
-    np.cumsum(prefix, axis=2, out=prefix)
-    return prefix
+    blocks = out.shape[1] // length + 1
+    zb = z[:, : blocks * length].reshape(len(z), blocks, length)
+    prefix = np.cumsum(zb, axis=2)
+    suffix = np.cumsum(zb[:, :, ::-1], axis=2)[:, :, ::-1]
+    ob = out.reshape(len(z), blocks - 1, length)
+    ob[:, :, 0] = suffix[:, :-1, 0]
+    np.add(suffix[:, :-1, 1:], prefix[:, 1:, :-1], out=ob[:, :, 1:])
+
+
+def _eliminate(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian elimination without pivoting of the p lag rows of a (p+1, p+1, N) stack.
+
+    Index p of each (p+1) x (p+1) Gram matrix is the target and index i < p
+    its lag p - i.  Each lag row in turn is eliminated from every row below
+    it, the target row included, in place; on a symmetric positive definite
+    matrix this is its LDL^T factorization (the eliminated rows are D L^T).
+    The last pivot, gram[p, p], is then the residual sum of squares of the
+    least-squares fit of the target on its lags, and gram[p, k] the target's
+    entry in lag row k as that row was eliminated.  Returns the lag pivots
+    and the diagonal entries they started from, both (p, N).  Raises no
+    warning; a zero pivot leaves inf or NaN behind it.
+    """
+    p = gram.shape[0] - 1
+    diag = np.diagonal(gram[:p, :p]).T.copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(p):
+            factor = gram[k + 1 :, k] / gram[k, k]
+            gram[k + 1 :, k + 1 :] -= factor[:, None] * gram[k, k + 1 :]
+    return np.diagonal(gram[:p, :p]).T, diag
 
 
 def _solve_stack(gram: np.ndarray) -> np.ndarray:
-    """AR coefficients of a (p+1, p+1, N) stack of Gram matrices laid out as in _gram_prefix.
+    """AR coefficients of a (p+1, p+1, N) stack of Gram matrices laid out as in _eliminate.
 
     Solves gram[:p, :p] phi = gram[:p, p] for every member at once by
-    Gaussian elimination without pivoting, which on a symmetric positive
-    definite matrix is its LDL^T factorization (the eliminated rows are
-    D L^T).  phi[i] is the coefficient of lag p - i.  A member with a pivot
-    at most PIVOT_RTOL times its diagonal entry has rank-deficient lags: its
-    column of the (p, N) result is NaN.  Overwrites the lag rows gram[:p].
+    _eliminate and back-substitution.  phi[i] is the coefficient of lag
+    p - i.  A member with a pivot at most PIVOT_RTOL times its diagonal
+    entry has rank-deficient lags: its column of the (p, N) result is NaN.
+    Overwrites gram.
     """
-    p = gram.shape[0] - 1
-    diag = np.diagonal(gram[:p, :p]).copy()  # (N, p)
+    pivots, diag = _eliminate(gram)
+    p = len(pivots)
     phi = np.empty((p, gram.shape[2]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(p - 1):
-            factor = gram[k + 1 : p, k] / gram[k, k]
-            gram[k + 1 : p, k + 1 :] -= factor[:, None] * gram[k, k + 1 :]
-        # Elimination leaves row k's pivot on the diagonal.
-        ok = (np.diagonal(gram[:p, :p]) > PIVOT_RTOL * diag).all(axis=1)
         for k in range(p - 1, -1, -1):
             rhs = gram[k, p]
             if k + 1 < p:
                 rhs = rhs - np.einsum("jn,jn->n", gram[k, k + 1 : p], phi[k + 1 :])
             phi[k] = rhs / gram[k, k]
-    phi[:, ~ok] = np.nan
+    phi[:, ~(pivots > PIVOT_RTOL * diag).all(axis=0)] = np.nan
     return phi
 
 
@@ -175,7 +217,7 @@ def scan_statistics(series, h: int, order: int | None = None) -> ScanProfile:
             f"series of length {n} is shorter than one window (2h = {2 * h})"
         )
     p = _resolve_order(x, h, order)
-    prefix = _gram_prefix(x, p)
+    dim = p + 1
     windows = sliding_window_view(x, 2 * h)
 
     # Window k (scan position t = h + k) is windows[k] = x[k .. k + 2h - 1];
@@ -187,33 +229,77 @@ def scan_statistics(series, h: int, order: int | None = None) -> ScanProfile:
     weights = -0.5 * np.array([1.0, 1.0, -1.0]) * counts / h
     const = float(weights @ (LOG_2PI + 1.0 - np.log(counts)))
     m = n - 2 * h + 1
-    chunk = max(1, CHUNK_VALUES // (2 * h))
-    values = np.empty(m)
-    for k0 in range(0, m, chunk):
-        k1 = min(k0 + chunk, m)
-        c = k1 - k0
-        gram = np.empty((p + 1, p + 1, 3, c))
-        for i, (lo, hi) in enumerate(pieces[:2]):
-            np.subtract(prefix[:, :, k0 + hi : k1 + hi], prefix[:, :, k0 + lo : k1 + lo],
-                        out=gram[:, :, i])
+    chunk = min(m, max(1, CHUNK_VALUES // (2 * h)))
+
+    # Gram entry (i, j) of a piece with targets x[a .. b-1] sums the lag-l
+    # products z[l, s] = x[s] x[s + l], l = |i - j|, over the b - a values of
+    # s from a - p + min(i, j) on.  Counting s from a chunk's first window,
+    # window w's left piece (targets w + p .. w + h - 1) sums h - p of them
+    # from w + min(i, j): sums[0, l, w + min(i, j)].  Its right piece sums h
+    # from w + h - p + min(i, j): the same kind of block range sum plus p
+    # more products, sums[1, l, w + min(i, j)].
+    width = -(-(chunk + h) // (h - p)) * (h - p)  # columns of sums[0]
+    span = width + 2 * h  # columns of z
+    xz = np.zeros((m - 1) // chunk * chunk + span + p)
+    xz[:n] = x
+    lagged = sliding_window_view(xz, len(xz) - p)[:dim]  # lagged[l, s] = x[s + l]
+    z = np.empty((dim, span))
+    sums = np.empty((2, dim, width))
+
+    def grams(c: int) -> np.ndarray:
+        """(dim, dim, 3, c) Gram stack of the chunk's first c windows: left, right, pooled."""
+        gram = np.empty((dim, dim, 3, c))
+        for i in range(dim):
+            gram[i, i:, :2] = sums[:, : dim - i, i : i + c].transpose(1, 0, 2)
+            gram[i + 1 :, i, :2] = gram[i, i + 1 :, :2]
         np.add(gram[:, :, 0], gram[:, :, 1], out=gram[:, :, 2])
-        energy = gram[p, p]  # _solve_stack leaves the target row alone
-        phi = _solve_stack(gram.reshape(p + 1, p + 1, 3 * c)).reshape(p, 3, c)
-        w = windows[k0:k1]
-        sse = np.empty((3, c))
-        for i, (lo, hi) in enumerate(pieces):
-            resid = w[:, lo:hi].copy()
-            for j in range(1, p + 1):
-                resid -= phi[p - j, i, :, None] * w[:, lo - j : hi - j]
-            np.einsum("ij,ij->i", resid, resid, out=sse[i])
-        # NaN phi (rank-deficient lags) gives NaN sse.
-        ok = (sse > EXACT_FIT_RTOL * energy) & np.isfinite(sse)
-        log_sse = np.log(sse, out=np.full((3, c), np.nan), where=ok)
-        values[k0:k1] = weights @ log_sse + const
+        return gram
+
+    values = np.empty(m)
+    fallback = 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k0 in range(0, m, chunk):
+            c = min(chunk, m - k0)
+            np.multiply(xz[k0 : k0 + span], lagged[:, k0 : k0 + span], out=z)
+            _range_sums(z, h - p, sums[0])
+            right = sums[1, :, : chunk + p]
+            right[:] = sums[0, :, h - p : h + chunk]
+            for q in range(2 * h - 2 * p, 2 * h - p):
+                right += z[:, q : q + chunk + p]
+            gram = grams(c).reshape(dim, dim, 3 * c)
+            energy = gram[p, p].copy()
+            pivots, diag = _eliminate(gram)
+            sse = gram[p, p]
+            # Lag row k explains u_k^2 / D_k of the target's energy (u_k =
+            # gram[p, k], D_k its pivot), amplified by diag_k / D_k.
+            amplified = energy + ((gram[p, :p] / pivots) ** 2 * diag).sum(axis=0)
+            good = (
+                (pivots > FALLBACK_RTOL * diag).all(axis=0)
+                & (sse > FALLBACK_RTOL * amplified)
+                & np.isfinite(sse)
+            )
+            values[k0 : k0 + c] = weights @ np.log(sse).reshape(3, c) + const
+            if good.all():
+                continue
+            redo = np.flatnonzero(~good.reshape(3, c).all(axis=0))
+            fallback += len(redo)
+            phi = _solve_stack(grams(c)[:, :, :, redo].reshape(dim, dim, -1)).reshape(p, 3, len(redo))
+            w = windows[k0 + redo]
+            resid_sse = np.empty((3, len(redo)))
+            for i, (lo, hi) in enumerate(pieces):
+                resid = w[:, lo:hi].copy()
+                for j in range(1, p + 1):
+                    resid -= phi[p - j, i, :, None] * w[:, lo - j : hi - j]
+                np.einsum("ij,ij->i", resid, resid, out=resid_sse[i])
+            # NaN phi (rank-deficient lags) gives NaN sse.
+            floor = EXACT_FIT_RTOL * energy.reshape(3, c)[:, redo]
+            ok = (resid_sse > floor) & np.isfinite(resid_sse)
+            log_sse = np.log(resid_sse, out=np.full_like(resid_sse, np.nan), where=ok)
+            values[k0 + redo] = weights @ log_sse + const
     bad = np.isnan(values)
     values[bad] = 0.0
     return ScanProfile(
-        values=values, offset=h, radius=h, order=p, degenerate=int(bad.sum())
+        values=values, offset=h, radius=h, order=p, degenerate=int(bad.sum()), fallback=fallback
     )
 
 

@@ -204,10 +204,13 @@ def discrimination_test(
     s1, s2, s0 = np.take_along_axis(fit_paths, fit_orders[:, :, None], axis=2)[:, :, 0]
     with np.errstate(divide="ignore", invalid="ignore"):  # boundaries not fitted
         stat = np.where(fitted, n1 * np.log(s0 / s1) + n2 * np.log(s0 / s2), 0.0)
+    # p0 <= max(p1, p2), so df >= min(p1, p2) + 1; in fixed mode it is p + 1.
+    df = np.where(fitted, p1 + p2 - p0 + 1, 1)
+    p_value = chi_sq_upper_tail(np.maximum(stat, 0.0), df)
 
     results = []
-    columns = (n1, n2, p1, p2, p0, testable, fitted, stat, s1, s2, s0)
-    for i, (l1, l2, q1, q2, q0, ok, fit, st, v1, v2, v0) in enumerate(
+    columns = (n1, n2, p1, p2, p0, testable, fitted, stat, df, p_value, s1, s2, s0)
+    for i, (l1, l2, q1, q2, q0, ok, fit, st, d, pv, v1, v2, v0) in enumerate(
         zip(*(c.tolist() for c in columns))
     ):
         if not ok:
@@ -233,13 +236,11 @@ def discrimination_test(
         # beyond rounding.
         if st < -1e-8:
             warnings.append(f"statistic {st:.3e} below zero; clamped")
-        # p0 <= max(p1, p2), so df >= min(p1, p2) + 1; in fixed mode it is p + 1.
-        df = q1 + q2 - q0 + 1
         results.append(
             DiscriminationResult(
                 statistic=st,
-                df=df,
-                p_value=chi_sq_upper_tail(max(st, 0.0), df),
+                df=d,
+                p_value=pv,
                 orders=(q1, q2, q0),
                 sigma2=(v1, v2, v0),
                 warnings=tuple(warnings),
@@ -275,26 +276,33 @@ def _fit_failure(paths, orders, stops, bic_lags) -> DegenerateFitError:
     raise AssertionError("every fit is usable")
 
 
-def chi_sq_upper_tail(stat: float, df: int) -> float:
+def chi_sq_upper_tail(stat, df):
     """P(X > stat) for X chi-square with integer df degrees of freedom.
 
     Closed form by the recurrence Q(1) = erfc(sqrt(x/2)), Q(2) = exp(-x/2),
     Q(k+2) = Q(k) + (x/2)^(k/2) exp(-x/2) / Gamma(k/2 + 1).  Every term is
-    positive, so there is no cancellation, in the far tail either.
+    positive, so there is no cancellation, in the far tail either.  stat and
+    df may be arrays (broadcast together): the recurrence then runs once over
+    all of them, step k adding its term where df > k and k has df's parity.
+    Returns a float for scalar input, else an array.
     """
-    if df < 1 or df % 1:
+    df = np.asarray(df)
+    if (df < 1).any() or (df % 1).any():
         raise ValueError("df must be a positive integer")
-    if not stat >= 0.0:
-        raise ValueError(f"statistic must be nonnegative, got {stat}")
-    if not math.isfinite(stat):
-        return 0.0
-    if stat == 0.0:
-        return 1.0
-    half = 0.5 * stat
-    k = 2 - df % 2
-    tail = math.erfc(math.sqrt(half)) if k == 1 else math.exp(-half)
-    log_half = math.log(half)
-    while k < df:
-        tail += math.exp(0.5 * k * log_half - half - math.lgamma(0.5 * k + 1.0))
-        k += 2
-    return min(1.0, tail)
+    stat = np.asarray(stat, dtype=float)
+    if not (stat >= 0.0).all():
+        raise ValueError(f"statistic must be nonnegative, got {stat[~(stat >= 0.0)].flat[0]}")
+    stat, df = np.broadcast_arrays(stat, df.astype(int))
+    tail = np.where(stat == 0.0, 1.0, 0.0)  # and 0 at stat = inf
+    live = (0.0 < stat) & (stat < math.inf)
+    half, df = 0.5 * stat[live], df[live]
+    odd = df % 2 == 1
+    q = np.exp(-half)
+    # numpy has no erfc: the odd-df start term is math.erfc, element by element.
+    q[odd] = [math.erfc(math.sqrt(v)) for v in half[odd].tolist()]
+    log_half = np.log(half)
+    for k in range(1, int(df.max(initial=0))):
+        step = (df > k) & (odd == (k % 2 == 1))
+        q[step] += np.exp(0.5 * k * log_half[step] - half[step] - math.lgamma(0.5 * k + 1.0))
+    tail[live] = np.minimum(1.0, q)
+    return float(tail) if tail.ndim == 0 else tail

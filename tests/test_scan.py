@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from arcpd import scan as scan_module
 from arcpd.ar import mean_correct
 from arcpd.pipeline import DetectConfig, detect_changepoints
 from arcpd.scan import (
@@ -190,6 +191,41 @@ class TestScanStatistics:
         idx = np.r_[0, m - 1, np.random.default_rng(0).choice(m, 200, replace=False)]
         want = [brute_force_scan_value(x, prof.offset + i, h, order) for i in idx]
         np.testing.assert_allclose(prof.values[idx], want, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("h", [3, 7, 25])
+    def test_block_edges_match_brute_force(self, h, monkeypatch):
+        # Gram matrices are range sums over blocks of h - p lag products, so
+        # windows sit at every offset in a block.  Chunks of 2h + 1 windows
+        # start mid-block; window counts are a multiple of h, one off it, and
+        # 1 (T = 2h).
+        monkeypatch.setattr(scan_module, "CHUNK_VALUES", 2 * h * (2 * h + 1))
+        for order in range((h - 1) // 2 + 1):
+            for m in (5 * h - 1, 5 * h, 5 * h + 1, 1):
+                x = mean_correct(ar1(100 * h + m, m + 2 * h - 1, b=-0.4))
+                prof = scan_statistics(x, h, order)
+                assert len(prof.values) == m
+                assert prof.degenerate == 0
+                want = [brute_force_scan_value(x, t, h, order) for t in prof.positions()]
+                np.testing.assert_allclose(prof.values, want, rtol=0, atol=1e-10)
+
+    def test_fallback_only_where_conditioning_needs_it(self):
+        # AR(+-0.5) windows are well conditioned: every SSE is a last pivot.
+        regimes = [(ArmaSpec(ar=(0.5 - k % 2,)), 8192 * (k + 1)) for k in range(8)]
+        spec = PiecewiseSpec(tuple(regimes))
+        prof = scan_statistics(mean_correct(simulate_piecewise(spec, 101)), DEFAULT_RADIUS)
+        assert prof.fallback == 0
+        # Flat stretches of a random walk make exact fits: their windows,
+        # and the degenerate ones among them, take the explicit residuals.
+        for order in (1, 2):
+            for seed in range(5):
+                prof = scan_statistics(flat_run_walk(seed), 28, order)
+                assert prof.fallback > 0
+                assert prof.fallback >= prof.degenerate
+        # Near a unit root the target is mostly explained by its lags; only
+        # the worst-conditioned windows fall back.
+        spec = PiecewiseSpec(((ArmaSpec(ar=(0.999,)), 200_000),))
+        prof = scan_statistics(mean_correct(simulate_piecewise(spec, 5)), 50, 2)
+        assert 0 < prof.fallback < len(prof.values) // 4
 
     def test_nonnegative_on_random_series(self):
         for seed in range(20):

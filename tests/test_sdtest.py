@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import stats
 
 from arcpd.ar import DegenerateFitError, bic_select_order, mean_correct
 from arcpd.sdtest import (
@@ -205,12 +206,31 @@ class TestChiSqUpperTail:
             grid = [chi_sq_upper_tail(s, df) for s in np.arange(0.0, 50.0, 0.25)]
             assert all(a > b for a, b in zip(grid, grid[1:]))
 
+    def test_array_input_matches_scipy(self):
+        # One pass over mixed df (both parities, up to 37) and statistics from
+        # 0 through the far tail to inf; scalars still give a float.
+        rng = np.random.default_rng(11)
+        df = rng.integers(1, 38, size=500)
+        stat = rng.chisquare(df) * rng.uniform(0.1, 4.0, size=500)
+        stat[:6] = 0.0
+        stat[6:12] = np.inf
+        got = chi_sq_upper_tail(stat, df)
+        assert got.shape == (500,)
+        np.testing.assert_allclose(got, stats.chi2.sf(stat, df), rtol=1e-10, atol=1e-10)
+        assert (got[:6] == 1.0).all() and (got[6:12] == 0.0).all()
+        grid = chi_sq_upper_tail(stat[:, None], np.array([1, 2, 9]))
+        assert grid.shape == (500, 3)
+        assert grid[20, 2] == chi_sq_upper_tail(float(stat[20]), 9)
+        assert isinstance(chi_sq_upper_tail(3.0, 4), float)
+
     def test_negative_stat_rejected(self):
         with pytest.raises(ValueError):
             chi_sq_upper_tail(-0.1, 2)
+        with pytest.raises(ValueError, match="got -0.1"):
+            chi_sq_upper_tail(np.array([1.0, -0.1, np.nan]), 2)
 
     def test_non_integer_df_rejected(self):
-        for df in (0, 2.5):
+        for df in (0, 2.5, np.array([3, 0]), np.array([2.0, 1.5])):
             with pytest.raises(ValueError, match="df must be a positive integer"):
                 chi_sq_upper_tail(1.0, df)
 
