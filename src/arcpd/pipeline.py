@@ -11,9 +11,10 @@ The detector runs three stages on a series of length T:
    Bonferroni); the candidates whose hypotheses are rejected are the final
    change points.
 
-A boundary whose test cannot run (segment too short for the resolved
-order, degenerate fit) enters the correction with p-value 1, is never
-rejected, and is reported with a warning.
+Stage 2 gives the report's records, one :class:`arcpd.sdtest.BoundaryTest`
+per candidate.  A boundary whose test cannot run (a segment too short or
+constant, a fit that breaks down) enters the correction with p-value 1, is
+never rejected, and is reported with a warning.
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ from .scan import (
     CandidateSet,
     ScanProfile,
     SeriesTooShortError,
+    check_order,
     extract_candidates,
     scan_statistics,
 )
-from .sdtest import DiscriminationResult, OrderMode, discrimination_test
+from .sdtest import BoundaryTest, OrderMode, discrimination_test
 
 __all__ = ["DetectConfig", "BoundaryTest", "ChangePointReport", "detect_changepoints"]
 
@@ -55,32 +57,13 @@ class DetectConfig:
         if self.window_radius < 1:
             raise ValueError("window_radius must be positive")
         if self.scan_order is not None:
-            if self.scan_order < 0:
-                raise ValueError("scan order must be nonnegative")
-            # A half window has h - p targets for p coefficients.
-            if self.window_radius < 2 * self.scan_order + 1:
-                raise ValueError(
-                    "window_radius must be at least 2 * scan order + 1 "
-                    f"(got h={self.window_radius}, order={self.scan_order})"
-                )
+            check_order(self.window_radius, self.scan_order)
         if self.correction not in CORRECTIONS:
             raise ValueError(
                 f"correction must be one of {sorted(CORRECTIONS)}, got {self.correction!r}"
             )
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-
-
-@dataclass(frozen=True)
-class BoundaryTest:
-    """One candidate's test, with 1-based inclusive segment ranges."""
-
-    position: int
-    left_range: tuple[int, int]
-    right_range: tuple[int, int]
-    p_value: float
-    result: DiscriminationResult | None
-    warning: str | None = None
 
 
 @dataclass(frozen=True)
@@ -187,16 +170,7 @@ def detect_changepoints(series, cfg: DetectConfig | None = None) -> ChangePointR
     positions = candidates.positions
     passes = 0
     while True:
-        bounds = (0, *positions, n)
-        results = discrimination_test(xc, positions, cfg.order_mode)
-        tests: list[BoundaryTest] = []
-        for i, (pos, res) in enumerate(zip(positions, results)):
-            ranges = ((bounds[i] + 1, pos), (pos + 1, bounds[i + 2]))
-            if isinstance(res, DiscriminationResult):
-                warning = "; ".join(res.warnings) or None
-                tests.append(BoundaryTest(pos, *ranges, res.p_value, res, warning))
-            else:  # untestable: p = 1, never rejected
-                tests.append(BoundaryTest(pos, *ranges, 1.0, None, str(res)))
+        tests = discrimination_test(xc, positions, cfg.order_mode)
         outcome = correct([bt.p_value for bt in tests], cfg.alpha)
         kept = tuple(pos for pos, rej in zip(positions, outcome.rejected) if rej)
         passes += 1
@@ -220,7 +194,7 @@ def detect_changepoints(series, cfg: DetectConfig | None = None) -> ChangePointR
         config=cfg,
         profile=profile,
         candidates=candidates,
-        boundary_tests=tuple(first_tests),
+        boundary_tests=first_tests,
         outcome=first_outcome,
         final_cps=kept,
         diagnostics=tuple(diagnostics),

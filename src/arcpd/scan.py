@@ -42,7 +42,7 @@ That SSE is a difference of the target energy and the part the lags
 explain, and it loses about log10(energy / SSE) digits, more where the
 lags are nearly collinear.  So a window whose pieces are not all well
 conditioned takes its SSEs from explicit residuals instead, with
-coefficients solved from the same Gram matrices; this fallback is
+coefficients back-substituted from the same elimination; this fallback is
 counted in ``ScanProfile.fallback``.  A piece is well conditioned when
 every lag pivot exceeds ``FALLBACK_RTOL`` times its diagonal entry and
 its SSE exceeds ``FALLBACK_RTOL`` times its energy plus each lag's
@@ -76,6 +76,7 @@ __all__ = [
     "scan_statistics",
     "extract_candidates",
     "AUTO_MAX_ORDER",
+    "check_order",
 ]
 
 # Cap for the automatic (BIC) scan order.
@@ -129,8 +130,19 @@ class CandidateSet:
         return len(self.positions)
 
 
+def check_order(h: int, order: int) -> None:
+    """Raise ValueError unless 0 <= order and h >= 2 * order + 1 (h - order targets per half)."""
+    if order < 0:
+        raise ValueError("scan order must be nonnegative")
+    if h < 2 * order + 1:
+        raise ValueError(
+            f"window_radius must be at least 2 * scan order + 1 (got h={h}, order={order})"
+        )
+
+
 def _resolve_order(x: np.ndarray, h: int, order: int | None) -> int:
     if order is not None:
+        check_order(h, order)
         return order
     cap = min(AUTO_MAX_ORDER, (h - 1) // 2, len(x) - 1)
     if cap < 1:
@@ -179,16 +191,15 @@ def _eliminate(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.diagonal(gram[:p, :p]).T, diag
 
 
-def _solve_stack(gram: np.ndarray) -> np.ndarray:
-    """AR coefficients of a (p+1, p+1, N) stack of Gram matrices laid out as in _eliminate.
+def _solve_stack(gram: np.ndarray, pivots: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """AR coefficients of a (p+1, p+1, N) Gram stack that _eliminate has reduced.
 
-    Solves gram[:p, :p] phi = gram[:p, p] for every member at once by
-    _eliminate and back-substitution.  phi[i] is the coefficient of lag
-    p - i.  A member with a pivot at most PIVOT_RTOL times its diagonal
-    entry has rank-deficient lags: its column of the (p, N) result is NaN.
-    Overwrites gram.
+    Back-substitution solves gram[:p, :p] phi = gram[:p, p] for every member
+    at once, given the pivots and diag _eliminate returned for the stack.
+    phi[i] is the coefficient of lag p - i.  A member with a pivot at most
+    PIVOT_RTOL times its diagonal entry has rank-deficient lags: its column
+    of the (p, N) result is NaN.
     """
-    pivots, diag = _eliminate(gram)
     p = len(pivots)
     phi = np.empty((p, gram.shape[2]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -206,9 +217,9 @@ def scan_statistics(series, h: int, order: int | None = None) -> ScanProfile:
 
     The series should be mean-corrected.  ``order=None`` selects the AR
     order by BIC on the whole series, capped at min(AUTO_MAX_ORDER,
-    (h - 1) // 2); a given order needs h >= 2 * order + 1, as
-    :class:`arcpd.pipeline.DetectConfig` checks.  Raises SeriesTooShortError
-    when T < 2h.  The profile has length T - 2h + 1.
+    (h - 1) // 2); a given order must satisfy :func:`check_order` (0 <= order,
+    h >= 2 * order + 1), else ValueError.  Raises SeriesTooShortError when
+    T < 2h.  The profile has length T - 2h + 1.
     """
     x = as_series(series)
     n = len(x)
@@ -246,15 +257,6 @@ def scan_statistics(series, h: int, order: int | None = None) -> ScanProfile:
     z = np.empty((dim, span))
     sums = np.empty((2, dim, width))
 
-    def grams(c: int) -> np.ndarray:
-        """(dim, dim, 3, c) Gram stack of the chunk's first c windows: left, right, pooled."""
-        gram = np.empty((dim, dim, 3, c))
-        for i in range(dim):
-            gram[i, i:, :2] = sums[:, : dim - i, i : i + c].transpose(1, 0, 2)
-            gram[i + 1 :, i, :2] = gram[i, i + 1 :, :2]
-        np.add(gram[:, :, 0], gram[:, :, 1], out=gram[:, :, 2])
-        return gram
-
     values = np.empty(m)
     fallback = 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -266,7 +268,14 @@ def scan_statistics(series, h: int, order: int | None = None) -> ScanProfile:
             right[:] = sums[0, :, h - p : h + chunk]
             for q in range(2 * h - 2 * p, 2 * h - p):
                 right += z[:, q : q + chunk + p]
-            gram = grams(c).reshape(dim, dim, 3 * c)
+            # The (dim, dim, 3, c) Gram stack of the chunk's c windows: left,
+            # right, pooled; member piece * c + w of the reshaped stack.
+            gram = np.empty((dim, dim, 3, c))
+            for i in range(dim):
+                gram[i, i:, :2] = sums[:, : dim - i, i : i + c].transpose(1, 0, 2)
+                gram[i + 1 :, i, :2] = gram[i, i + 1 :, :2]
+            np.add(gram[:, :, 0], gram[:, :, 1], out=gram[:, :, 2])
+            gram = gram.reshape(dim, dim, 3 * c)
             energy = gram[p, p].copy()
             pivots, diag = _eliminate(gram)
             sse = gram[p, p]
@@ -283,7 +292,9 @@ def scan_statistics(series, h: int, order: int | None = None) -> ScanProfile:
                 continue
             redo = np.flatnonzero(~good.reshape(3, c).all(axis=0))
             fallback += len(redo)
-            phi = _solve_stack(grams(c)[:, :, :, redo].reshape(dim, dim, -1)).reshape(p, 3, len(redo))
+            members = (np.arange(3)[:, None] * c + redo).ravel()
+            phi = _solve_stack(gram[:, :, members], pivots[:, members], diag[:, members])
+            phi = phi.reshape(p, 3, len(redo))
             w = windows[k0 + redo]
             resid_sse = np.empty((3, len(redo)))
             for i, (lo, hi) in enumerate(pieces):

@@ -38,6 +38,13 @@ because the path is prefix-consistent.  Two order policies are supported:
 
 The degrees of freedom are p1 + p2 - p0 + 1 under both policies: order + 1
 in fixed mode, at least min(p1, p2) + 1 in bic mode.
+
+A segment whose centred lag-0 autocovariance is at most ``EXACT_FIT_RTOL``
+(the scan's exact-fit rule) times its raw mean square is constant up to
+rounding, whether or not its mean rounds exactly: its row of the table is
+set to 0, so its fit breaks down at order 0 and its boundaries are
+untestable.  The pass returns the report's records, one
+:class:`BoundaryTest` per boundary.
 """
 
 from __future__ import annotations
@@ -47,23 +54,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ar import DegenerateFitError, as_series, bic_order, levinson_path
+from .ar import as_series, bic_order, levinson_path
 
 # Not called here: kept as a module attribute so that perfbench/spans.py TARGETS can wrap it.
 from .ar import bic_select_order  # noqa: F401
+from .scan import EXACT_FIT_RTOL
 
 __all__ = [
     "OrderMode",
     "DiscriminationResult",
-    "SegmentTooShortError",
+    "BoundaryTest",
     "fixed_order",
     "discrimination_test",
     "chi_sq_upper_tail",
 ]
-
-
-class SegmentTooShortError(ValueError):
-    """A segment cannot support the resolved fitting order."""
 
 
 @dataclass(frozen=True)
@@ -95,10 +99,20 @@ class OrderMode:
 class DiscriminationResult:
     statistic: float
     df: int
-    p_value: float
-    orders: tuple[int, int, int]  # (segment x, segment y, pooled)
+    orders: tuple[int, int, int]  # (left segment, right segment, pooled)
     sigma2: tuple[float, float, float]  # innovation variances, same order
-    warnings: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class BoundaryTest:
+    """One boundary's test, with 1-based inclusive segment ranges."""
+
+    position: int
+    left_range: tuple[int, int]
+    right_range: tuple[int, int]
+    p_value: float
+    result: DiscriminationResult | None  # None: untestable, p_value 1
+    warning: str | None = None
 
 
 def fixed_order(len_x: int, len_y: int, exponent: float) -> int:
@@ -117,24 +131,22 @@ def fixed_order(len_x: int, len_y: int, exponent: float) -> int:
     return max(1, min(raw, t_min // 3))
 
 
-def discrimination_test(
-    x, positions, mode: OrderMode | None = None
-) -> list[DiscriminationResult | SegmentTooShortError | DegenerateFitError]:
+def discrimination_test(x, positions, mode: OrderMode | None = None) -> tuple[BoundaryTest, ...]:
     """Test every boundary of the partition of x at `positions` in one pass.
 
     Boundary i splits x[positions[i-1]:positions[i]] from
     x[positions[i]:positions[i+1]] (with x's ends as outer bounds);
     positions must increase strictly inside (0, len(x)).  Each segment is
-    mean-corrected here, so callers may pass a raw series.  Returns, in
-    order, one DiscriminationResult per boundary (the statistic, its
-    chi-square degrees of freedom and upper-tail p-value, the orders and
-    innovation variances of the three fits; accept/reject is left to the
-    caller), or, for a boundary that cannot be tested, the error instance
-    that says why: SegmentTooShortError when a segment cannot support the
-    resolved order, DegenerateFitError when a fit breaks down (zero or
-    non-finite residual variance, as when the pooled autocovariance
-    overflows).  Nothing is raised per boundary.  Each result is symmetric
-    in its two segments and invariant to rescaling x.
+    mean-corrected here, so callers may pass a raw series.  Returns one
+    BoundaryTest per boundary, in order: the segment ranges, the chi-square
+    upper-tail p-value, the DiscriminationResult (statistic, degrees of
+    freedom, orders and innovation variances of the three fits; accept/reject
+    is left to the caller) and notes on a capped fixed order or a clamped
+    statistic.  A boundary that cannot be tested (a segment shorter than 3
+    or constant, a fit with zero or non-finite residual variance, as when
+    the pooled autocovariance overflows) has no result, p-value 1 and a
+    warning that says why; nothing is raised per boundary.  Each result is
+    symmetric in its two segments and invariant to rescaling x.
     """
     if mode is None:
         mode = OrderMode.fixed()
@@ -144,7 +156,7 @@ def discrimination_test(
     if (n < 1).any():
         raise ValueError("positions must increase strictly inside (0, len(x))")
     if len(n) == 1:
-        return []
+        return ()
     starts = bounds[:-1]
     n1, n2 = n[:-1], n[1:]
     t_min = np.minimum(n1, n2)
@@ -166,7 +178,7 @@ def discrimination_test(
     # One autocovariance table: row s holds segment s's lags 0..width.
     # reduceat adds a segment's first value to the pairwise sum of the rest;
     # behind a zero it gives the pairwise sum itself, np.mean's, so each
-    # segment's mean is its own mean bit for bit (a constant centres to 0).
+    # segment's mean is its own mean bit for bit.
     sums = np.add.reduceat(np.insert(x, starts, 0.0), starts + np.arange(len(n)))
     xc = x - np.repeat(sums / n, n)
     table = np.empty((len(n), width + 1))
@@ -180,6 +192,10 @@ def discrimination_test(
         prod[(starts[:, None] + k)[k < n[:, None]]] = 0.0
         table[:, j] = np.add.reduceat(prod, starts)
     table /= n[:, None]
+    # Constant segments (module docstring); an overflowing mean square decides nothing.
+    with np.errstate(over="ignore"):
+        mean_sq = np.add.reduceat(np.multiply(x, x, out=prod), starts) / n
+    table[(table[:, 0] <= EXACT_FIT_RTOL * mean_sq) & (mean_sq < math.inf)] = 0.0
     pooled = (n1[:, None] * table[:-1] + n2[:, None] * table[1:]) / (n1 + n2)[:, None]
 
     _, paths = levinson_path(np.concatenate([table, pooled]), width)
@@ -208,62 +224,53 @@ def discrimination_test(
     df = np.where(fitted, p1 + p2 - p0 + 1, 1)
     p_value = chi_sq_upper_tail(np.maximum(stat, 0.0), df)
 
-    results = []
-    columns = (n1, n2, p1, p2, p0, testable, fitted, stat, df, p_value, s1, s2, s0)
-    for i, (l1, l2, q1, q2, q0, ok, fit, st, d, pv, v1, v2, v0) in enumerate(
+    tests = []
+    b = bounds.tolist()
+    columns = (testable, fitted, p1, p2, p0, stat, df, p_value, s1, s2, s0)
+    for i, (ok, fit, q1, q2, q0, st, d, pv, v1, v2, v0) in enumerate(
         zip(*(c.tolist() for c in columns))
     ):
-        if not ok:
-            results.append(
-                SegmentTooShortError(f"segments of lengths ({l1}, {l2}) are too short to compare")
-            )
+        lo, pos, hi = b[i : i + 3]
+        lengths, ranges = (pos - lo, hi - pos), ((lo + 1, pos), (pos + 1, hi))
+        if not fit:  # untestable: p = 1, never rejected
+            if ok:
+                bic_lags = lags[i : i + 2].tolist() if mode.kind == "bic" else None
+                warning = _fit_failure(fit_paths[:, i], fit_orders[:, i], fit_stops[:, i], bic_lags)
+            else:
+                warning = f"segments of lengths {lengths} are too short to compare"
+            tests.append(BoundaryTest(pos, *ranges, 1.0, None, warning))
             continue
-        if not fit:
-            bic_lags = (lags[i], lags[i + 1]) if mode.kind == "bic" else None
-            results.append(
-                _fit_failure(fit_paths[:, i], fit_orders[:, i], fit_stops[:, i], bic_lags)
-            )
-            continue
-        warnings: list[str] = []
+        notes = []
         if mode.kind == "fixed":
-            capped, raw = rule[min(l1, l2)]
+            capped, raw = rule[min(lengths)]
             if raw > capped:
-                warnings.append(
-                    f"fixed order {raw} capped to {capped} for segment lengths ({l1}, {l2})"
-                )
+                notes.append(f"fixed order {raw} capped to {capped} for segment lengths {lengths}")
         # Exact nonnegativity only holds when the pooled order is nested in
         # both per-segment orders (always true in fixed mode); flag anything
         # beyond rounding.
         if st < -1e-8:
-            warnings.append(f"statistic {st:.3e} below zero; clamped")
-        results.append(
-            DiscriminationResult(
-                statistic=st,
-                df=d,
-                p_value=pv,
-                orders=(q1, q2, q0),
-                sigma2=(v1, v2, v0),
-                warnings=tuple(warnings),
-            )
-        )
-    return results
+            notes.append(f"statistic {st:.3e} below zero; clamped")
+        result = DiscriminationResult(st, d, (q1, q2, q0), (v1, v2, v0))
+        tests.append(BoundaryTest(pos, *ranges, pv, result, "; ".join(notes) or None))
+    return tuple(tests)
 
 
-def _fit_failure(paths, orders, stops, bic_lags) -> DegenerateFitError:
-    """Why a boundary's x, y and pooled fits (paths read at orders) give no
-    test: the first segment whose BIC search (over 0..bic_lags, in bic mode)
-    has no order-0 variance, else the first path that breaks down before
-    its order, else the first variance that is not positive and finite."""
+def _fit_failure(paths, orders, stops, bic_lags) -> str:
+    """The message that says why a boundary's x, y and pooled fits (paths
+    read at orders) give no test: the first segment whose BIC search (over
+    0..bic_lags, in bic mode) has no order-0 variance, else the first path
+    that breaks down before its order, else the first variance that is not
+    positive and finite."""
     if bic_lags is not None:
         for path, lag in zip(paths, bic_lags):
             if not 0.0 < path[0] < math.inf:
-                return DegenerateFitError(
+                return (
                     f"BIC order selection failed at every order 0..{lag}: "
                     f"residual variance {float(path[0])!r} at order 0"
                 )
     for path, p, k in zip(paths, orders, stops):
         if k < p:
-            return DegenerateFitError(
+            return (
                 f"Levinson-Durbin broke down entering order {k + 1}: "
                 f"residual variance {float(path[k])!r} at order {k}"
             )
@@ -272,7 +279,7 @@ def _fit_failure(paths, orders, stops, bic_lags) -> DegenerateFitError:
         s = float(path[p])
         if not (s > 0.0 and math.isfinite(s)):
             what = "zero" if math.isfinite(s) else "non-finite"
-            return DegenerateFitError(f"{label} segment fit has {what} residual variance")
+            return f"{label} segment fit has {what} residual variance"
     raise AssertionError("every fit is usable")
 
 

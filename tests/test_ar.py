@@ -23,12 +23,12 @@ from arcpd.simulate import (
 
 
 def pair_test(x, y, mode=None):
-    """Test x against y as the one-boundary partition; an untestable
-    boundary's error is raised."""
-    res = discrimination_test(np.concatenate([x, y]), [len(x)], mode)[0]
-    if isinstance(res, Exception):
-        raise res
-    return res
+    """Test x against y as the one-boundary partition and return its record;
+    an untestable boundary's warning is raised as a DegenerateFitError."""
+    bt = discrimination_test(np.concatenate([x, y]), [len(x)], mode)[0]
+    if bt.result is None:
+        raise DegenerateFitError(bt.warning)
+    return bt
 
 
 def toeplitz_solve(gamma, order):

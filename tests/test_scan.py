@@ -13,6 +13,7 @@ from arcpd.scan import (
     CandidateSet,
     ScanProfile,
     SeriesTooShortError,
+    _eliminate,
     _solve_stack,
     extract_candidates,
     scan_statistics,
@@ -264,10 +265,17 @@ class TestScanStatistics:
         assert np.isfinite(prof.values).all()
 
     def test_window_order_config_invariant(self):
-        # a half window has h - p targets for p coefficients: h >= 2p + 1
-        for h, order in ((5, 4), (15, 10), (20, 10)):
+        # a half window has h - p targets for p coefficients: h >= 2p + 1.
+        # The scan checks the rule itself: at order = h a left piece has no
+        # targets, above h more lags than a half window holds.
+        x = np.random.default_rng(0).standard_normal(200)
+        for h, order in ((5, 4), (5, 5), (5, 6), (15, 10), (20, 10)):
             with pytest.raises(ValueError, match="at least 2 \\* scan order \\+ 1"):
                 DetectConfig(window_radius=h, scan_order=order)
+            with pytest.raises(ValueError, match=f"at least 2 \\* scan order \\+ 1 \\(got h={h},"):
+                scan_statistics(x, h, order)
+        with pytest.raises(ValueError, match="scan order must be nonnegative"):
+            scan_statistics(x, 5, -1)
         assert DetectConfig(window_radius=21, scan_order=10).scan_order == 10
 
     def test_auto_order_capped_by_window(self):
@@ -284,13 +292,20 @@ class TestScanStatistics:
         assert min(abs(t - 400), abs(t - 612)) <= 40
 
 
+def eliminate_and_solve(gram):
+    """_solve_stack's back-substitution on a copy of gram that _eliminate has reduced."""
+    gram = gram.copy()
+    pivots, diag = _eliminate(gram)
+    return _solve_stack(gram, pivots, diag)
+
+
 class TestSolveStack:
     @pytest.mark.parametrize("p", range(1, 11))
     def test_matches_numpy_solve(self, p):
         gram = gram_stack(np.random.default_rng(p).standard_normal((50, 60, p + 1)))
         a = gram.transpose(2, 0, 1)
         want = np.linalg.solve(a[:, :p, :p], a[:, :p, p:])[:, :, 0].T
-        got = _solve_stack(gram.copy())
+        got = eliminate_and_solve(gram)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("p", [1, 2, 5, 10])
@@ -301,7 +316,7 @@ class TestSolveStack:
         if p > 1:
             X[3, :, 0] = X[3, :, p - 1]  # duplicated lag column
             planted = [3, 29]
-        phi = _solve_stack(gram_stack(X))
+        phi = eliminate_and_solve(gram_stack(X))
         assert np.flatnonzero(np.isnan(phi).any(axis=0)).tolist() == planted
         assert np.isnan(phi[:, planted]).all()
 

@@ -8,7 +8,6 @@ from scipy import stats
 from arcpd.ar import DegenerateFitError, bic_select_order, mean_correct
 from arcpd.sdtest import (
     OrderMode,
-    SegmentTooShortError,
     chi_sq_upper_tail,
     discrimination_test,
     fixed_order,
@@ -17,12 +16,12 @@ from arcpd.simulate import ArmaSpec, PiecewiseSpec, replicate_seed, simulate_pie
 
 
 def pair_test(x, y, mode=None):
-    """Test x against y as the one-boundary partition; an untestable
-    boundary's error is raised."""
-    res = discrimination_test(np.concatenate([x, y]), [len(x)], mode)[0]
-    if isinstance(res, Exception):
-        raise res
-    return res
+    """Test x against y as the one-boundary partition and return its record;
+    an untestable boundary's warning is raised as a DegenerateFitError."""
+    bt = discrimination_test(np.concatenate([x, y]), [len(x)], mode)[0]
+    if bt.result is None:
+        raise DegenerateFitError(bt.warning)
+    return bt
 
 
 def chi2_tail_quadrature(stat, df):
@@ -134,7 +133,7 @@ class TestPooledAutocov:
 
     def test_identical_segments(self):
         x = np.random.default_rng(0).standard_normal(50)
-        s1, s2, s0 = pair_test(x, x.copy()).sigma2
+        s1, s2, s0 = pair_test(x, x.copy()).result.sigma2
         assert s1 == s2
         assert s0 == pytest.approx(s1, rel=1e-12)
 
@@ -142,12 +141,12 @@ class TestPooledAutocov:
         rng = np.random.default_rng(2)
         x, y = rng.standard_normal(30), rng.standard_normal(70)
         res = pair_test(x, y, OrderMode.fixed(1.5))
-        p = res.orders[2]
+        p = res.result.orders[2]
         xc, yc = x - x.mean(), y - y.mean()
         gx = np.array([xc[j:] @ xc[: 30 - j] / 30 for j in range(p + 1)])
         gy = np.array([yc[j:] @ yc[: 70 - j] / 70 for j in range(p + 1)])
         want = dense_fit_variance((30 * gx + 70 * gy) / 100, p)
-        assert res.sigma2[2] == pytest.approx(want, rel=1e-10)
+        assert res.result.sigma2[2] == pytest.approx(want, rel=1e-10)
 
 
 class TestFixedOrder:
@@ -258,9 +257,9 @@ class TestDiscriminationTest:
             x, y = short_beside_ma_pair()
         res = pair_test(x, y, mode)
         stat, orders, sigma2 = brute_force_discrimination(x, y, mode)
-        assert res.orders == orders
-        np.testing.assert_allclose(res.sigma2, sigma2, rtol=1e-10, atol=0)
-        assert res.statistic == pytest.approx(stat, rel=1e-8, abs=1e-8)
+        assert res.result.orders == orders
+        np.testing.assert_allclose(res.result.sigma2, sigma2, rtol=1e-10, atol=0)
+        assert res.result.statistic == pytest.approx(stat, rel=1e-8, abs=1e-8)
         if case == "short_beside_ma" and mode.kind == "bic":
             # the pooled search stops at the 5-point segment's length - 2,
             # below the other segment's lag 8
@@ -270,53 +269,53 @@ class TestDiscriminationTest:
         rng = np.random.default_rng(4)
         x = rng.standard_normal(300)
         res = pair_test(x, x.copy(), OrderMode.fixed(1.5))
-        assert res.statistic == pytest.approx(0.0, abs=1e-10)
+        assert res.result.statistic == pytest.approx(0.0, abs=1e-10)
         assert res.p_value == pytest.approx(1.0)
 
     def test_scale_invariance(self):
         x, y = ar1_pair(5, 250, 0.5, 0.5)
         a = pair_test(x, y, OrderMode.fixed(1.5))
         b = pair_test(4.2 * x, 4.2 * y, OrderMode.fixed(1.5))
-        assert b.statistic == pytest.approx(a.statistic, abs=1e-8)
+        assert b.result.statistic == pytest.approx(a.result.statistic, abs=1e-8)
         assert b.p_value == pytest.approx(a.p_value, abs=1e-10)
-        assert b.df == a.df
+        assert b.result.df == a.result.df
 
     def test_swap_symmetry(self):
         x, y = ar1_pair(6, 200, 0.3, -0.4)
         a = pair_test(x, y, OrderMode.fixed(1.5))
         b = pair_test(y, x, OrderMode.fixed(1.5))
-        assert b.statistic == pytest.approx(a.statistic, abs=1e-8)
+        assert b.result.statistic == pytest.approx(a.result.statistic, abs=1e-8)
         assert b.p_value == pytest.approx(a.p_value, abs=1e-10)
 
     def test_level_shift_is_not_a_change(self):
         x, y = ar1_pair(7, 400, 0.5, 0.5)
         shifted = pair_test(x, y + 50.0, OrderMode.fixed(1.5))
         plain = pair_test(x, y, OrderMode.fixed(1.5))
-        assert shifted.statistic == pytest.approx(plain.statistic, abs=1e-6)
+        assert shifted.result.statistic == pytest.approx(plain.result.statistic, abs=1e-6)
 
     def test_fixed_mode_orders_and_df(self):
         x, y = ar1_pair(8, 256, 0.2, 0.2)
         res = pair_test(x, y, OrderMode.fixed(1.5))
-        assert res.orders == (13, 13, 13)
-        assert res.df == 14
+        assert res.result.orders == (13, 13, 13)
+        assert res.result.df == 14
 
     def test_fixed_mode_nonnegative_statistic(self):
         for seed in range(25):
             x, y = ar1_pair(100 + seed, 120, 0.6, -0.6)
             res = pair_test(x, y, OrderMode.fixed(1.5))
-            assert res.statistic >= -1e-8
+            assert res.result.statistic >= -1e-8
 
     def test_default_mode_is_fixed(self):
         x, y = ar1_pair(9, 128, 0.1, 0.1)
-        assert pair_test(x, y).orders == pair_test(
+        assert pair_test(x, y).result.orders == pair_test(
             x, y, OrderMode.fixed(1.5)
-        ).orders
+        ).result.orders
 
     def test_bic_mode_df_rule(self):
         x, y = ar1_pair(10, 512, 0.8, -0.8)
         res = pair_test(x, y, OrderMode.bic(6))
-        p1, p2, p0 = res.orders
-        assert res.df == p1 + p2 - p0 + 1 >= min(p1, p2) + 1
+        p1, p2, p0 = res.result.orders
+        assert res.result.df == p1 + p2 - p0 + 1 >= min(p1, p2) + 1
 
     def test_bic_mode_pooled_recursion_stops_early(self):
         # Each segment's sum of squares is near the float maximum, so the
@@ -339,11 +338,11 @@ class TestDiscriminationTest:
         x, y = short_beside_ma_pair()
         assert bic_select_order(mean_correct(y), 10) == 8
         res = pair_test(x, y, OrderMode.bic(10))
-        p1, p2, p0 = res.orders
+        p1, p2, p0 = res.result.orders
         assert p2 == 8
         assert p0 == 3
-        assert res.df == p1 + p2 - p0 + 1
-        assert math.isfinite(res.statistic)
+        assert res.result.df == p1 + p2 - p0 + 1
+        assert math.isfinite(res.result.statistic)
         assert 0.0 <= res.p_value <= 1.0
 
     def test_bic_mode_detects_difference(self):
@@ -356,7 +355,9 @@ class TestDiscriminationTest:
         assert pair_test(x, y).p_value < 1e-6
 
     def test_too_short_segment(self):
-        with pytest.raises(SegmentTooShortError):
+        with pytest.raises(
+            DegenerateFitError, match=r"^segments of lengths \(2, 4\) are too short to compare$"
+        ):
             pair_test([1.0, 2.0], [1.0, 2.0, 3.0, 4.0])
 
     def test_degenerate_segment(self):
@@ -381,8 +382,8 @@ class TestDiscriminationTest:
     def test_capped_order_warns(self):
         x, y = ar1_pair(14, 12, 0.2, 0.2)
         res = pair_test(x, y, OrderMode.fixed(2.5))
-        assert res.orders[0] == 4  # floor((ln 12)^2.5) = 11 capped to 12 // 3
-        assert any("capped" in w for w in res.warnings)
+        assert res.result.orders[0] == 4  # floor((ln 12)^2.5) = 11 capped to 12 // 3
+        assert "capped" in res.warning
 
 
 def test_null_calibration_small():
@@ -403,8 +404,8 @@ NO_BIC_ORDER = "BIC order selection failed at every order 0..10: residual varian
 
 class TestPartition:
     """The pass over a whole partition against the brute-force oracle on
-    each boundary's own pair; untestable boundaries carry the error a pair
-    test of their two segments raises."""
+    each boundary's own pair; untestable boundaries have no result, p-value
+    1 and a warning that says why."""
 
     @pytest.mark.parametrize(
         "mode,constant_error",
@@ -417,29 +418,60 @@ class TestPartition:
     def test_every_boundary_matches_its_pair(self, mode, constant_error):
         segs = oracle_partition()
         positions = np.cumsum([len(s) for s in segs])[:-1]
-        results = discrimination_test(np.concatenate(segs), positions, mode)
-        assert len(results) == len(segs) - 1
+        tests = discrimination_test(np.concatenate(segs), positions, mode)
+        assert len(tests) == len(segs) - 1
         untestable = {
-            1: (SegmentTooShortError, "segments of lengths (300, 2) are too short to compare"),
-            2: (SegmentTooShortError, "segments of lengths (2, 90) are too short to compare"),
-            3: (DegenerateFitError, constant_error),
-            4: (DegenerateFitError, constant_error),
+            1: "segments of lengths (300, 2) are too short to compare",
+            2: "segments of lengths (2, 90) are too short to compare",
+            3: constant_error,
+            4: constant_error,
         }
-        for i, res in enumerate(results):
+        for i, bt in enumerate(tests):
             if i in untestable:
-                kind, text = untestable[i]
-                assert type(res) is kind and str(res) == text
+                assert (bt.result, bt.p_value, bt.warning) == (None, 1.0, untestable[i])
                 continue
             stat, orders, _ = brute_force_discrimination(segs[i], segs[i + 1], mode)
-            assert res.orders == orders
-            assert res.df == orders[0] + orders[1] - orders[2] + 1
-            assert res.statistic == pytest.approx(stat, rel=1e-9, abs=1e-9)
+            assert bt.result.orders == orders
+            assert bt.result.df == orders[0] + orders[1] - orders[2] + 1
+            assert bt.result.statistic == pytest.approx(stat, rel=1e-9, abs=1e-9)
             capped = mode.kind == "fixed" and (i in (6, 7) or (i == 5 and mode.exponent == 2.5))
-            assert any("capped" in w for w in res.warnings) == capped
+            assert ("capped" in (bt.warning or "")) == capped
+
+    @pytest.mark.parametrize("mode", [OrderMode.fixed(), OrderMode.bic()], ids=["fixed", "bic"])
+    def test_ranges_tile_the_series(self, mode):
+        # The partition holds a 2-point segment and a constant one: the
+        # records of untestable boundaries carry their ranges too.
+        segs = oracle_partition()
+        x = np.concatenate(segs)
+        positions = np.cumsum([len(s) for s in segs])[:-1].tolist()
+        tests = discrimination_test(x, positions, mode)
+        assert [bt.position for bt in tests] == positions
+        assert any(bt.result is None for bt in tests)
+        for bt in tests:
+            assert bt.left_range[1] == bt.position and bt.right_range[0] == bt.position + 1
+        ranges = [tests[0].left_range] + [bt.right_range for bt in tests]
+        assert ranges[0][0] == 1 and ranges[-1][1] == len(x)
+        assert all(a[1] + 1 == b[0] for a, b in zip(ranges, ranges[1:]))
+        assert [bt.left_range for bt in tests[1:]] == [bt.right_range for bt in tests[:-1]]
+
+    @pytest.mark.parametrize(
+        "mode,text",
+        [(OrderMode.fixed(), BROKE_AT_ZERO), (OrderMode.bic(), NO_BIC_ORDER)],
+        ids=["fixed", "bic"],
+    )
+    @pytest.mark.parametrize("value", [0.1, 0.3, 1.7])
+    def test_constant_segment_is_untestable(self, value, mode, text):
+        # Only 0.3's mean rounds exactly, so only it centres to exact zeros;
+        # 0.1 and 1.7 leave tiny equal residues.  The relative rule makes all
+        # three constant.
+        rng = np.random.default_rng(0)
+        a, b = rng.standard_normal(300), rng.standard_normal(300)
+        tests = discrimination_test(np.r_[a, np.full(300, value), b], [300, 600], mode)
+        assert [(bt.result, bt.p_value, bt.warning) for bt in tests] == [(None, 1.0, text)] * 2
 
     def test_positions_must_increase_inside_the_series(self):
         x = np.random.default_rng(0).standard_normal(20)
-        assert discrimination_test(x, []) == []
+        assert discrimination_test(x, []) == ()
         for bad in ([0], [20], [5, 5], [8, 4]):
             with pytest.raises(ValueError, match="positions must increase strictly"):
                 discrimination_test(x, bad)
