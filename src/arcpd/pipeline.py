@@ -127,8 +127,8 @@ def detect_changepoints(series, cfg: DetectConfig | None = None) -> ChangePointR
 
     Deterministic for identical inputs.  Raises SeriesTooShortError when
     the series cannot hold one scanning window (T < 2h), and ValueError
-    when it is constant or its mean-corrected sum of squares is 0 or
-    overflows (|x| beyond about 1e150).  With
+    when it is constant or out of range: its mean-corrected sum of squares
+    overflows (|x| beyond about 1e150), or that sum divided by T is 0.  With
     ``cfg.iterate`` the surviving candidates are re-tested on their merged
     partition until the set is stable; the reported boundary tests and
     correction outcome always describe the first pass over the complete
@@ -150,7 +150,7 @@ def detect_changepoints(series, cfg: DetectConfig | None = None) -> ChangePointR
     with np.errstate(over="ignore", invalid="ignore"):
         xc = mean_correct(x)
         energy = float(np.dot(xc, xc))
-    if not 0.0 < energy < math.inf:
+    if not 0.0 < energy / n < math.inf:
         raise ValueError(
             f"series is out of range: its mean-corrected sum of squares is {energy!r}; "
             "rescale it"

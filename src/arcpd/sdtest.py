@@ -17,19 +17,23 @@ of the per-segment autocovariances gx, gy.
 
 :func:`discrimination_test` tests every boundary of a partition in one
 vectorised pass; a pair test is the one-boundary partition.  Each segment
-gets one row of one autocovariance table (lag by lag: the centred series
-times its lagged copy, the products that cross a segment bound zeroed,
-summed per segment), so an inner segment is fitted once for both of its
-boundaries.  Adjacent rows are pooled, and one stacked
-:func:`arcpd.ar.levinson_path` runs every segment row and every pooled row
-at once; each fit reads its variance at its own order, which is exact
-because the path is prefix-consistent.  Two order policies are supported:
+gets one row of one autocovariance table, so an inner segment is fitted
+once for both of its boundaries.  The table is built lag by lag from one
+buffer that holds each centred segment behind as many zeros as the highest
+lag: every product that would cross a segment bound is a product with a
+padded zero, so one multiply and one per-segment sum give a whole column.
+Adjacent rows are pooled, and one stacked :func:`arcpd.ar.levinson_path`
+runs every segment row and every pooled row at once; each fit reads its
+variance at its own order, which is exact because the path is
+prefix-consistent.  Two order policies are supported:
 
 * fixed: both segments and the pooled fit use
   ``floor((ln T_min) ** exponent)`` with ``exponent > 1`` (autoregressive
-  approximation).  This stays valid when the data are not truly
-  autoregressive, at some cost in power when they are, and is the
-  pipeline default.
+  approximation), at least 1 and at most T_min // 3, which keeps the
+  Yule-Walker system comfortably overdetermined for short segments; a
+  binding cap adds a note to the boundary's warning.  This stays valid
+  when the data are not truly autoregressive, at some cost in power when
+  they are, and is the pipeline default.
 * bic: per-segment BIC orders, searched up to min(max_order, T_i - 2),
   plus a BIC order for the pooled fit, searched up to
   min(max(p1, p2), T_min - 2).  All three come from the one BIC scorer,
@@ -64,7 +68,6 @@ __all__ = [
     "OrderMode",
     "DiscriminationResult",
     "BoundaryTest",
-    "fixed_order",
     "discrimination_test",
     "chi_sq_upper_tail",
 ]
@@ -115,22 +118,6 @@ class BoundaryTest:
     warning: str | None = None
 
 
-def fixed_order(len_x: int, len_y: int, exponent: float) -> int:
-    """floor((ln T_min) ** exponent), at least 1, capped at T_min // 3.
-
-    The cap keeps the Yule-Walker system comfortably overdetermined for
-    short segments; callers can detect a binding cap by recomputing the
-    uncapped value.
-    """
-    if exponent <= 1.0:
-        raise ValueError("exponent must be > 1")
-    t_min = min(len_x, len_y)
-    if t_min < 3:
-        raise ValueError("segments must have at least 3 observations")
-    raw = math.floor(math.log(t_min) ** exponent)
-    return max(1, min(raw, t_min // 3))
-
-
 def discrimination_test(x, positions, mode: OrderMode | None = None) -> tuple[BoundaryTest, ...]:
     """Test every boundary of the partition of x at `positions` in one pass.
 
@@ -163,13 +150,10 @@ def discrimination_test(x, positions, mode: OrderMode | None = None) -> tuple[Bo
     testable = t_min >= 3
 
     if mode.kind == "fixed":
-        # (order, uncapped order) per shortest length, by the scalar rule.
-        rule = {
-            t: (fixed_order(t, t, mode.exponent), math.floor(math.log(t) ** mode.exponent))
-            for t in set(t_min[testable].tolist())
-        }
-        p1 = np.array([rule[t][0] if t >= 3 else 0 for t in t_min.tolist()])
-        p2 = p1
+        # math, not numpy: np.log may differ in the last bit, which moves floor
+        # at an integer.
+        raw = np.array([math.floor(math.log(t) ** mode.exponent) for t in t_min.tolist()])
+        p1 = p2 = np.where(testable, np.clip(raw, 1, t_min // 3), 0)
         lags = np.maximum(np.r_[p1, 0], np.r_[0, p1])  # per segment
     else:
         lags = np.minimum(mode.max_order, n - 2)
@@ -180,21 +164,22 @@ def discrimination_test(x, positions, mode: OrderMode | None = None) -> tuple[Bo
     # behind a zero it gives the pairwise sum itself, np.mean's, so each
     # segment's mean is its own mean bit for bit.
     sums = np.add.reduceat(np.insert(x, starts, 0.0), starts + np.arange(len(n)))
-    xc = x - np.repeat(sums / n, n)
+    # Each centred segment sits behind `width` zeros in buf, so a lag
+    # product that crosses a segment bound is a product with a zero.
+    # Segment s is buf[ranges[2 s]:ranges[2 s + 1]]; the last runs to the end.
+    layout = np.column_stack([np.full(len(n), width), n]).ravel()
+    ranges = np.cumsum(layout)[:-1]
+    buf = np.zeros(len(x) + width * len(n))
+    buf[np.repeat(np.tile([False, True], len(n)), layout)] = x - np.repeat(sums / n, n)
     table = np.empty((len(n), width + 1))
-    prod = np.empty(len(x))
+    prod = np.empty_like(buf)
     for j in range(width + 1):
-        np.multiply(xc[j:], xc[: len(x) - j], out=prod[j:])
-        # Zero the products x[t] * x[t-j] that cross a bound: t = start_s + k,
-        # k < j, for every segment s (which covers t < j, left over from the
-        # last lag).
-        k = np.arange(j)
-        prod[(starts[:, None] + k)[k < n[:, None]]] = 0.0
-        table[:, j] = np.add.reduceat(prod, starts)
+        np.multiply(buf[j:], buf[: len(buf) - j], out=prod[j:])
+        table[:, j] = np.add.reduceat(prod, ranges)[::2]
     table /= n[:, None]
     # Constant segments (module docstring); an overflowing mean square decides nothing.
     with np.errstate(over="ignore"):
-        mean_sq = np.add.reduceat(np.multiply(x, x, out=prod), starts) / n
+        mean_sq = np.add.reduceat(np.multiply(x, x, out=prod[: len(x)]), starts) / n
     table[(table[:, 0] <= EXACT_FIT_RTOL * mean_sq) & (mean_sq < math.inf)] = 0.0
     pooled = (n1[:, None] * table[:-1] + n2[:, None] * table[1:]) / (n1 + n2)[:, None]
 
@@ -231,27 +216,25 @@ def discrimination_test(x, positions, mode: OrderMode | None = None) -> tuple[Bo
         zip(*(c.tolist() for c in columns))
     ):
         lo, pos, hi = b[i : i + 3]
-        lengths, ranges = (pos - lo, hi - pos), ((lo + 1, pos), (pos + 1, hi))
+        lengths, sides = (pos - lo, hi - pos), ((lo + 1, pos), (pos + 1, hi))
         if not fit:  # untestable: p = 1, never rejected
             if ok:
                 bic_lags = lags[i : i + 2].tolist() if mode.kind == "bic" else None
                 warning = _fit_failure(fit_paths[:, i], fit_orders[:, i], fit_stops[:, i], bic_lags)
             else:
                 warning = f"segments of lengths {lengths} are too short to compare"
-            tests.append(BoundaryTest(pos, *ranges, 1.0, None, warning))
+            tests.append(BoundaryTest(pos, *sides, 1.0, None, warning))
             continue
         notes = []
-        if mode.kind == "fixed":
-            capped, raw = rule[min(lengths)]
-            if raw > capped:
-                notes.append(f"fixed order {raw} capped to {capped} for segment lengths {lengths}")
+        if mode.kind == "fixed" and raw[i] > q1:
+            notes.append(f"fixed order {raw[i]} capped to {q1} for segment lengths {lengths}")
         # Exact nonnegativity only holds when the pooled order is nested in
         # both per-segment orders (always true in fixed mode); flag anything
         # beyond rounding.
         if st < -1e-8:
             notes.append(f"statistic {st:.3e} below zero; clamped")
         result = DiscriminationResult(st, d, (q1, q2, q0), (v1, v2, v0))
-        tests.append(BoundaryTest(pos, *ranges, pv, result, "; ".join(notes) or None))
+        tests.append(BoundaryTest(pos, *sides, pv, result, "; ".join(notes) or None))
     return tuple(tests)
 
 

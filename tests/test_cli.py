@@ -135,6 +135,14 @@ class TestDetectCommand:
         assert main(["detect", str(path), *flags]) == 2
         assert "mean-corrected sum of squares is inf" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [[], ["--scan-order", "1"]], ids=["bic", "order1"])
+    def test_underflowing_mean_square_is_exit_2(self, tmp_path, capsys, flags):
+        path = tmp_path / "tiny.csv"
+        values = [0.0] * 1022 + [3e-162, -3e-162]
+        write_csv(path, [["x"]] + [[repr(v)] for v in values])
+        assert main(["detect", str(path), *flags]) == 2
+        assert "error: series is out of range" in capsys.readouterr().err
+
     def test_flags_are_wired_through(self, noise_csv, capsys):
         code = main(
             ["detect", noise_csv, "-w", "60", "--order-mode", "bic",

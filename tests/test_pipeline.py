@@ -155,8 +155,11 @@ class TestDetect:
             (1e160 * np.random.default_rng(0).standard_normal(300), "inf"),
             (np.r_[np.full(150, 1.7e308), np.full(150, -1.7e308)], "nan"),
             (np.r_[np.zeros(150), np.full(150, 5e-324)], "0.0"),
+            # a positive sum of squares whose mean square is 0: the scan's
+            # BIC order would divide by T and find no fit
+            (np.r_[np.zeros(1022), 3e-162, -3e-162], "2e-323"),
         ],
-        ids=["squares-overflow", "mean-overflows", "squares-underflow"],
+        ids=["squares-overflow", "mean-overflows", "squares-underflow", "mean-square-underflows"],
     )
     def test_out_of_range_series_is_a_value_error(self, x, energy, scan_order):
         with pytest.raises(

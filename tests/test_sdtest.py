@@ -10,7 +10,6 @@ from arcpd.sdtest import (
     OrderMode,
     chi_sq_upper_tail,
     discrimination_test,
-    fixed_order,
 )
 from arcpd.simulate import ArmaSpec, PiecewiseSpec, replicate_seed, simulate_piecewise
 
@@ -149,28 +148,40 @@ class TestPooledAutocov:
         assert res.result.sigma2[2] == pytest.approx(want, rel=1e-10)
 
 
+def fixed_pair(len_x, len_y, exponent):
+    """The fixed-order record of a len_x-point normal segment beside a len_y-point one."""
+    x = np.random.default_rng(len_x).standard_normal(len_x + len_y)
+    return discrimination_test(x, [len_x], OrderMode.fixed(exponent))[0]
+
+
 class TestFixedOrder:
+    """floor((ln T_min) ** exponent), at least 1, capped at T_min // 3."""
+
     def test_examples(self):
-        assert fixed_order(256, 1000, 1.5) == 13
-        assert fixed_order(1024, 2048, 1.2) == 10
-        assert fixed_order(3, 100, 1.01) == 1
+        assert fixed_pair(256, 1000, 1.5).result.orders == (13, 13, 13)
+        assert fixed_pair(1024, 2048, 1.2).result.orders == (10, 10, 10)
+        assert fixed_pair(3, 100, 1.01).result.orders == (1, 1, 1)
 
     def test_symmetric(self):
-        assert fixed_order(100, 700, 1.5) == fixed_order(700, 100, 1.5)
+        assert fixed_pair(100, 700, 1.5).result.orders == fixed_pair(700, 100, 1.5).result.orders
 
     def test_cap_binds_for_short_segments(self):
         # raw floor((ln 12)^1.5) = 3; cap 12 // 3 = 4 does not bind
-        assert fixed_order(12, 12, 1.5) == 3
+        bt = fixed_pair(12, 12, 1.5)
+        assert (bt.result.orders, bt.warning) == ((3, 3, 3), None)
         # raw floor((ln 9)^2.5) = 7 > 9 // 3 = 3
-        assert fixed_order(9, 9, 2.5) == 3
+        bt = fixed_pair(9, 9, 2.5)
+        assert bt.result.orders == (3, 3, 3)
+        assert bt.warning == "fixed order 7 capped to 3 for segment lengths (9, 9)"
 
     def test_exponent_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            fixed_order(100, 100, 1.0)
+        with pytest.raises(ValueError, match="exponent must be > 1"):
+            OrderMode.fixed(1.0)
 
     def test_tiny_segments_rejected(self):
-        with pytest.raises(ValueError):
-            fixed_order(2, 100, 1.5)
+        bt = fixed_pair(2, 100, 1.5)
+        assert (bt.result, bt.p_value) == (None, 1.0)
+        assert bt.warning == "segments of lengths (2, 100) are too short to compare"
 
 
 class TestChiSqUpperTail:
@@ -436,6 +447,30 @@ class TestPartition:
             assert bt.result.statistic == pytest.approx(stat, rel=1e-9, abs=1e-9)
             capped = mode.kind == "fixed" and (i in (6, 7) or (i == 5 and mode.exponent == 2.5))
             assert ("capped" in (bt.warning or "")) == capped
+
+    @pytest.mark.parametrize(
+        "mode",
+        [OrderMode.fixed(1.5), OrderMode.fixed(2.5), OrderMode.bic(10)],
+        ids=["fixed1.5", "fixed2.5", "bic10"],
+    )
+    def test_short_segments_at_both_ends_and_inside(self, mode):
+        # The first and last segments border the ends of the series, where
+        # a lag product has no earlier segment to cross into.
+        a, b = ar1_pair(30, 300, 0.6, -0.3)
+        c, _ = ar1_pair(31, 200, 0.8, 0.0)
+        short = np.random.default_rng(32).standard_normal(16)
+        segs = [short[:4], a, short[4:11], c, short[11:]]
+        assert [len(s) for s in segs] == [4, 300, 7, 200, 5]
+        positions = np.cumsum([len(s) for s in segs])[:-1]
+        tests = discrimination_test(np.concatenate(segs), positions, mode)
+        assert len(tests) == 4
+        for left, right, bt in zip(segs, segs[1:], tests):
+            stat, orders, _ = brute_force_discrimination(left, right, mode)
+            assert bt.result.orders == orders
+            assert bt.result.statistic == pytest.approx(stat, rel=1e-9, abs=1e-9)
+            if mode.kind == "fixed":
+                raw = math.floor(math.log(min(len(left), len(right))) ** mode.exponent)
+                assert ("capped" in (bt.warning or "")) == (raw > orders[0])
 
     @pytest.mark.parametrize("mode", [OrderMode.fixed(), OrderMode.bic()], ids=["fixed", "bic"])
     def test_ranges_tile_the_series(self, mode):
