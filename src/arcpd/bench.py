@@ -1,8 +1,9 @@
 """Detection-rate benchmark over the built-in models.
 
 For each model, R seeded replicates are simulated and detected once; the
-two corrections (BH and Bonferroni) are then applied to the same
-per-boundary p-values, giving one BenchResult per (model, correction).
+report's boundary tests then go through the pipeline's stage 3,
+:func:`arcpd.pipeline.keep_changepoints` (``cfg.iterate`` honoured), once
+with BH and once with Bonferroni, giving one BenchResult per (model, correction).
 The exact detection rate is the fraction of replicates whose estimated
 change-point count equals the truth.  Estimated locations are recorded
 for every replicate regardless of correctness.
@@ -19,8 +20,10 @@ import io
 import os
 from dataclasses import dataclass
 
+from .ar import mean_correct
+# Bench's own names, not pipeline.CORRECTIONS: perfbench/spans.py TARGETS wraps them.
 from .multtest import bh_procedure, bonferroni_procedure
-from .pipeline import DetectConfig, detect_changepoints
+from .pipeline import DetectConfig, detect_changepoints, keep_changepoints
 from .simulate import PiecewiseSpec, builtin_model, replicate_seed, simulate_piecewise
 from .svgplot import locations_plot
 
@@ -51,16 +54,11 @@ class BenchResult:
 def _one_replicate(spec: PiecewiseSpec, seed: int, rep: int, cfg: DetectConfig):
     x = simulate_piecewise(spec, replicate_seed(seed, rep))
     report = detect_changepoints(x, cfg)
-    pvals = [bt.p_value for bt in report.boundary_tests]
-    out = {}
-    for method, proc in (("bh", bh_procedure), ("bonferroni", bonferroni_procedure)):
-        outcome = proc(pvals, cfg.alpha)
-        out[method] = tuple(
-            pos
-            for pos, rej in zip(report.candidates.positions, outcome.rejected)
-            if rej
-        )
-    return out
+    xc = mean_correct(x)
+    return {
+        method: keep_changepoints(xc, report.boundary_tests, cfg, correct)[1]
+        for method, correct in (("bh", bh_procedure), ("bonferroni", bonferroni_procedure))
+    }
 
 
 def run_model(
@@ -92,9 +90,7 @@ def run_bench(
     """Benchmark several models; rows ordered (model, then BH before Bonferroni)."""
     rows: list[BenchResult] = []
     for model in models:
-        per_method = run_model(model, replicates, seed, cfg)
-        rows.append(per_method["bh"])
-        rows.append(per_method["bonferroni"])
+        rows.extend(run_model(model, replicates, seed, cfg).values())
     return rows
 
 

@@ -113,7 +113,7 @@ def _detect_config(args) -> DetectConfig:
         window_radius=args.window,
         scan_order=args.scan_order,
         order_mode=mode,
-        correction=args.correction,
+        correction=getattr(args, "correction", "bh"),  # bench runs both corrections
         alpha=args.alpha,
         iterate=args.iterate,
     )
@@ -206,8 +206,6 @@ def _add_detect_flags(p: argparse.ArgumentParser) -> None:
                    help="fixed-order exponent, > 1 (default: 1.5)")
     p.add_argument("--max-order", type=int, default=10,
                    help="max order in bic mode (default: 10)")
-    p.add_argument("--correction", choices=sorted(CORRECTIONS), default="bh",
-                   help="multiple-testing correction (default: bh)")
     p.add_argument("--alpha", type=float, default=0.05,
                    help="test level (default: 0.05)")
     p.add_argument("--iterate", action="store_true",
@@ -231,6 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="column name or 0-based index (default: the only column)")
     d.add_argument("--out", default=None, help="write the JSON report here")
     d.add_argument("--plot", default=None, help="write an SVG of the series here")
+    d.add_argument("--correction", choices=sorted(CORRECTIONS), default="bh",
+                   help="multiple-testing correction (default: bh)")
     _add_detect_flags(d)
     d.set_defaults(func=_cmd_detect)
 
@@ -241,7 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("-o", "--out", required=True, help="output CSV path")
     s.set_defaults(func=_cmd_simulate)
 
-    b = sub.add_parser("bench", help="detection-rate benchmark over seeded replicates")
+    b = sub.add_parser("bench", help="detection-rate benchmark over seeded replicates",
+                       description="One row per model and correction (BH, Bonferroni); "
+                                   "--iterate re-tests the kept set under each.")
     b.add_argument("--model", action="append", default=None,
                    help="model name, repeatable or comma-separated (default: all)")
     b.add_argument("--replicates", type=int, default=100)

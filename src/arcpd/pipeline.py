@@ -9,7 +9,7 @@ The detector runs three stages on a series of length T:
    (k_0 = 0, k_{q+1} = T);
 3. push the q p-values through one multiple-testing pass (BH or
    Bonferroni); the candidates whose hypotheses are rejected are the final
-   change points.
+   change points: :func:`keep_changepoints`, which :mod:`arcpd.bench` calls too.
 
 Stage 2 gives the report's records, one :class:`arcpd.sdtest.BoundaryTest`
 per candidate.  A boundary whose test cannot run (a segment too short or
@@ -129,10 +129,10 @@ def detect_changepoints(series, cfg: DetectConfig | None = None) -> ChangePointR
     the series cannot hold one scanning window (T < 2h), and ValueError
     when it is constant or out of range: its mean-corrected sum of squares
     overflows (|x| beyond about 1e150), or that sum divided by T is 0.  With
-    ``cfg.iterate`` the surviving candidates are re-tested on their merged
-    partition until the set is stable; the reported boundary tests and
-    correction outcome always describe the first pass over the complete
-    candidate set.
+    ``cfg.iterate`` :func:`keep_changepoints` re-tests the surviving
+    candidates on their merged partition until the set is stable; the
+    reported boundary tests and correction outcome always describe the first
+    pass over the complete candidate set.
     """
     if cfg is None:
         cfg = DetectConfig()
@@ -158,35 +158,20 @@ def detect_changepoints(series, cfg: DetectConfig | None = None) -> ChangePointR
     profile = scan_statistics(xc, cfg.window_radius, cfg.scan_order)
     candidates = extract_candidates(profile)
 
-    correct = CORRECTIONS[cfg.correction]
     diagnostics: list[str] = []
     if profile.degenerate:
         diagnostics.append(
             f"{profile.degenerate} scan window(s) had degenerate fits (scored 0)"
         )
-
-    # Test, correct, keep; with cfg.iterate the kept set goes round again
-    # until it is stable.  The report holds the first pass.
-    positions = candidates.positions
-    passes = 0
-    while True:
-        tests = discrimination_test(xc, positions, cfg.order_mode)
-        outcome = correct([bt.p_value for bt in tests], cfg.alpha)
-        kept = tuple(pos for pos, rej in zip(positions, outcome.rejected) if rej)
-        passes += 1
-        if passes == 1:
-            first_tests, first_outcome, first_kept = tests, outcome, kept
-        if not cfg.iterate or kept == positions:
-            break
-        positions = kept
-    for bt in first_tests:
+    tests = discrimination_test(xc, candidates.positions, cfg.order_mode)
+    for bt in tests:
         if bt.warning:
             diagnostics.append(f"boundary {bt.position}: {bt.warning}")
-    if kept != first_kept:
-        # The rounds are the passes after the first; the last kept all it tested.
+    outcome, kept, rounds = keep_changepoints(xc, tests, cfg, CORRECTIONS[cfg.correction])
+    removed = sum(outcome.rejected) - len(kept)
+    if removed:
         diagnostics.append(
-            f"iterative re-testing removed {len(first_kept) - len(kept)} more "
-            f"candidate(s) in {passes - 1} round(s)"
+            f"iterative re-testing removed {removed} more candidate(s) in {rounds} round(s)"
         )
 
     return ChangePointReport(
@@ -194,8 +179,27 @@ def detect_changepoints(series, cfg: DetectConfig | None = None) -> ChangePointR
         config=cfg,
         profile=profile,
         candidates=candidates,
-        boundary_tests=first_tests,
-        outcome=first_outcome,
+        boundary_tests=tests,
+        outcome=outcome,
         final_cps=kept,
         diagnostics=tuple(diagnostics),
     )
+
+
+def keep_changepoints(xc, tests, cfg: DetectConfig, correct):
+    """Stage 3: correct the p-values of `tests`, the first boundary tests of
+    the mean-corrected series `xc`, with `correct` (a CORRECTIONS procedure)
+    and keep the rejected positions; with ``cfg.iterate``, re-test and correct
+    the kept set until a round keeps all it tested.  Returns the first
+    outcome, the kept positions and the number of re-testing rounds."""
+    rounds = 0
+    while True:
+        positions = tuple(bt.position for bt in tests)
+        outcome = correct([bt.p_value for bt in tests], cfg.alpha)
+        if rounds == 0:
+            first = outcome
+        kept = tuple(pos for pos, rej in zip(positions, outcome.rejected) if rej)
+        if not cfg.iterate or kept == positions:
+            return first, kept, rounds
+        tests = discrimination_test(xc, kept, cfg.order_mode)
+        rounds += 1

@@ -54,9 +54,9 @@ per-window least-squares fit at the default radius, near-unit-root
 models included.
 
 :func:`extract_candidates` takes the h-wide window maxima on each side of
-every position from block prefix and suffix maxima (rows of h values, one
-``np.maximum.accumulate`` each way), O(T) instead of O(T h).  Maxima are
-exact, so ties resolve as in a direct scan of each window.
+every position from the same block kernel with ``np.maximum`` in place of
+``np.add``, O(T) instead of O(T h).  Maxima are exact, so ties resolve as
+in a direct scan of each window.
 """
 
 from __future__ import annotations
@@ -144,29 +144,30 @@ def _resolve_order(x: np.ndarray, h: int, order: int | None) -> int:
     if order is not None:
         check_order(h, order)
         return order
-    cap = min(AUTO_MAX_ORDER, (h - 1) // 2, len(x) - 1)
+    cap = min(AUTO_MAX_ORDER, (h - 1) // 2)
     if cap < 1:
         return 0
     return bic_select_order(x, cap)
 
 
-def _range_sums(z: np.ndarray, length: int, out: np.ndarray) -> None:
-    """out[:, s] = z[:, s] + ... + z[:, s + length - 1] for every column s of out.
+def _window_reduce(op, z: np.ndarray, length: int, out: np.ndarray) -> None:
+    """out[..., s] = op.reduce(z[..., s : s + length]) for every column s of out.
 
     Van Herk / Gil-Werman: cut each row of z into blocks of ``length``; a
-    range is the suffix of one block plus the prefix of the next, from one
-    cumulative sum each way inside the blocks.  Each value sums the range's
-    own terms only, so its rounding scales with them, not with the rest of
-    the series (and it is exactly 0 over zeros).  out is C-contiguous with a
-    multiple of ``length`` columns, and z has ``length`` more.
+    window is the suffix of one block plus the prefix of the next, from one
+    ``op.accumulate`` each way inside the blocks.  With ``np.add`` each
+    value sums the window's own terms only, so its rounding scales with them,
+    not with the rest of the series (and it is exactly 0 over zeros); with
+    ``np.maximum`` it is the exact window maximum.  out is C-contiguous with
+    a multiple of ``length`` columns, and z has ``length`` more.
     """
-    blocks = out.shape[1] // length + 1
-    zb = z[:, : blocks * length].reshape(len(z), blocks, length)
-    prefix = np.cumsum(zb, axis=2)
-    suffix = np.cumsum(zb[:, :, ::-1], axis=2)[:, :, ::-1]
-    ob = out.reshape(len(z), blocks - 1, length)
-    ob[:, :, 0] = suffix[:, :-1, 0]
-    np.add(suffix[:, :-1, 1:], prefix[:, 1:, :-1], out=ob[:, :, 1:])
+    blocks = out.shape[-1] // length + 1
+    zb = z[..., : blocks * length].reshape(*z.shape[:-1], blocks, length)
+    prefix = op.accumulate(zb, axis=-1)
+    suffix = op.accumulate(zb[..., ::-1], axis=-1)[..., ::-1]
+    ob = out.reshape(*out.shape[:-1], blocks - 1, length)
+    ob[..., 0] = suffix[..., :-1, 0]
+    op(suffix[..., :-1, 1:], prefix[..., 1:, :-1], out=ob[..., 1:])
 
 
 def _eliminate(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -263,7 +264,7 @@ def scan_statistics(series, h: int, order: int | None = None) -> ScanProfile:
         for k0 in range(0, m, chunk):
             c = min(chunk, m - k0)
             np.multiply(xz[k0 : k0 + span], lagged[:, k0 : k0 + span], out=z)
-            _range_sums(z, h - p, sums[0])
+            _window_reduce(np.add, z, h - p, sums[0])
             right = sums[1, :, : chunk + p]
             right[:] = sums[0, :, h - p : h + chunk]
             for q in range(2 * h - 2 * p, 2 * h - p):
@@ -327,19 +328,15 @@ def extract_candidates(profile: ScanProfile) -> CandidateSet:
     if n == 0:
         raise ValueError("empty scan profile")
     h = profile.radius
-    # ext is the profile with h -inf before it and at least h after, cut into
-    # rows of h.  A window ext[k : k + h] is the suffix of k's row from k plus
-    # the prefix of the next row up to k + h - 1, so win[k], its maximum, is
-    # the larger of the two.  before[i] = win[i] covers vals[i - h .. i - 1],
-    # after[i] = win[i + h + 1] covers vals[i + 1 .. i + h].
-    ext = np.full((-(-n // h) + 2) * h, -np.inf)
+    # ext is the profile with h -inf before it and at least h after; win[k]
+    # is the maximum of ext[k : k + h].  before[i] = win[i] covers
+    # vals[i - h .. i - 1], after[i] = win[i + h + 1] covers vals[i + 1 .. i + h].
+    win = np.empty((-(-(n + 1) // h) + 1) * h)
+    ext = np.full(len(win) + h, -np.inf)
     ext[h : h + n] = vals
-    rows = ext.reshape(-1, h)
-    prefix = np.maximum.accumulate(rows, axis=1).ravel()
-    suffix = np.maximum.accumulate(rows[:, ::-1], axis=1)[:, ::-1].ravel()
-    win = np.maximum(suffix[: n + h + 1], prefix[h - 1 : n + 2 * h])
+    _window_reduce(np.maximum, ext, h, win)
     before = win[:n]
-    after = win[h + 1 :]
+    after = win[h + 1 : n + h + 1]
     keep = (vals > before) & (vals >= after)
     idx = np.flatnonzero(keep)
     return CandidateSet(

@@ -173,13 +173,14 @@ def discrimination_test(x, positions, mode: OrderMode | None = None) -> tuple[Bo
     buf[np.repeat(np.tile([False, True], len(n)), layout)] = x - np.repeat(sums / n, n)
     table = np.empty((len(n), width + 1))
     prod = np.empty_like(buf)
-    for j in range(width + 1):
-        np.multiply(buf[j:], buf[: len(buf) - j], out=prod[j:])
-        table[:, j] = np.add.reduceat(prod, ranges)[::2]
-    table /= n[:, None]
-    # Constant segments (module docstring); an overflowing mean square decides nothing.
-    with np.errstate(over="ignore"):
+    # Products may overflow: an inf row's fit breaks down at order 0, and an
+    # overflowing mean square decides nothing (constant segments: module docstring).
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(width + 1):
+            np.multiply(buf[j:], buf[: len(buf) - j], out=prod[j:])
+            table[:, j] = np.add.reduceat(prod, ranges)[::2]
         mean_sq = np.add.reduceat(np.multiply(x, x, out=prod[: len(x)]), starts) / n
+    table /= n[:, None]
     table[(table[:, 0] <= EXACT_FIT_RTOL * mean_sq) & (mean_sq < math.inf)] = 0.0
     pooled = (n1[:, None] * table[:-1] + n2[:, None] * table[1:]) / (n1 + n2)[:, None]
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from arcpd.cli import InputError, main, read_series_csv
-from arcpd.simulate import builtin_model_names
+from arcpd.pipeline import DetectConfig, detect_changepoints
+from arcpd.simulate import builtin_model, builtin_model_names, replicate_seed, simulate_piecewise
 
 
 def write_csv(path, rows):
@@ -285,3 +286,30 @@ class TestBenchCommand:
         assert code == 0
         text = (out / "rates.csv").read_text()
         assert "A:0.4" in text and "A:0.7" in text
+
+    def test_bench_iterate_keeps_the_detect_change_points(self, tmp_path):
+        out = tmp_path / "bench"
+        assert main(["bench", "--model", "G", "--replicates", "2", "--seed", "0",
+                     "--iterate", "--out", str(out)]) == 0
+        with open(out / "locations.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for correction, method in (("bh", "MCP2-BH"), ("bonferroni", "MCP2-BONF")):
+            cfg = DetectConfig(correction=correction, iterate=True)
+            for rep in range(2):
+                x = simulate_piecewise(builtin_model("G"), replicate_seed(0, rep))
+                got = tuple(int(r["position"]) for r in rows
+                            if r["method"] == method and r["replicate"] == str(rep))
+                assert got == detect_changepoints(x, cfg).final_cps
+        # One pass keeps 214 too (133, 214, 532, 703); re-testing drops it.
+        assert [r["position"] for r in rows if r["method"] == "MCP2-BH"
+                and r["replicate"] == "0"] == ["133", "532", "703"]
+
+    def test_bench_has_no_correction_flag(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        # argparse exits with code 2 itself.
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--model", "B", "--replicates", "1", "--correction", "bh",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --correction bh" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -375,6 +376,19 @@ class TestDiscriminationTest:
         rng = np.random.default_rng(13)
         with pytest.raises(DegenerateFitError):
             pair_test(np.zeros(50), rng.standard_normal(50))
+
+    def test_overflowing_lag_products_are_untestable_without_a_warning(self):
+        # The squares of the 1e154-scaled segment overflow to inf: the
+        # boundary gets its untestable record, and numpy warns of nothing.
+        rng = np.random.default_rng(0)
+        x = np.r_[rng.standard_normal(300), rng.standard_normal(300) * 1e154]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            (bt,) = discrimination_test(x, [300])
+        assert bt.p_value == 1.0 and bt.result is None
+        assert bt.warning == (
+            "Levinson-Durbin broke down entering order 1: residual variance inf at order 0"
+        )
 
     def test_degenerate_segment_bic_mode(self):
         # a zero segment has order-0 variance 0, so no BIC order exists; the
