@@ -23,11 +23,14 @@ exact fit (residual sum of squares at most ``EXACT_FIT_RTOL`` times that
 of its targets), as on a constant stretch.  Both rules are relative, so
 they do not depend on the scale of the series.
 
-Positions are evaluated in chunks of about ``CHUNK_VALUES / 2h`` windows
-(``CHUNK_VALUES = 2**15``: 327 windows at h = 50, so a T = 65536 series
-takes 201 chunks; each chunk costs a few dozen numpy calls whatever its
-size).  A piece's Gram matrix of lags and target is a set of range sums of
-the p + 1 lag products x[s] x[s + l].  They are block-local (van Herk;
+Positions are evaluated in chunks sized by their Gram stacks: a chunk of
+c windows stacks 3c matrices of (p + 1)^2 entries, at most
+``CHUNK_VALUES = 2**17`` in all (4854 windows at p = 2 whatever h, so a
+T = 65536 series takes 14 chunks).  A chunk costs a few dozen numpy calls
+whatever its size and sums lag products over c + 3h columns, so the scan
+is O(T) at every radius while c is large against h.  A piece's Gram
+matrix of lags and target is a set of range sums of the p + 1 lag
+products x[s] x[s + l].  They are block-local (van Herk;
 Gil & Werman): cut the products of a chunk into blocks of the range
 length, and each range is the suffix of one block plus the prefix of the
 next, so every entry sums the piece's own terms and its rounding scales
@@ -82,11 +85,13 @@ __all__ = [
 # Cap for the automatic (BIC) scan order.
 AUTO_MAX_ORDER = 10
 
-# Scan positions per chunk: CHUNK_VALUES // (2h).  A chunk is a few dozen
-# numpy calls on arrays of a few (p + 1)^2 values per window.  2**16 scanned
-# T = 65536 (p = 2) about 30% faster than 2**15, but its larger chunk buffers
-# raised the peak RSS of T = 1024 benchmark runs by 0.8-1.8 MB; 2**15 did not.
-CHUNK_VALUES = 2**15
+# Gram entries per scan chunk (module docstring): a chunk holds
+# CHUNK_VALUES // (3 (p + 1)^2) windows, 4854 at p = 2 and 361 at p = 10.
+# On an 8-regime T = 65536 series at h = 3-200 and orders 1-10, 2**17 scanned
+# up to 12x faster than chunks of 2**15 // (2h) windows, and at most 7% slower;
+# 2**16 was 14-24% slower than those at order 10 (h = 25, 50), and 2**18 (a
+# 2 MB stack at p = 2) 17% slower than 2**17 at order 2.
+CHUNK_VALUES = 2**17
 
 # Degenerate-piece rules (module docstring).  A pivot ratio of 1e-10 means the
 # normal equations have lost about ten of sixteen digits; a residual sum of
@@ -148,6 +153,12 @@ def _resolve_order(x: np.ndarray, h: int, order: int | None) -> int:
     if cap < 1:
         return 0
     return bic_select_order(x, cap)
+
+
+def _chunk_windows(order: int) -> int:
+    """Windows per scan chunk at this order: a (p+1, p+1, 3c) Gram stack of at
+    most CHUNK_VALUES entries, and at least one window."""
+    return max(1, CHUNK_VALUES // (3 * (order + 1) ** 2))
 
 
 def _window_reduce(op, z: np.ndarray, length: int, out: np.ndarray) -> None:
@@ -241,7 +252,9 @@ def scan_statistics(series, h: int, order: int | None = None) -> ScanProfile:
     weights = -0.5 * np.array([1.0, 1.0, -1.0]) * counts / h
     const = float(weights @ (LOG_2PI + 1.0 - np.log(counts)))
     m = n - 2 * h + 1
-    chunk = min(m, max(1, CHUNK_VALUES // (2 * h)))
+    chunk = min(m, _chunk_windows(p))
+    # Fallback windows per residual pass: 2h values and up to 2h residuals each.
+    group = max(1, CHUNK_VALUES // (4 * h))
 
     # Gram entry (i, j) of a piece with targets x[a .. b-1] sums the lag-l
     # products z[l, s] = x[s] x[s + l], l = |i - j|, over the b - a values of
@@ -257,6 +270,7 @@ def scan_statistics(series, h: int, order: int | None = None) -> ScanProfile:
     lagged = sliding_window_view(xz, len(xz) - p)[:dim]  # lagged[l, s] = x[s + l]
     z = np.empty((dim, span))
     sums = np.empty((2, dim, width))
+    stack = np.empty(dim * dim * 3 * chunk)  # every chunk's Gram stack
 
     values = np.empty(m)
     fallback = 0
@@ -271,7 +285,7 @@ def scan_statistics(series, h: int, order: int | None = None) -> ScanProfile:
                 right += z[:, q : q + chunk + p]
             # The (dim, dim, 3, c) Gram stack of the chunk's c windows: left,
             # right, pooled; member piece * c + w of the reshaped stack.
-            gram = np.empty((dim, dim, 3, c))
+            gram = stack[: dim * dim * 3 * c].reshape(dim, dim, 3, c)
             for i in range(dim):
                 gram[i, i:, :2] = sums[:, : dim - i, i : i + c].transpose(1, 0, 2)
                 gram[i + 1 :, i, :2] = gram[i, i + 1 :, :2]
@@ -296,13 +310,15 @@ def scan_statistics(series, h: int, order: int | None = None) -> ScanProfile:
             members = (np.arange(3)[:, None] * c + redo).ravel()
             phi = _solve_stack(gram[:, :, members], pivots[:, members], diag[:, members])
             phi = phi.reshape(p, 3, len(redo))
-            w = windows[k0 + redo]
             resid_sse = np.empty((3, len(redo)))
-            for i, (lo, hi) in enumerate(pieces):
-                resid = w[:, lo:hi].copy()
-                for j in range(1, p + 1):
-                    resid -= phi[p - j, i, :, None] * w[:, lo - j : hi - j]
-                np.einsum("ij,ij->i", resid, resid, out=resid_sse[i])
+            for g in range(0, len(redo), group):
+                part = slice(g, g + group)
+                w = windows[k0 + redo[part]]
+                for i, (lo, hi) in enumerate(pieces):
+                    resid = w[:, lo:hi].copy()
+                    for j in range(1, p + 1):
+                        resid -= phi[p - j, i, part, None] * w[:, lo - j : hi - j]
+                    np.einsum("ij,ij->i", resid, resid, out=resid_sse[i, part])
             # NaN phi (rank-deficient lags) gives NaN sse.
             floor = EXACT_FIT_RTOL * energy.reshape(3, c)[:, redo]
             ok = (resid_sse > floor) & np.isfinite(resid_sse)

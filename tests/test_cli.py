@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from arcpd import bench
 from arcpd.cli import InputError, main, read_series_csv
 from arcpd.pipeline import DetectConfig, detect_changepoints
 from arcpd.simulate import builtin_model, builtin_model_names, replicate_seed, simulate_piecewise
@@ -303,6 +304,31 @@ class TestBenchCommand:
         # One pass keeps 214 too (133, 214, 532, 703); re-testing drops it.
         assert [r["position"] for r in rows if r["method"] == "MCP2-BH"
                 and r["replicate"] == "0"] == ["133", "532", "703"]
+
+    @pytest.mark.parametrize("iterate", [False, True], ids=["one_pass", "iterate"])
+    @pytest.mark.parametrize("correction", ["bh", "bonferroni"])
+    def test_bench_reuses_the_detect_correction(self, monkeypatch, correction, iterate):
+        # Detect has kept cfg.correction's change points; bench runs only the
+        # other correction, through its own names.
+        calls = {"bh": 0, "bonferroni": 0}
+        for method in calls:
+            real = getattr(bench, f"{method}_procedure")
+
+            def counted(pvals, alpha, real=real, method=method):
+                calls[method] += 1
+                return real(pvals, alpha)
+
+            monkeypatch.setattr(bench, f"{method}_procedure", counted)
+        cfg = DetectConfig(correction=correction, iterate=iterate)
+        results = bench.run_model("G", 3, 0, cfg)
+        other = "bonferroni" if correction == "bh" else "bh"
+        assert calls[correction] == 0
+        assert calls[other] >= 3 if iterate else calls[other] == 3
+        for method in calls:
+            for rep in range(3):
+                x = simulate_piecewise(builtin_model("G"), replicate_seed(0, rep))
+                want = detect_changepoints(x, DetectConfig(correction=method, iterate=iterate))
+                assert results[method].locations[rep] == want.final_cps
 
     def test_bench_has_no_correction_flag(self, tmp_path, capsys):
         out = tmp_path / "d"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +8,12 @@ from arcpd import scan as scan_module
 from arcpd.ar import mean_correct
 from arcpd.pipeline import DetectConfig, detect_changepoints
 from arcpd.scan import (
-    CHUNK_VALUES,
     DEFAULT_RADIUS,
     EXACT_FIT_RTOL,
     CandidateSet,
     ScanProfile,
     SeriesTooShortError,
+    _chunk_windows,
     _eliminate,
     _solve_stack,
     extract_candidates,
@@ -96,12 +97,13 @@ def ar1(seed, n, b=0.5):
 
 
 # Radius 25 (so each half holds more targets than order 10 has coefficients)
-# and series lengths whose window counts are one chunk - 1, one chunk and one
-# chunk + 1.
+# and, per order, series lengths whose window counts are one chunk - 1, one
+# chunk and one chunk + 1.
 CHUNK_H = 25
-CHUNK_EDGE_LENGTHS = [
-    CHUNK_VALUES // (2 * CHUNK_H) + d + 2 * CHUNK_H - 1 for d in (-1, 0, 1)
-]
+
+
+def chunk_edge_lengths(order):
+    return [_chunk_windows(order) + d + 2 * CHUNK_H - 1 for d in (-1, 0, 1)]
 
 
 class TestDefaultWindow:
@@ -135,7 +137,7 @@ class TestScanStatistics:
     @pytest.mark.parametrize("order", range(11))
     def test_matches_brute_force(self, order):
         h = CHUNK_H
-        for length in [90] + CHUNK_EDGE_LENGTHS:
+        for length in [90] + chunk_edge_lengths(order):
             x = mean_correct(ar1(7, length, b=-0.4))
             prof = scan_statistics(x, h, order)
             assert len(prof.values) == length - 2 * h + 1
@@ -151,7 +153,7 @@ class TestScanStatistics:
         x = np.random.default_rng(21).standard_normal(200)
         x[60:110] = 0.0
         h = 8
-        assert len(x) - 2 * h + 1 <= CHUNK_VALUES // (2 * h)
+        assert len(x) - 2 * h + 1 <= _chunk_windows(order)
         prof = scan_statistics(x, h, order)
         want = np.array([brute_force_scan_value(x, t, h, order) for t in prof.positions()])
         bad = np.isnan(want)
@@ -199,8 +201,9 @@ class TestScanStatistics:
         # windows sit at every offset in a block.  Chunks of 2h + 1 windows
         # start mid-block; window counts are a multiple of h, one off it, and
         # 1 (T = 2h).
-        monkeypatch.setattr(scan_module, "CHUNK_VALUES", 2 * h * (2 * h + 1))
         for order in range((h - 1) // 2 + 1):
+            monkeypatch.setattr(scan_module, "CHUNK_VALUES", 3 * (order + 1) ** 2 * (2 * h + 1))
+            assert _chunk_windows(order) == 2 * h + 1
             for m in (5 * h - 1, 5 * h, 5 * h + 1, 1):
                 x = mean_correct(ar1(100 * h + m, m + 2 * h - 1, b=-0.4))
                 prof = scan_statistics(x, h, order)
@@ -208,6 +211,58 @@ class TestScanStatistics:
                 assert prof.degenerate == 0
                 want = [brute_force_scan_value(x, t, h, order) for t in prof.positions()]
                 np.testing.assert_allclose(prof.values, want, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("order", [2, 10])
+    def test_wide_radius_across_a_chunk_edge(self, order):
+        # At h = 200 a chunk sums lag products over 3h = 600 columns beyond
+        # its windows: more than the 361 windows of an order-10 chunk.  The
+        # second chunk holds h + 1 windows.
+        h = 200
+        m = _chunk_windows(order) + h + 1
+        x = mean_correct(ar1(17, m + 2 * h - 1, b=-0.4))
+        prof = scan_statistics(x, h, order)
+        assert len(prof.values) == m
+        assert prof.degenerate == 0
+        want = [brute_force_scan_value(x, t, h, order) for t in prof.positions()]
+        np.testing.assert_allclose(prof.values, want, rtol=0, atol=1e-10)
+
+    def test_fallback_residuals_are_grouped(self):
+        # Near a unit root 9% of the windows take explicit residuals, in
+        # runs: at h = 500 one residual pass over a whole chunk's fallback
+        # windows (1000 values each) peaks near 90 MB.  In groups the peak
+        # beyond the profile is about 6 MB: the padded series copy and a few
+        # buffers the size of one chunk's Gram stack.
+        spec = PiecewiseSpec(((ArmaSpec(ar=(0.999,)), 200_000),))
+        x = mean_correct(simulate_piecewise(spec, 5))
+        tracemalloc.start()
+        try:
+            prof = scan_statistics(x, 500, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prof.fallback > len(prof.values) // 20
+        assert peak - prof.values.nbytes < 8e6
+
+    def test_chunk_size_does_not_change_results(self, monkeypatch):
+        # Chunks of 7 windows, of 2**12 Gram entries and the default: the
+        # same candidates, degenerate and fallback counts, and values to
+        # rounding.  Flat stretches and a near unit root take the fallback,
+        # in groups of 1 and of 20 windows at the two small budgets.
+        series = [(flat_run_walk(seed), 28, order) for seed in range(3) for order in (1, 2)]
+        unit_root = PiecewiseSpec(((ArmaSpec(ar=(0.999,)), 4000),))
+        series += [
+            (mean_correct(simulate_piecewise(builtin_model("G"), 0)), DEFAULT_RADIUS, None),
+            (mean_correct(simulate_piecewise(unit_root, 5)), DEFAULT_RADIUS, 2),
+        ]
+        for x, h, order in series:
+            base = scan_statistics(x, h, order)
+            for budget in (3 * (base.order + 1) ** 2 * 7, 2**12):
+                monkeypatch.setattr(scan_module, "CHUNK_VALUES", budget)
+                prof = scan_statistics(x, h, order)
+                monkeypatch.undo()
+                assert (prof.degenerate, prof.fallback) == (base.degenerate, base.fallback)
+                assert extract_candidates(prof).positions == extract_candidates(base).positions
+                np.testing.assert_allclose(prof.values, base.values, rtol=0, atol=1e-10)
 
     def test_fallback_only_where_conditioning_needs_it(self):
         # AR(+-0.5) windows are well conditioned: every SSE is a last pivot.
