@@ -111,7 +111,7 @@ def levinson_path(gamma, order: int) -> tuple[np.ndarray, np.ndarray]:
         for m in range(1, order + 1):
             prev = sigma2s[:, m - 1]
             last = phi[:, m - 2, : m - 1]  # order m - 1 coefficients (none at m = 1)
-            dot = (last * rows[:, m - 1 : 0 : -1]).sum(axis=1)
+            dot = np.add.reduce(last * rows[:, m - 1 : 0 : -1], axis=1)
             reflect = (rows[:, m] - dot) / prev
             phi[:, m - 1, : m - 1] = last - reflect[:, None] * last[:, ::-1]
             phi[:, m - 1, m - 1] = reflect

@@ -241,10 +241,9 @@ def scan_statistics(series, h: int, order: int | None = None) -> ScanProfile:
         )
     p = _resolve_order(x, h, order)
     dim = p + 1
-    windows = sliding_window_view(x, 2 * h)
 
-    # Window k (scan position t = h + k) is windows[k] = x[k .. k + 2h - 1];
-    # each piece is a column range of its targets.
+    # Window k (scan position t = h + k) is x[k .. k + 2h - 1]; each piece
+    # is a column range of its targets.
     pieces = ((p, h), (h, 2 * h), (p, 2 * h))  # left, right, pooled
     # With L = -n/2 (log 2pi + log(sse / n) + 1) per piece, the scan value
     # (L_left + L_right - L_pooled) / h is a constant plus weights @ log(sse).
@@ -311,6 +310,7 @@ def scan_statistics(series, h: int, order: int | None = None) -> ScanProfile:
             phi = _solve_stack(gram[:, :, members], pivots[:, members], diag[:, members])
             phi = phi.reshape(p, 3, len(redo))
             resid_sse = np.empty((3, len(redo)))
+            windows = sliding_window_view(x, 2 * h)  # windows[k] is window k
             for g in range(0, len(redo), group):
                 part = slice(g, g + group)
                 w = windows[k0 + redo[part]]

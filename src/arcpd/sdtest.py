@@ -20,12 +20,19 @@ vectorised pass; a pair test is the one-boundary partition.  Each segment
 gets one row of one autocovariance table, so an inner segment is fitted
 once for both of its boundaries.  The table is built lag by lag from one
 buffer that holds each centred segment behind as many zeros as the highest
-lag: every product that would cross a segment bound is a product with a
-padded zero, so one multiply and one per-segment sum give a whole column.
-Adjacent rows are pooled, and one stacked :func:`arcpd.ar.levinson_path`
-runs every segment row and every pooled row at once; each fit reads its
-variance at its own order, which is exact because the path is
-prefix-consistent.  Two order policies are supported:
+lag (at least one): every product that would cross a segment bound is a
+product with a padded zero, so one multiply and one per-segment sum give a
+whole column.  One boolean mask of the buffer's sample slots places the
+raw samples, whose segment sums (each from its segment's leading zero)
+give the means, and then the centred ones.  Adjacent rows are pooled into
+the rows below the segments' in the same array, and one stacked
+:func:`arcpd.ar.levinson_path` runs every segment row and every pooled
+row at once; each fit reads its variance at its own order, which is exact
+because the path is prefix-consistent.  The pass costs a fixed few dozen
+numpy calls plus a few per lag, and the chi-square tail is one table of
+terms (:func:`chi_sq_upper_tail`), not a loop over its steps.  Each
+boundary's record is bit for bit that of a pass over its two segments
+alone.  Two order policies are supported:
 
 * fixed: both segments and the pooled fit use
   ``floor((ln T_min) ** exponent)`` with ``exponent > 1`` (autoregressive
@@ -63,6 +70,11 @@ from .ar import as_series, bic_order, levinson_path
 # Not called here: kept as a module attribute so that perfbench/spans.py TARGETS can wrap it.
 from .ar import bic_select_order  # noqa: F401
 from .scan import EXACT_FIT_RTOL
+
+# Terms per block of the chi-square tail's table (chi_sq_upper_tail), 1 MB of
+# doubles: one call's peak is a few such blocks, whatever df and the number of
+# boundaries.
+TAIL_VALUES = 2**17
 
 __all__ = [
     "OrderMode",
@@ -139,12 +151,12 @@ def discrimination_test(x, positions, mode: OrderMode | None = None) -> tuple[Bo
         mode = OrderMode.fixed()
     x = as_series(x)
     bounds = np.array([0, *positions, len(x)])
-    n = np.diff(bounds)
+    n = bounds[1:] - bounds[:-1]
     if (n < 1).any():
         raise ValueError("positions must increase strictly inside (0, len(x))")
-    if len(n) == 1:
+    count = len(n)
+    if count == 1:
         return ()
-    starts = bounds[:-1]
     n1, n2 = n[:-1], n[1:]
     t_min = np.minimum(n1, n2)
     testable = t_min >= 3
@@ -153,39 +165,53 @@ def discrimination_test(x, positions, mode: OrderMode | None = None) -> tuple[Bo
         # math, not numpy: np.log may differ in the last bit, which moves floor
         # at an integer.
         raw = np.array([math.floor(math.log(t) ** mode.exponent) for t in t_min.tolist()])
-        p1 = p2 = np.where(testable, np.clip(raw, 1, t_min // 3), 0)
-        lags = np.maximum(np.r_[p1, 0], np.r_[0, p1])  # per segment
+        p1 = p2 = np.where(testable, np.minimum(np.maximum(raw, 1), t_min // 3), 0)
+        lags = np.zeros(count, dtype=int)  # per segment: its larger boundary order
+        lags[:-1] = p1
+        np.maximum(lags[1:], p1, out=lags[1:])
     else:
         lags = np.minimum(mode.max_order, n - 2)
     width = max(int(lags.max()), 0)
 
-    # One autocovariance table: row s holds segment s's lags 0..width.
-    # reduceat adds a segment's first value to the pairwise sum of the rest;
-    # behind a zero it gives the pairwise sum itself, np.mean's, so each
-    # segment's mean is its own mean bit for bit.
-    sums = np.add.reduceat(np.insert(x, starts, 0.0), starts + np.arange(len(n)))
-    # Each centred segment sits behind `width` zeros in buf, so a lag
-    # product that crosses a segment bound is a product with a zero.
-    # Segment s is buf[ranges[2 s]:ranges[2 s + 1]]; the last runs to the end.
-    layout = np.column_stack([np.full(len(n), width), n]).ravel()
-    ranges = np.cumsum(layout)[:-1]
-    buf = np.zeros(len(x) + width * len(n))
-    buf[np.repeat(np.tile([False, True], len(n)), layout)] = x - np.repeat(sums / n, n)
-    table = np.empty((len(n), width + 1))
+    # Each segment sits behind `pad` zeros in buf, so a lag product that
+    # crosses a segment bound is a product with a zero.  Segment s is
+    # buf[edges[2 s]:edges[2 s + 1]]; the last runs to the end.
+    pad = max(width, 1)
+    layout = np.empty(2 * count, dtype=int)  # pad, n[0], pad, n[1], ...
+    layout[::2] = pad
+    layout[1::2] = n
+    edges = np.cumsum(layout)[:-1]
+    is_sample = np.zeros(2 * count, dtype=bool)
+    is_sample[1::2] = True
+    is_sample = np.repeat(is_sample, layout)
+    buf = np.zeros(len(x) + pad * count)
+    buf[is_sample] = x
+    # reduceat adds a range's first value to the pairwise sum of the rest;
+    # from the zero before a segment it gives the pairwise sum itself,
+    # np.mean's, so each segment's mean is its own mean bit for bit.
+    lead = edges.copy()
+    lead[::2] -= 1
+    buf[is_sample] = x - np.repeat(np.add.reduceat(buf, lead)[::2] / n, n)
+    # One autocovariance table: row s holds segment s's lags 0..width, and
+    # the rows after the segments' hold the pooled fits'.
+    rows = np.empty((2 * count - 1, width + 1))
+    table, pooled = rows[:count], rows[count:]
     prod = np.empty_like(buf)
     # Products may overflow: an inf row's fit breaks down at order 0, and an
     # overflowing mean square decides nothing (constant segments: module docstring).
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(width + 1):
             np.multiply(buf[j:], buf[: len(buf) - j], out=prod[j:])
-            table[:, j] = np.add.reduceat(prod, ranges)[::2]
-        mean_sq = np.add.reduceat(np.multiply(x, x, out=prod[: len(x)]), starts) / n
+            table[:, j] = np.add.reduceat(prod, edges)[::2]
+        mean_sq = np.add.reduceat(np.multiply(x, x, out=prod[: len(x)]), bounds[:-1]) / n
     table /= n[:, None]
     table[(table[:, 0] <= EXACT_FIT_RTOL * mean_sq) & (mean_sq < math.inf)] = 0.0
-    pooled = (n1[:, None] * table[:-1] + n2[:, None] * table[1:]) / (n1 + n2)[:, None]
+    np.multiply(n1[:, None], table[:-1], out=pooled)
+    pooled += n2[:, None] * table[1:]
+    pooled /= (n1 + n2)[:, None]
 
-    _, paths = levinson_path(np.concatenate([table, pooled]), width)
-    path_seg, path_0 = paths[: len(n)], paths[len(n) :]
+    _, paths = levinson_path(rows, width)
+    path_seg, path_0 = paths[:count], paths[count:]
     orders = np.arange(width + 1)
     if mode.kind == "bic":
         seg_order = bic_order(np.where(orders <= lags[:, None], path_seg, np.nan), n)
@@ -196,14 +222,15 @@ def discrimination_test(x, positions, mode: OrderMode | None = None) -> tuple[Bo
         p0 = bic_order(np.where(orders <= p0_max[:, None], path_0, np.nan), n1 + n2)
     else:
         p0 = p1
-    # Per boundary, the x, y and pooled fits: paths, orders, and the index
-    # of each path's first variance that is not positive and finite.
-    fit_paths = np.stack([path_seg[:-1], path_seg[1:], path_0])
-    fit_orders = np.stack([p1, p2, p0])
-    usable = (0.0 < fit_paths) & (fit_paths < math.inf)
-    fit_stops = np.where(usable.all(axis=2), width + 1, usable.argmin(axis=2))
+    # Per boundary, the x, y and pooled fits: rows of paths, orders, and the
+    # index of each path's first variance that is not positive and finite.
+    fit_rows = np.arange(count - 1) + np.array([[0], [1], [count]])
+    fit_orders = np.empty((3, count - 1), dtype=int)
+    fit_orders[0], fit_orders[1], fit_orders[2] = p1, p2, p0
+    usable = (0.0 < paths) & (paths < math.inf)
+    fit_stops = np.where(usable.all(axis=1), width + 1, usable.argmin(axis=1))[fit_rows]
     fitted = testable & (fit_stops > fit_orders).all(axis=0)
-    s1, s2, s0 = np.take_along_axis(fit_paths, fit_orders[:, :, None], axis=2)[:, :, 0]
+    s1, s2, s0 = paths[fit_rows, fit_orders]
     with np.errstate(divide="ignore", invalid="ignore"):  # boundaries not fitted
         stat = np.where(fitted, n1 * np.log(s0 / s1) + n2 * np.log(s0 / s2), 0.0)
     # p0 <= max(p1, p2), so df >= min(p1, p2) + 1; in fixed mode it is p + 1.
@@ -221,7 +248,9 @@ def discrimination_test(x, positions, mode: OrderMode | None = None) -> tuple[Bo
         if not fit:  # untestable: p = 1, never rejected
             if ok:
                 bic_lags = lags[i : i + 2].tolist() if mode.kind == "bic" else None
-                warning = _fit_failure(fit_paths[:, i], fit_orders[:, i], fit_stops[:, i], bic_lags)
+                warning = _fit_failure(
+                    paths[fit_rows[:, i]], fit_orders[:, i], fit_stops[:, i], bic_lags
+                )
             else:
                 warning = f"segments of lengths {lengths} are too short to compare"
             tests.append(BoundaryTest(pos, *sides, 1.0, None, warning))
@@ -273,9 +302,14 @@ def chi_sq_upper_tail(stat, df):
     Closed form by the recurrence Q(1) = erfc(sqrt(x/2)), Q(2) = exp(-x/2),
     Q(k+2) = Q(k) + (x/2)^(k/2) exp(-x/2) / Gamma(k/2 + 1).  Every term is
     positive, so there is no cancellation, in the far tail either.  stat and
-    df may be arrays (broadcast together): the recurrence then runs once over
-    all of them, step k adding its term where df > k and k has df's parity.
-    Returns a float for scalar input, else an array.
+    df may be arrays (broadcast together).  The recurrence is one table: row
+    0 holds each start term, and row k the term of step k where df > k and k
+    has df's parity, else 0; the rows are added down the table in order, so
+    each sum is the recurrence's, bit for bit.  The table is built in blocks
+    of at most ``TAIL_VALUES`` terms, each block's first row the sums so far;
+    a block's terms, running sums, exponents, step gaps and masks peak at
+    about six block-sized arrays.  Returns a float for scalar input, else an
+    array.
     """
     df = np.asarray(df)
     if (df < 1).any() or (df % 1).any():
@@ -291,9 +325,19 @@ def chi_sq_upper_tail(stat, df):
     q = np.exp(-half)
     # numpy has no erfc: the odd-df start term is math.erfc, element by element.
     q[odd] = [math.erfc(math.sqrt(v)) for v in half[odd].tolist()]
-    log_half = np.log(half)
-    for k in range(1, int(df.max(initial=0))):
-        step = (df > k) & (odd == (k % 2 == 1))
-        q[step] += np.exp(0.5 * k * log_half[step] - half[step] - math.lgamma(0.5 * k + 1.0))
+    with np.errstate(divide="ignore"):  # half is 0 at stat = 5e-324: its terms are 0
+        log_half = np.log(half)
+    top = int(df.max(initial=0))
+    block = max(1, TAIL_VALUES // max(len(q), 1) - 1)  # steps per block
+    for k0 in range(1, top, block):
+        k = np.arange(k0, min(k0 + block, top))[:, None]
+        lgam = np.array([math.lgamma(0.5 * v + 1.0) for v in k.ravel().tolist()])
+        terms = np.empty((len(k) + 1, len(q)))
+        terms[0] = q
+        arg = 0.5 * k * log_half - half - lgam[:, None]
+        gap = df - k
+        arg[(gap <= 0) | (gap % 2 == 1)] = -math.inf  # exp gives 0: no step
+        np.exp(arg, out=terms[1:])
+        q = np.add.accumulate(terms)[-1]  # row after row, as the steps add
     tail[live] = np.minimum(1.0, q)
     return float(tail) if tail.ndim == 0 else tail

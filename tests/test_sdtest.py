@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -8,6 +9,7 @@ from scipy import stats
 
 from arcpd.ar import DegenerateFitError, bic_select_order, mean_correct
 from arcpd.sdtest import (
+    TAIL_VALUES,
     OrderMode,
     chi_sq_upper_tail,
     discrimination_test,
@@ -41,6 +43,24 @@ def chi2_tail_quadrature(stat, df):
 
         integral = mpmath.quad(shifted, [0, mpmath.inf])
         return float(mpmath.exp(-s / 2) * integral / (2**k * mpmath.gamma(k)))
+
+
+def chi2_tail_recurrence(stat, df):
+    """Reference chi-square tail for positive finite stat: the recurrence
+    Q(k+2) = Q(k) + (x/2)^(k/2) exp(-x/2) / Gamma(k/2 + 1) from Q(1) =
+    erfc(sqrt(x/2)) or Q(2) = exp(-x/2), run as a loop over steps k, each
+    adding its term where df > k and k has df's parity."""
+    half = 0.5 * np.asarray(stat, dtype=float)
+    df = np.asarray(df)
+    odd = df % 2 == 1
+    q = np.exp(-half)
+    q[odd] = [math.erfc(math.sqrt(v)) for v in half[odd].tolist()]
+    with np.errstate(divide="ignore"):
+        log_half = np.log(half)
+    for k in range(1, int(df.max(initial=0))):
+        step = (df > k) & (odd == (k % 2 == 1))
+        q[step] += np.exp(0.5 * k * log_half[step] - half[step] - math.lgamma(0.5 * k + 1.0))
+    return np.minimum(1.0, q)
 
 
 def ar1_pair(seed, n, b1, b2):
@@ -233,6 +253,53 @@ class TestChiSqUpperTail:
         assert grid.shape == (500, 3)
         assert grid[20, 2] == chi_sq_upper_tail(float(stat[20]), 9)
         assert isinstance(chi_sq_upper_tail(3.0, 4), float)
+
+    def test_term_table_matches_the_step_loop_bit_for_bit(self):
+        # Every df from 1 to 300, both parities, against statistics from the
+        # smallest subnormal to the far tail: arrays of many boundaries, one
+        # boundary at a time (a one-column table) and broadcast grids.
+        finite = np.r_[5e-324, 1e-300, 1e-8, np.geomspace(1.0, 1e4, 25)]
+        df = np.arange(1, 301)
+        want = chi2_tail_recurrence(*(a.ravel() for a in np.meshgrid(finite, df, indexing="ij")))
+        want = want.reshape(len(finite), len(df))
+        stat = np.r_[0.0, finite, np.inf]
+        grid = chi_sq_upper_tail(stat[:, None], df)
+        assert grid.shape == (len(stat), len(df))
+        assert (grid[0] == 1.0).all() and (grid[-1] == 0.0).all()
+        np.testing.assert_array_equal(grid[1:-1], want)
+        np.testing.assert_array_equal(chi_sq_upper_tail(finite, df[:, None]), want.T)
+        for i, s in enumerate(finite.tolist()):
+            np.testing.assert_array_equal(chi_sq_upper_tail(s, df), want[i])
+            for d in (1, 2, 9, 10, 37, 120, 299, 300):
+                assert chi_sq_upper_tail(s, d) == want[i, d - 1]
+        rng = np.random.default_rng(7)
+        d = rng.integers(1, 301, size=400)
+        s = rng.chisquare(d) * rng.uniform(0.2, 3.0, size=400)
+        np.testing.assert_array_equal(chi_sq_upper_tail(s, d), chi2_tail_recurrence(s, d))
+        # A T = 1024 pass tests 2 to 9 boundaries with df of about 5 to 14.
+        small = rng.integers(1, 15, size=9)
+        for c in range(2, 10):
+            for dc in (d[:c], small[:c]):
+                np.testing.assert_array_equal(
+                    chi_sq_upper_tail(s[:c], dc), chi2_tail_recurrence(s[:c], dc)
+                )
+
+    def test_term_table_is_built_in_bounded_blocks(self):
+        # A whole table of 2000 boundaries with df up to 3000 would hold
+        # 6e6 terms (48 MB); blocks of TAIL_VALUES terms keep the peak at a
+        # few of them.
+        rng = np.random.default_rng(8)
+        df = rng.integers(1, 3001, size=2000)
+        stat = rng.chisquare(df)
+        df[0] = 3000
+        tracemalloc.start()
+        try:
+            got = chi_sq_upper_tail(stat, df)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * TAIL_VALUES * 8
+        np.testing.assert_allclose(got, stats.chi2.sf(stat, df), rtol=1e-9, atol=1e-12)
 
     def test_negative_stat_rejected(self):
         with pytest.raises(ValueError):
@@ -461,6 +528,30 @@ class TestPartition:
             assert bt.result.statistic == pytest.approx(stat, rel=1e-9, abs=1e-9)
             capped = mode.kind == "fixed" and (i in (6, 7) or (i == 5 and mode.exponent == 2.5))
             assert ("capped" in (bt.warning or "")) == capped
+
+    @pytest.mark.parametrize(
+        "mode",
+        [OrderMode.fixed(1.5), OrderMode.fixed(2.5), OrderMode.bic(10)],
+        ids=["fixed1.5", "fixed2.5", "bic10"],
+    )
+    def test_records_are_local_to_their_two_segments(self, mode):
+        # Each record of a pass over the whole partition is, bit for bit, the
+        # record of a pass over its own two segments alone: untestable and
+        # capped boundaries included.
+        segs = oracle_partition()
+        bounds = np.r_[0, np.cumsum([len(s) for s in segs])].tolist()
+        x = np.concatenate(segs)
+        tests = discrimination_test(x, bounds[1:-1], mode)
+        assert any(bt.result is None for bt in tests)
+        assert any("capped" in (bt.warning or "") for bt in tests) == (mode.kind == "fixed")
+        for lo, bt, hi in zip(bounds, tests, bounds[2:]):
+            (alone,) = discrimination_test(x[lo:hi], [bt.position - lo], mode)
+            assert (bt.p_value, bt.warning) == (alone.p_value, alone.warning)
+            if bt.result is None:
+                assert alone.result is None
+                continue
+            r, a = bt.result, alone.result
+            assert (r.statistic, r.df, r.orders, r.sigma2) == (a.statistic, a.df, a.orders, a.sigma2)
 
     @pytest.mark.parametrize(
         "mode",
