@@ -9,9 +9,11 @@ The exact detection rate is the fraction of replicates whose estimated
 change-point count equals the truth.  Estimated locations are recorded
 for every replicate regardless of correctness.
 
-Replicates use independent derived streams (master seed, replicate index)
-and run one after the other, so outputs are byte-identical for identical
-inputs.
+Replicates use independent derived streams (master seed, replicate index).
+They are simulated in groups of at most ``GROUP_VALUES`` padded samples, one
+:func:`arcpd.simulate.simulate_piecewise` call per group (each row is its
+seed's series alone), then detected one by one in replicate order, so
+outputs are byte-identical for identical inputs whatever the grouping.
 """
 
 from __future__ import annotations
@@ -25,12 +27,16 @@ from .ar import mean_correct
 # Bench's own names, not pipeline.CORRECTIONS: perfbench/spans.py TARGETS wraps them.
 from .multtest import bh_procedure, bonferroni_procedure
 from .pipeline import DetectConfig, detect_changepoints, keep_changepoints
-from .simulate import PiecewiseSpec, builtin_model, replicate_seed, simulate_piecewise
+from .simulate import BURN_IN, builtin_model, replicate_seed, simulate_piecewise
 from .svgplot import locations_plot
 
 __all__ = ["BenchResult", "run_model", "run_bench", "write_bench_outputs", "METHOD_LABELS"]
 
 METHOD_LABELS = {"bh": "MCP2-BH", "bonferroni": "MCP2-BONF"}
+
+# Samples (burn-in included) simulated per group: 85 replicates at T = 1024,
+# so R = 40 is one group and --replicates 10000 stays within a few MB.
+GROUP_VALUES = 2**17
 
 
 @dataclass(frozen=True)
@@ -52,8 +58,14 @@ class BenchResult:
         return sum(self.correct_flags) / self.replicates
 
 
-def _one_replicate(spec: PiecewiseSpec, seed: int, rep: int, cfg: DetectConfig):
-    x = simulate_piecewise(spec, replicate_seed(seed, rep))
+def _replicate_groups(replicates: int, padded_length: int) -> list[range]:
+    """Replicate indices in groups of at most GROUP_VALUES // padded_length
+    (at least one), as even as that allows."""
+    count = -(-replicates // max(1, GROUP_VALUES // padded_length))
+    return [range(g * replicates // count, (g + 1) * replicates // count) for g in range(count)]
+
+
+def _kept_changepoints(x, cfg: DetectConfig):
     report = detect_changepoints(x, cfg)
     xc = mean_correct(x)
     # Detect has already kept the change points of cfg.correction.
@@ -74,7 +86,10 @@ def run_model(
     if cfg is None:
         cfg = DetectConfig()
     spec = builtin_model(model)
-    per_rep = [_one_replicate(spec, seed, rep, cfg) for rep in range(replicates)]
+    per_rep = []
+    for group in _replicate_groups(replicates, BURN_IN + spec.total_length):
+        seeds = [replicate_seed(seed, rep) for rep in group]
+        per_rep.extend(_kept_changepoints(x, cfg) for x in simulate_piecewise(spec, seeds))
     return {
         method: BenchResult(
             model=model,

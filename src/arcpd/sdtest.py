@@ -204,6 +204,7 @@ def discrimination_test(x, positions, mode: OrderMode | None = None) -> tuple[Bo
             np.multiply(buf[j:], buf[: len(buf) - j], out=prod[j:])
             table[:, j] = np.add.reduceat(prod, edges)[::2]
         mean_sq = np.add.reduceat(np.multiply(x, x, out=prod[: len(x)]), bounds[:-1]) / n
+    del buf, prod, is_sample  # sample-length; the rest of the pass is per segment
     table /= n[:, None]
     table[(table[:, 0] <= EXACT_FIT_RTOL * mean_sq) & (mean_sq < math.inf)] = 0.0
     np.multiply(n1[:, None], table[:-1], out=pooled)

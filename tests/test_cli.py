@@ -1,6 +1,8 @@
 import csv
 import filecmp
 import json
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -8,7 +10,14 @@ import pytest
 from arcpd import bench
 from arcpd.cli import InputError, main, read_series_csv
 from arcpd.pipeline import DetectConfig, detect_changepoints
-from arcpd.simulate import builtin_model, builtin_model_names, replicate_seed, simulate_piecewise
+from arcpd.sdtest import OrderMode
+from arcpd.simulate import (
+    BURN_IN,
+    builtin_model,
+    builtin_model_names,
+    replicate_seed,
+    simulate_piecewise,
+)
 
 
 def write_csv(path, rows):
@@ -329,6 +338,53 @@ class TestBenchCommand:
                 x = simulate_piecewise(builtin_model("G"), replicate_seed(0, rep))
                 want = detect_changepoints(x, DetectConfig(correction=method, iterate=iterate))
                 assert results[method].locations[rep] == want.final_cps
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [DetectConfig(), DetectConfig(order_mode=OrderMode.bic()), DetectConfig(iterate=True)],
+        ids=["fixed", "bic", "iterate"],
+    )
+    def test_bench_results_do_not_depend_on_the_grouping(self, monkeypatch, cfg):
+        # Model G pads to BURN_IN + 1024 samples, so a budget of k such series
+        # caps a group at k replicates; groups are then as even as k allows.
+        padded = BURN_IN + builtin_model("G").total_length
+        sizes = []
+
+        def counted(spec, seeds):
+            sizes.append(len(seeds))
+            return simulate_piecewise(spec, seeds)
+
+        monkeypatch.setattr(bench, "simulate_piecewise", counted)
+        results = {}
+        for cap, want in ((1, [1] * 7), (2, [1, 2, 2, 2]), (3, [2, 2, 3]), (None, [7])):
+            sizes.clear()
+            with monkeypatch.context() as m:
+                if cap is not None:
+                    m.setattr(bench, "GROUP_VALUES", cap * padded)
+                results[cap] = bench.run_model("G", 7, 0, cfg)
+            assert sizes == want
+        assert results[1] == results[2] == results[3] == results[None]
+        for rep in (0, 6):
+            x = simulate_piecewise(builtin_model("G"), replicate_seed(0, rep))
+            want = detect_changepoints(x, cfg).final_cps
+            assert results[None][cfg.correction].locations[rep] == want
+
+    def test_bench_simulation_memory_is_bounded_by_the_group_budget(self, monkeypatch):
+        # With detection stubbed out, 400 replicates of model B run as 5 groups
+        # of 80, and the peak stays within a few copies of one group: about
+        # 3.1 GROUP_VALUES doubles, against 13.2 for 400 in one group.
+        report = types.SimpleNamespace(final_cps=(), boundary_tests=())
+        monkeypatch.setattr(bench, "detect_changepoints", lambda x, cfg: report)
+        monkeypatch.setattr(bench, "keep_changepoints", lambda *args: (None, ()))
+        bench.run_model("B", 1, 0)  # one-time allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            results = bench.run_model("B", 400, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert results["bh"].locations == ((),) * 400
+        assert peak < 4 * bench.GROUP_VALUES * 8
 
     def test_bench_has_no_correction_flag(self, tmp_path, capsys):
         out = tmp_path / "d"

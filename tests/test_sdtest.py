@@ -8,6 +8,7 @@ import pytest
 from scipy import stats
 
 from arcpd.ar import DegenerateFitError, bic_select_order, mean_correct
+from arcpd.pipeline import detect_changepoints
 from arcpd.sdtest import (
     TAIL_VALUES,
     OrderMode,
@@ -615,3 +616,23 @@ class TestPartition:
         for bad in ([0], [20], [5, 5], [8, 4]):
             with pytest.raises(ValueError, match="positions must increase strictly"):
                 discrimination_test(x, bad)
+
+    @pytest.mark.parametrize("mode", [OrderMode.fixed(), OrderMode.bic()], ids=["fixed", "bic"])
+    def test_sample_length_buffers_are_freed_before_the_fits(self, mode):
+        # 8 AR(+-0.5) regimes of 8192 points and their ~550 scan candidates:
+        # the padded buffer, its lag products and the sample mask go once the
+        # table is built, so the fits and the tail add only per-segment arrays.
+        # Keeping them alive through the fits peaked at 5.5-6.1 len(x) doubles.
+        spec = PiecewiseSpec(tuple(
+            (ArmaSpec(ar=(0.5 if k % 2 == 0 else -0.5,)), 8192 * (k + 1)) for k in range(8)
+        ))
+        x = simulate_piecewise(spec, replicate_seed(101, 0))
+        positions = detect_changepoints(x).candidates.positions
+        assert len(positions) > 500
+        tracemalloc.start()
+        try:
+            discrimination_test(x, positions, mode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * len(x) * 8

@@ -125,6 +125,34 @@ def test_matches_per_sample_reference_bytes(seed):
     assert got.tobytes() == per_sample_reference(spec, seed).tobytes()
 
 
+@pytest.mark.parametrize("replicates", [1, 2, 7, 40])
+@pytest.mark.parametrize("name", [*builtin_model_names(), "mixed"])
+def test_seed_list_rows_are_the_single_seed_series(name, replicates):
+    # The row recursion does each seed's float steps elementwise, so every
+    # row is its seed's series byte for byte, signed zeros included.
+    spec = MIXED_SPEC if name == "mixed" else builtin_model(name)
+    seeds = [replicate_seed(0, r) for r in range(replicates)]
+    rows = simulate_piecewise(spec, seeds)
+    assert rows.shape == (replicates, spec.total_length) and rows.flags.c_contiguous
+    for row, seed in zip(rows, seeds):
+        assert row.tobytes() == simulate_piecewise(spec, seed).tobytes()
+
+
+def test_int_list_is_one_entropy():
+    # numpy reads a list of ints as one entropy, so it stays one series.
+    x = simulate_piecewise(MIXED_SPEC, [1, 2])
+    assert x.shape == (MIXED_SPEC.total_length,)
+    assert x.tobytes() == simulate_piecewise(MIXED_SPEC, np.random.SeedSequence([1, 2])).tobytes()
+    assert sha256(x) == "611f625cb27d24c3119eff40a5203bf3082e28acae850b0430b3c3c41b559a5a"
+
+
+def test_bad_seed_lists_are_rejected():
+    with pytest.raises(ValueError, match="need at least one seed; got an empty list"):
+        simulate_piecewise(MIXED_SPEC, [])
+    with pytest.raises(ValueError, match="either SeedSequences .* or ints"):
+        simulate_piecewise(MIXED_SPEC, [replicate_seed(0, 0), 1])
+
+
 def test_distinct_seeds_differ():
     spec = builtin_model("B")
     assert not np.array_equal(simulate_piecewise(spec, 1), simulate_piecewise(spec, 2))
