@@ -178,6 +178,8 @@ def _cmd_bench(args) -> int:
     cfg = _detect_config(args)
     if args.replicates < 1:
         raise ValueError("replicates must be >= 1")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
     with _writing(args.out):
         os.makedirs(args.out, exist_ok=True)
     rows = run_bench(models, args.replicates, args.seed, cfg)

@@ -48,8 +48,6 @@ def bh_procedure(pvals, alpha: float = 0.05) -> MultipleTestOutcome:
     """
     p = _validated(pvals, alpha)
     q = len(p)
-    if q == 0:
-        return MultipleTestOutcome("bh", alpha, (), ())
     order = np.argsort(p, kind="stable")
     ranked = p[order]
     scaled = ranked * q / np.arange(1, q + 1)
@@ -70,8 +68,6 @@ def bonferroni_procedure(pvals, alpha: float = 0.05) -> MultipleTestOutcome:
     """Reject hypothesis i when q * p_i <= alpha; adjusted value min(1, q * p_i)."""
     p = _validated(pvals, alpha)
     q = len(p)
-    if q == 0:
-        return MultipleTestOutcome("bonferroni", alpha, (), ())
     scaled = q * p
     rejected = scaled <= alpha
     adjusted = np.minimum(1.0, scaled)

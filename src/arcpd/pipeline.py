@@ -20,6 +20,7 @@ never rejected, and is reported with a warning.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,10 @@ class DetectConfig:
     iterate: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.window_radius, numbers.Integral):
+            raise ValueError(f"window_radius must be an integer, got {self.window_radius!r}")
+        if not isinstance(self.scan_order, (numbers.Integral, type(None))):
+            raise ValueError(f"scan_order must be an integer or None, got {self.scan_order!r}")
         if self.window_radius < 1:
             raise ValueError("window_radius must be positive")
         if self.scan_order is not None:

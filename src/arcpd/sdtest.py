@@ -50,6 +50,12 @@ alone.  Two order policies are supported:
 The degrees of freedom are p1 + p2 - p0 + 1 under both policies: order + 1
 in fixed mode, at least min(p1, p2) + 1 in bic mode.
 
+A boundary is tested only when its first, second and pooled fits all stop
+above their orders, where a fit's Levinson path stops at its first variance
+that is not positive and finite.  Otherwise its warning names the first fit
+that does not, its stop k and the variance v there: "{first|second|pooled}
+segment fit breaks down at order k: residual variance v".
+
 A segment whose centred lag-0 autocovariance is at most ``EXACT_FIT_RTOL``
 (the scan's exact-fit rule) times its raw mean square is constant up to
 rounding, whether or not its mean rounds exactly: its row of the table is
@@ -141,16 +147,19 @@ def discrimination_test(x, positions, mode: OrderMode | None = None) -> tuple[Bo
     upper-tail p-value, the DiscriminationResult (statistic, degrees of
     freedom, orders and innovation variances of the three fits; accept/reject
     is left to the caller) and notes on a capped fixed order or a clamped
-    statistic.  A boundary that cannot be tested (a segment shorter than 3
-    or constant, a fit with zero or non-finite residual variance, as when
-    the pooled autocovariance overflows) has no result, p-value 1 and a
-    warning that says why; nothing is raised per boundary.  Each result is
-    symmetric in its two segments and invariant to rescaling x.
+    statistic.  A boundary that cannot be tested (a segment shorter than 3,
+    or a fit that breaks down at or below its order: module docstring) has
+    no result, p-value 1 and a warning that says why; nothing is raised per
+    boundary.  Each result is symmetric in its two segments and invariant to
+    rescaling x.  Positions are integers, numpy's of any width too.
     """
     if mode is None:
         mode = OrderMode.fixed()
     x = as_series(x)
-    bounds = np.array([0, *positions, len(x)])
+    positions = np.asarray(positions)
+    if positions.size and positions.dtype.kind not in "iu":
+        raise ValueError(f"positions must be integers, got {positions.dtype} values")
+    bounds = np.concatenate([[0], positions.astype(int), [len(x)]])
     n = bounds[1:] - bounds[:-1]
     if (n < 1).any():
         raise ValueError("positions must increase strictly inside (0, len(x))")
@@ -162,16 +171,14 @@ def discrimination_test(x, positions, mode: OrderMode | None = None) -> tuple[Bo
     testable = t_min >= 3
 
     if mode.kind == "fixed":
-        # math, not numpy: np.log may differ in the last bit, which moves floor
-        # at an integer.
-        raw = np.array([math.floor(math.log(t) ** mode.exponent) for t in t_min.tolist()])
-        p1 = p2 = np.where(testable, np.minimum(np.maximum(raw, 1), t_min // 3), 0)
-        lags = np.zeros(count, dtype=int)  # per segment: its larger boundary order
-        lags[:-1] = p1
-        np.maximum(lags[1:], p1, out=lags[1:])
+        # Past the cap an order is the cap, however large: saturate before numpy.
+        raw = [_fixed_order(t, mode.exponent) for t in t_min.tolist()]
+        capped = np.array([min(r, c) for r, c in zip(raw, (t_min // 3).tolist())])
+        p1 = p2 = np.where(testable, np.maximum(capped, 1), 0)
+        width = int(p1.max())
     else:
-        lags = np.minimum(mode.max_order, n - 2)
-    width = max(int(lags.max()), 0)
+        lags = np.minimum(mode.max_order, n - 2)  # per segment: its search cap
+        width = max(int(lags.max()), 0)
 
     # Each segment sits behind `pad` zeros in buf, so a lag product that
     # crosses a segment bound is a product with a zero.  Segment s is
@@ -197,19 +204,20 @@ def discrimination_test(x, positions, mode: OrderMode | None = None) -> tuple[Bo
     rows = np.empty((2 * count - 1, width + 1))
     table, pooled = rows[:count], rows[count:]
     prod = np.empty_like(buf)
-    # Products may overflow: an inf row's fit breaks down at order 0, and an
-    # overflowing mean square decides nothing (constant segments: module docstring).
+    # Products and the weighted pooled sums may overflow: an inf or NaN row's
+    # fit breaks down at order 0, and an overflowing mean square decides
+    # nothing (constant segments: module docstring).
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(width + 1):
             np.multiply(buf[j:], buf[: len(buf) - j], out=prod[j:])
             table[:, j] = np.add.reduceat(prod, edges)[::2]
         mean_sq = np.add.reduceat(np.multiply(x, x, out=prod[: len(x)]), bounds[:-1]) / n
-    del buf, prod, is_sample  # sample-length; the rest of the pass is per segment
-    table /= n[:, None]
-    table[(table[:, 0] <= EXACT_FIT_RTOL * mean_sq) & (mean_sq < math.inf)] = 0.0
-    np.multiply(n1[:, None], table[:-1], out=pooled)
-    pooled += n2[:, None] * table[1:]
-    pooled /= (n1 + n2)[:, None]
+        del buf, prod, is_sample  # sample-length; the rest of the pass is per segment
+        table /= n[:, None]
+        table[(table[:, 0] <= EXACT_FIT_RTOL * mean_sq) & (mean_sq < math.inf)] = 0.0
+        np.multiply(n1[:, None], table[:-1], out=pooled)
+        pooled += n2[:, None] * table[1:]
+        pooled /= (n1 + n2)[:, None]
 
     _, paths = levinson_path(rows, width)
     path_seg, path_0 = paths[:count], paths[count:]
@@ -223,14 +231,14 @@ def discrimination_test(x, positions, mode: OrderMode | None = None) -> tuple[Bo
         p0 = bic_order(np.where(orders <= p0_max[:, None], path_0, np.nan), n1 + n2)
     else:
         p0 = p1
-    # Per boundary, the x, y and pooled fits: rows of paths, orders, and the
-    # index of each path's first variance that is not positive and finite.
+    # Per boundary, the first, second and pooled fits: their rows of paths,
+    # their orders and their stops.  A path is NaN past its first variance
+    # that is not positive and finite, so its stop, the order where it breaks
+    # down, is its count of usable variances; a fit is usable below its stop.
     fit_rows = np.arange(count - 1) + np.array([[0], [1], [count]])
-    fit_orders = np.empty((3, count - 1), dtype=int)
-    fit_orders[0], fit_orders[1], fit_orders[2] = p1, p2, p0
-    usable = (0.0 < paths) & (paths < math.inf)
-    fit_stops = np.where(usable.all(axis=1), width + 1, usable.argmin(axis=1))[fit_rows]
-    fitted = testable & (fit_stops > fit_orders).all(axis=0)
+    fit_orders = np.array([p1, p2, p0])
+    stops = ((0.0 < paths) & (paths < math.inf)).sum(axis=1)[fit_rows]
+    fitted = testable & (stops > fit_orders).all(axis=0)
     s1, s2, s0 = paths[fit_rows, fit_orders]
     with np.errstate(divide="ignore", invalid="ignore"):  # boundaries not fitted
         stat = np.where(fitted, n1 * np.log(s0 / s1) + n2 * np.log(s0 / s2), 0.0)
@@ -247,11 +255,11 @@ def discrimination_test(x, positions, mode: OrderMode | None = None) -> tuple[Bo
         lo, pos, hi = b[i : i + 3]
         lengths, sides = (pos - lo, hi - pos), ((lo + 1, pos), (pos + 1, hi))
         if not fit:  # untestable: p = 1, never rejected
-            if ok:
-                bic_lags = lags[i : i + 2].tolist() if mode.kind == "bic" else None
-                warning = _fit_failure(
-                    paths[fit_rows[:, i]], fit_orders[:, i], fit_stops[:, i], bic_lags
-                )
+            if ok:  # name the first fit whose stop is at or below its order
+                f = int((stops[:, i] <= fit_orders[:, i]).argmax())
+                k, label = int(stops[f, i]), ("first", "second", "pooled")[f]
+                v = float(paths[fit_rows[f, i], k])
+                warning = f"{label} segment fit breaks down at order {k}: residual variance {v!r}"
             else:
                 warning = f"segments of lengths {lengths} are too short to compare"
             tests.append(BoundaryTest(pos, *sides, 1.0, None, warning))
@@ -269,32 +277,13 @@ def discrimination_test(x, positions, mode: OrderMode | None = None) -> tuple[Bo
     return tuple(tests)
 
 
-def _fit_failure(paths, orders, stops, bic_lags) -> str:
-    """The message that says why a boundary's x, y and pooled fits (paths
-    read at orders) give no test: the first segment whose BIC search (over
-    0..bic_lags, in bic mode) has no order-0 variance, else the first path
-    that breaks down before its order, else the first variance that is not
-    positive and finite."""
-    if bic_lags is not None:
-        for path, lag in zip(paths, bic_lags):
-            if not 0.0 < path[0] < math.inf:
-                return (
-                    f"BIC order selection failed at every order 0..{lag}: "
-                    f"residual variance {float(path[0])!r} at order 0"
-                )
-    for path, p, k in zip(paths, orders, stops):
-        if k < p:
-            return (
-                f"Levinson-Durbin broke down entering order {k + 1}: "
-                f"residual variance {float(path[k])!r} at order {k}"
-            )
-    for label, path, p in zip(("first", "second", "pooled"), paths, orders):
-        # An overflowing autocovariance gives sigma2 = inf, not a usable fit.
-        s = float(path[p])
-        if not (s > 0.0 and math.isfinite(s)):
-            what = "zero" if math.isfinite(s) else "non-finite"
-            return f"{label} segment fit has {what} residual variance"
-    raise AssertionError("every fit is usable")
+def _fixed_order(t: int, exponent: float) -> float:
+    """floor((ln t) ** exponent), inf where it overflows a float.  math's log:
+    np.log may differ in the last bit, which moves floor at an integer."""
+    try:
+        return math.floor(math.log(t) ** exponent)
+    except OverflowError:
+        return math.inf
 
 
 def chi_sq_upper_tail(stat, df):

@@ -281,6 +281,13 @@ class TestBenchCommand:
         assert "replicates must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bench_negative_seed_exit_2_without_out(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        code = main(["bench", "--model", "B", "--replicates", "1", "--seed", "-1", "--out", str(out)])
+        assert code == 2
+        assert "--seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bench_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         args = ["bench", "--model", "I", "--replicates", "8", "--seed", "4"]

@@ -178,6 +178,11 @@ class TestDetect:
             DetectConfig(window_radius=0)
         with pytest.raises(ValueError, match="scan order must be nonnegative"):
             DetectConfig(scan_order=-1)
+        for bad in ({"window_radius": 2.5}, {"window_radius": 50.0}, {"scan_order": 2.5}):
+            with pytest.raises(ValueError, match="must be an integer"):
+                DetectConfig(**bad)
+        # numpy integers are integers
+        assert DetectConfig(window_radius=np.int64(20), scan_order=np.int32(2)).scan_order == 2
 
     def test_multidimensional_series_rejected(self):
         # two columns used to be interleaved into one series of length 2048

@@ -200,6 +200,21 @@ class TestFixedOrder:
         with pytest.raises(ValueError, match="exponent must be > 1"):
             OrderMode.fixed(1.0)
 
+    @pytest.mark.parametrize("exponent", [26, 400, 1e308, math.inf])
+    def test_huge_exponent_saturates_at_the_cap(self, exponent):
+        # floor((ln T_min) ** v) passes int64 at T_min = 1000 and v = 26, and
+        # overflows a float at v = 1e308 and inf: an order past the cap is the
+        # cap, and the note gives the raw order (inf where a float overflows).
+        x = np.random.default_rng(5).standard_normal(2300)
+        tests = discrimination_test(x, [1000, 2200], OrderMode.fixed(exponent))
+        for bt, (lengths, cap) in zip(tests, [((1000, 1200), 333), ((1200, 100), 33)]):
+            try:
+                raw = math.floor(math.log(min(lengths)) ** exponent)
+            except OverflowError:
+                raw = math.inf
+            assert bt.result.orders == (cap, cap, cap)
+            assert bt.warning == f"fixed order {raw} capped to {cap} for segment lengths {lengths}"
+
     def test_tiny_segments_rejected(self):
         bt = fixed_pair(2, 100, 1.5)
         assert (bt.result, bt.p_value) == (None, 1.0)
@@ -405,11 +420,11 @@ class TestDiscriminationTest:
         x, y = mean_correct(x), mean_correct(y)
         x *= math.sqrt(1e308 / (x @ x))
         y *= math.sqrt(1e308 / (y @ y))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(
-                DegenerateFitError, match="pooled segment fit has non-finite residual variance"
-            ):
-                pair_test(x, y, OrderMode.bic(6))
+        with pytest.raises(
+            DegenerateFitError,
+            match=r"^pooled segment fit breaks down at order 0: residual variance inf$",
+        ):
+            pair_test(x, y, OrderMode.bic(6))
 
     def test_bic_mode_short_segment_cannot_supply_pooled_lag(self):
         # BIC orders are chosen per segment; the pooled search stops at the
@@ -454,21 +469,36 @@ class TestDiscriminationTest:
             warnings.simplefilter("error", RuntimeWarning)
             (bt,) = discrimination_test(x, [300])
         assert bt.p_value == 1.0 and bt.result is None
-        assert bt.warning == (
-            "Levinson-Durbin broke down entering order 1: residual variance inf at order 0"
+        assert bt.warning == "second segment fit breaks down at order 0: residual variance inf"
+
+    @pytest.mark.parametrize("mode", [OrderMode.fixed(), OrderMode.bic()], ids=["fixed", "bic"])
+    def test_overflowing_pooled_sums_are_untestable_without_a_warning(self, mode):
+        # Unit-variance AR(0.9) and AR(-0.9) segments times 6e152: every lag
+        # product and segment sum is finite, but the weighted pooled sum
+        # n1 * gx + n2 * gy overflows.  At 4e152 the same pair tests normally.
+        x, y = (mean_correct(z) / np.std(z) for z in ar1_pair(40, 300, 0.9, -0.9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            (big,) = discrimination_test(np.r_[x, y] * 6e152, [300], mode)
+            (fits,) = discrimination_test(np.r_[x, y] * 4e152, [300], mode)
+        assert (big.result, big.p_value, big.warning) == (
+            None, 1.0, "pooled segment fit breaks down at order 0: residual variance inf"
         )
+        assert fits.result is not None and fits.p_value < 1e-6
 
     def test_degenerate_segment_bic_mode(self):
-        # a zero segment has order-0 variance 0, so no BIC order exists; the
-        # search range named is the segment's own, min(max_order, T_i - 2)
+        # a zero segment has order-0 variance 0, so its BIC order is 0 and its
+        # fit breaks down there; the warning names that segment's side
         rng = np.random.default_rng(13)
         y = rng.standard_normal(50)
         with pytest.raises(
-            DegenerateFitError, match=r"every order 0\.\.6: residual variance 0\.0 at order 0$"
+            DegenerateFitError,
+            match=r"^first segment fit breaks down at order 0: residual variance 0\.0$",
         ):
             pair_test(np.zeros(50), y, OrderMode.bic(6))
         with pytest.raises(
-            DegenerateFitError, match=r"every order 0\.\.3: residual variance 0\.0 at order 0$"
+            DegenerateFitError,
+            match=r"^second segment fit breaks down at order 0: residual variance 0\.0$",
         ):
             pair_test(y, np.zeros(5), OrderMode.bic(6))
 
@@ -491,8 +521,10 @@ def test_null_calibration_small():
     assert 0.005 <= rejections / 200 <= 0.125
 
 
-BROKE_AT_ZERO = "Levinson-Durbin broke down entering order 1: residual variance 0.0 at order 0"
-NO_BIC_ORDER = "BIC order selection failed at every order 0..10: residual variance 0.0 at order 0"
+# A constant segment's fit breaks down at order 0 in either order mode; the
+# warning names the side the constant segment is on.
+FIRST_BREAKS_AT_ZERO = "first segment fit breaks down at order 0: residual variance 0.0"
+SECOND_BREAKS_AT_ZERO = "second segment fit breaks down at order 0: residual variance 0.0"
 
 
 class TestPartition:
@@ -501,14 +533,11 @@ class TestPartition:
     1 and a warning that says why."""
 
     @pytest.mark.parametrize(
-        "mode,constant_error",
-        [
-            pytest.param(OrderMode.fixed(1.5), BROKE_AT_ZERO, id="fixed1.5"),
-            pytest.param(OrderMode.fixed(2.5), BROKE_AT_ZERO, id="fixed2.5"),
-            pytest.param(OrderMode.bic(10), NO_BIC_ORDER, id="bic10"),
-        ],
+        "mode",
+        [OrderMode.fixed(1.5), OrderMode.fixed(2.5), OrderMode.bic(10)],
+        ids=["fixed1.5", "fixed2.5", "bic10"],
     )
-    def test_every_boundary_matches_its_pair(self, mode, constant_error):
+    def test_every_boundary_matches_its_pair(self, mode):
         segs = oracle_partition()
         positions = np.cumsum([len(s) for s in segs])[:-1]
         tests = discrimination_test(np.concatenate(segs), positions, mode)
@@ -516,8 +545,8 @@ class TestPartition:
         untestable = {
             1: "segments of lengths (300, 2) are too short to compare",
             2: "segments of lengths (2, 90) are too short to compare",
-            3: constant_error,
-            4: constant_error,
+            3: SECOND_BREAKS_AT_ZERO,
+            4: FIRST_BREAKS_AT_ZERO,
         }
         for i, bt in enumerate(tests):
             if i in untestable:
@@ -595,20 +624,19 @@ class TestPartition:
         assert all(a[1] + 1 == b[0] for a, b in zip(ranges, ranges[1:]))
         assert [bt.left_range for bt in tests[1:]] == [bt.right_range for bt in tests[:-1]]
 
-    @pytest.mark.parametrize(
-        "mode,text",
-        [(OrderMode.fixed(), BROKE_AT_ZERO), (OrderMode.bic(), NO_BIC_ORDER)],
-        ids=["fixed", "bic"],
-    )
+    @pytest.mark.parametrize("mode", [OrderMode.fixed(), OrderMode.bic()], ids=["fixed", "bic"])
     @pytest.mark.parametrize("value", [0.1, 0.3, 1.7])
-    def test_constant_segment_is_untestable(self, value, mode, text):
+    def test_constant_segment_is_untestable(self, value, mode):
         # Only 0.3's mean rounds exactly, so only it centres to exact zeros;
         # 0.1 and 1.7 leave tiny equal residues.  The relative rule makes all
         # three constant.
         rng = np.random.default_rng(0)
         a, b = rng.standard_normal(300), rng.standard_normal(300)
         tests = discrimination_test(np.r_[a, np.full(300, value), b], [300, 600], mode)
-        assert [(bt.result, bt.p_value, bt.warning) for bt in tests] == [(None, 1.0, text)] * 2
+        assert [(bt.result, bt.p_value, bt.warning) for bt in tests] == [
+            (None, 1.0, SECOND_BREAKS_AT_ZERO),
+            (None, 1.0, FIRST_BREAKS_AT_ZERO),
+        ]
 
     def test_positions_must_increase_inside_the_series(self):
         x = np.random.default_rng(0).standard_normal(20)
@@ -616,6 +644,13 @@ class TestPartition:
         for bad in ([0], [20], [5, 5], [8, 4]):
             with pytest.raises(ValueError, match="positions must increase strictly"):
                 discrimination_test(x, bad)
+        for bad in ([8.0], [100.0], np.array([8.5]), ["8"], [True]):
+            with pytest.raises(ValueError, match="positions must be integers"):
+                discrimination_test(x, bad)
+        # numpy integers of any width are positions
+        want = discrimination_test(x, [8])
+        for good in ([np.int64(8)], np.array([8], dtype=np.int32), np.array([8], dtype=np.uint64)):
+            assert discrimination_test(x, good) == want
 
     @pytest.mark.parametrize("mode", [OrderMode.fixed(), OrderMode.bic()], ids=["fixed", "bic"])
     def test_sample_length_buffers_are_freed_before_the_fits(self, mode):
