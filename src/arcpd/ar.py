@@ -7,8 +7,13 @@ already mean-corrected unless noted; use :func:`mean_correct` first.
 stack of autocovariance rows (shape (..., L); a 1-D input is one row, as
 from :func:`sample_autocov`) and gives each row's Yule-Walker coefficients
 and innovation variance at every order up to the one asked for, with
-vector operations across rows and a Python loop over orders only.  A row's
-result depends on that row alone, bit for bit, stacked or not.  Breakdown
+vector operations across rows and a Python loop over orders only.  It
+works on the stack transposed, orders on the outer axis and rows on the
+inner (autocovariances (L, count), coefficients (order, order, count)), so
+each step of the loop is a few ufunc calls over contiguous stack-wide
+rows; its results come back in the caller's shapes.  Its dot products
+add their terms in order, so a row's result depends on that row alone,
+bit for bit, stacked or not.  Breakdown
 follows one convention for every row: a row whose variance at order m - 1
 is not positive and finite stops there, and its later variances and
 coefficient rows are NaN.
@@ -100,28 +105,37 @@ def levinson_path(gamma, order: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"need autocovariances to lag {order}, have {g.shape[-1] - 1}"
         )
-    rows = g.reshape(-1, g.shape[-1])
-    count = len(rows)
-    phi = np.zeros((count, order, order))
-    sigma2s = np.empty((count, order + 1))
-    sigma2s[:, 0] = rows[:, 0]
+    # Orders on the outer axis, rows on the inner (module docstring).
+    cols = np.ascontiguousarray(g.reshape(-1, g.shape[-1])[:, : order + 1].T)
+    count = cols.shape[1]
+    phi = np.zeros((order, order, count))
+    sigma2s = np.empty((order + 1, count))
+    sigma2s[0] = cols[0]
     # A row keeps computing after it breaks down; what it computes then is
     # masked with NaN below, so its warnings mean nothing.
     with np.errstate(all="ignore"):
         for m in range(1, order + 1):
-            prev = sigma2s[:, m - 1]
-            last = phi[:, m - 2, : m - 1]  # order m - 1 coefficients (none at m = 1)
-            dot = np.add.reduce(last * rows[:, m - 1 : 0 : -1], axis=1)
-            reflect = (rows[:, m] - dot) / prev
-            phi[:, m - 1, : m - 1] = last - reflect[:, None] * last[:, ::-1]
-            phi[:, m - 1, m - 1] = reflect
-            sigma2s[:, m] = prev * (1.0 - reflect * reflect)
+            prev = sigma2s[m - 1]
+            if m == 1:
+                reflect = cols[1] / prev
+            else:
+                last = phi[m - 2, : m - 1]  # order m - 1 coefficients
+                # accumulate adds in order whatever the stack width; reduce
+                # would sum a one-row stack pairwise.
+                dot = np.add.accumulate(last * cols[m - 1 : 0 : -1], axis=0)[-1]
+                reflect = (cols[m] - dot) / prev
+                phi[m - 1, : m - 1] = last - reflect * last[::-1]
+            phi[m - 1, m - 1] = reflect
+            sigma2s[m] = prev * (1.0 - reflect * reflect)
     usable = (0.0 < sigma2s) & (sigma2s < math.inf)
-    broken = ~np.logical_and.accumulate(usable, axis=1)[:, :-1]  # entering order m
-    sigma2s[:, 1:][broken] = np.nan
-    phi[broken] = np.nan
+    broken = ~np.logical_and.accumulate(usable, axis=0)[:-1]  # entering order m
+    sigma2s[1:][broken] = np.nan
+    np.copyto(phi, np.nan, where=broken[:, None, :])
     shape = g.shape[:-1]
-    return phi.reshape(shape + (order, order)), sigma2s.reshape(shape + (order + 1,))
+    return (
+        phi.transpose(2, 0, 1).reshape(shape + (order, order)),
+        sigma2s.T.reshape(shape + (order + 1,)),
+    )
 
 
 def bic_order(sigma2s, n):

@@ -138,8 +138,14 @@ def _cmd_detect(args) -> int:
     return 0
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"--seed must be a nonnegative integer, got {seed}")
+
+
 def _cmd_simulate(args) -> int:
     spec = builtin_model(args.model)
+    _check_seed(args.seed)
     x = simulate_piecewise(spec, args.seed)
     with _writing(args.out), open(args.out, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -178,8 +184,7 @@ def _cmd_bench(args) -> int:
     cfg = _detect_config(args)
     if args.replicates < 1:
         raise ValueError("replicates must be >= 1")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
+    _check_seed(args.seed)
     with _writing(args.out):
         os.makedirs(args.out, exist_ok=True)
     rows = run_bench(models, args.replicates, args.seed, cfg)

@@ -27,19 +27,20 @@ Positions are evaluated in chunks sized by their Gram stacks: a chunk of
 c windows stacks 3c matrices of (p + 1)^2 entries, at most
 ``CHUNK_VALUES = 2**17`` in all (4854 windows at p = 2 whatever h, so a
 T = 65536 series takes 14 chunks).  A chunk costs a few dozen numpy calls
-whatever its size and sums lag products over c + 3h columns, so the scan
-is O(T) at every radius while c is large against h.  A piece's Gram
+whatever its size and sums lag products over c + 2h columns, so the scan
+is O(T log h) at every radius while c is large against h.  A piece's Gram
 matrix of lags and target is a set of range sums of the p + 1 lag
-products x[s] x[s + l].  They are block-local (van Herk;
-Gil & Werman): cut the products of a chunk into blocks of the range
-length, and each range is the suffix of one block plus the prefix of the
-next, so every entry sums the piece's own terms and its rounding scales
-with them, not with the length of the series.  Left pieces (h - p targets)
-use blocks of h - p; a right piece (h targets) is such a range plus its
-last p products, and the pooled matrix is the sum of the two.  All three
-stacks go through one batched elimination of the p lag rows, target row
-included, so the last pivot of each matrix is its residual sum of squares
-(SSE): no coefficients and no residuals.
+products x[s] x[s + l], made by doubling: sums over ranges of 1, 2, 4,
+... products, each from two of the level below, and a range of length L
+is the sum of the power-of-two ranges of L's set bits, placed one after
+another.  So every entry sums the piece's own terms only, as a binary
+tree, and its rounding scales with them, not with the length of the
+series.  Left pieces (h - p targets) are ranges of h - p products; a right
+piece (h targets) is such a range plus its last p products, and the pooled
+matrix is the sum of the two.  Each matrix is symmetric, so only its upper
+triangle is filled.  All three stacks go through one batched elimination
+of the p lag rows, target row included, so the last pivot of each matrix
+is its residual sum of squares (SSE): no coefficients and no residuals.
 
 That SSE is a difference of the target energy and the part the lags
 explain, and it loses about log10(energy / SSE) digits, more where the
@@ -57,9 +58,9 @@ per-window least-squares fit at the default radius, near-unit-root
 models included.
 
 :func:`extract_candidates` takes the h-wide window maxima on each side of
-every position from the same block kernel with ``np.maximum`` in place of
-``np.add``, O(T) instead of O(T h).  Maxima are exact, so ties resolve as
-in a direct scan of each window.
+every position from the same doubling kernel with ``np.maximum`` in place
+of ``np.add``, O(T log h) instead of O(T h).  Maxima are exact, so ties
+resolve as in a direct scan of each window.
 """
 
 from __future__ import annotations
@@ -164,42 +165,56 @@ def _chunk_windows(order: int) -> int:
 def _window_reduce(op, z: np.ndarray, length: int, out: np.ndarray) -> None:
     """out[..., s] = op.reduce(z[..., s : s + length]) for every column s of out.
 
-    Van Herk / Gil-Werman: cut each row of z into blocks of ``length``; a
-    window is the suffix of one block plus the prefix of the next, from one
-    ``op.accumulate`` each way inside the blocks.  With ``np.add`` each
-    value sums the window's own terms only, so its rounding scales with them,
-    not with the rest of the series (and it is exactly 0 over zeros); with
-    ``np.maximum`` it is the exact window maximum.  out is C-contiguous with
-    a multiple of ``length`` columns, and z has ``length`` more.
+    By doubling: level w holds op over z[..., s : s + w], and level 2w is op
+    of level w and itself shifted by w.  A window is op over the
+    power-of-two blocks of the set bits of ``length``, placed one after
+    another, so about log2(length) + popcount(length) whole-row ufunc
+    calls.  With ``np.add`` each value sums the window's own terms only,
+    as a binary tree, so its rounding scales with them, not with the rest
+    of the series (and it is exactly 0 over zeros); with ``np.maximum`` it
+    is the exact window maximum.  z has at least ``length - 1`` more
+    columns than out.
     """
-    blocks = out.shape[-1] // length + 1
-    zb = z[..., : blocks * length].reshape(*z.shape[:-1], blocks, length)
-    prefix = op.accumulate(zb, axis=-1)
-    suffix = op.accumulate(zb[..., ::-1], axis=-1)[..., ::-1]
-    ob = out.reshape(*out.shape[:-1], blocks - 1, length)
-    ob[..., 0] = suffix[..., :-1, 0]
-    op(suffix[..., :-1, 1:], prefix[..., 1:, :-1], out=ob[..., 1:])
+    m = out.shape[-1]
+    spare = np.empty((2,) + z.shape[:-1] + (m + length - 2,))
+    level, w, done = z, 1, 0
+    while True:
+        if length & w:  # block z[..., s + done : s + done + w]
+            if done:
+                op(out, level[..., done : done + m], out=out)
+            else:
+                out[...] = level[..., :m]
+            done += w
+        if 2 * w > length:
+            return
+        cols = m + length - 2 * w  # what the blocks of 2w and more reach
+        nxt = spare[0, ..., :cols]
+        op(level[..., :cols], level[..., w : w + cols], out=nxt)
+        level, w, spare = nxt, 2 * w, spare[::-1]  # keep level out of the next out
 
 
 def _eliminate(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian elimination without pivoting of the p lag rows of a (p+1, p+1, N) stack.
 
     Index p of each (p+1) x (p+1) Gram matrix is the target and index i < p
-    its lag p - i.  Each lag row in turn is eliminated from every row below
-    it, the target row included, in place; on a symmetric positive definite
-    matrix this is its LDL^T factorization (the eliminated rows are D L^T).
-    The last pivot, gram[p, p], is then the residual sum of squares of the
-    least-squares fit of the target on its lags, and gram[p, k] the target's
-    entry in lag row k as that row was eliminated.  Returns the lag pivots
-    and the diagonal entries they started from, both (p, N).  Raises no
-    warning; a zero pivot leaves inf or NaN behind it.
+    its lag p - i.  Only the upper triangle (j >= i) is read or written, so
+    the lower one may hold anything.  Each lag row in turn is eliminated
+    from every row below it, the target row included, in place; on a
+    symmetric positive definite matrix this is its LDL^T factorization (the
+    eliminated rows are D L^T).  The last pivot, gram[p, p], is then the
+    residual sum of squares of the least-squares fit of the target on its
+    lags, and gram[k, p] the target's entry in lag row k as that row was
+    eliminated.  Returns the lag pivots and the diagonal entries they
+    started from, both (p, N).  Raises no warning; a zero pivot leaves inf
+    or NaN behind it.
     """
     p = gram.shape[0] - 1
     diag = np.diagonal(gram[:p, :p]).T.copy()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(p):
-            factor = gram[k + 1 :, k] / gram[k, k]
-            gram[k + 1 :, k + 1 :] -= factor[:, None] * gram[k, k + 1 :]
+            factor = gram[k, k + 1 :] / gram[k, k]
+            for i in range(k + 1, p + 1):
+                gram[i, i:] -= factor[i - k - 1] * gram[k, i:]
     return np.diagonal(gram[:p, :p]).T, diag
 
 
@@ -260,19 +275,23 @@ def scan_statistics(series, h: int, order: int | None = None) -> ScanProfile:
     # s from a - p + min(i, j) on.  Counting s from a chunk's first window,
     # window w's left piece (targets w + p .. w + h - 1) sums h - p of them
     # from w + min(i, j): sums[0, l, w + min(i, j)].  Its right piece sums h
-    # from w + h - p + min(i, j): the same kind of block range sum plus p
-    # more products, sums[1, l, w + min(i, j)].
-    width = -(-(chunk + h) // (h - p)) * (h - p)  # columns of sums[0]
-    span = width + 2 * h  # columns of z
+    # from w + h - p + min(i, j): the same kind of range sum plus p
+    # more products, sums[1, l, w + min(i, j)], and its pooled piece the sum
+    # of the two, sums[2, l, w + min(i, j)].
+    width = chunk + h  # columns of sums[0]
+    span = width + h  # columns of z
     xz = np.zeros((m - 1) // chunk * chunk + span + p)
     xz[:n] = x
     lagged = sliding_window_view(xz, len(xz) - p)[:dim]  # lagged[l, s] = x[s + l]
     z = np.empty((dim, span))
-    sums = np.empty((2, dim, width))
-    stack = np.empty(dim * dim * 3 * chunk)  # every chunk's Gram stack
+    sums = np.empty((3, dim, width))
+    # Every chunk's Gram stack.  No lower triangle is written, and the
+    # fallback copies whole matrices: zeros, so it copies no unset memory.
+    stack = np.zeros(dim * dim * 3 * chunk)
 
     values = np.empty(m)
     fallback = 0
+    windows = sliding_window_view(x, 2 * h)  # windows[k] is window k
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for k0 in range(0, m, chunk):
             c = min(chunk, m - k0)
@@ -282,20 +301,19 @@ def scan_statistics(series, h: int, order: int | None = None) -> ScanProfile:
             right[:] = sums[0, :, h - p : h + chunk]
             for q in range(2 * h - 2 * p, 2 * h - p):
                 right += z[:, q : q + chunk + p]
+            np.add(sums[0, :, : chunk + p], right, out=sums[2, :, : chunk + p])
             # The (dim, dim, 3, c) Gram stack of the chunk's c windows: left,
             # right, pooled; member piece * c + w of the reshaped stack.
             gram = stack[: dim * dim * 3 * c].reshape(dim, dim, 3, c)
-            for i in range(dim):
-                gram[i, i:, :2] = sums[:, : dim - i, i : i + c].transpose(1, 0, 2)
-                gram[i + 1 :, i, :2] = gram[i, i + 1 :, :2]
-            np.add(gram[:, :, 0], gram[:, :, 1], out=gram[:, :, 2])
+            for i in range(dim):  # upper triangles only (_eliminate)
+                gram[i, i:] = sums[:, : dim - i, i : i + c].transpose(1, 0, 2)
             gram = gram.reshape(dim, dim, 3 * c)
             energy = gram[p, p].copy()
             pivots, diag = _eliminate(gram)
             sse = gram[p, p]
             # Lag row k explains u_k^2 / D_k of the target's energy (u_k =
-            # gram[p, k], D_k its pivot), amplified by diag_k / D_k.
-            amplified = energy + ((gram[p, :p] / pivots) ** 2 * diag).sum(axis=0)
+            # gram[k, p], D_k its pivot), amplified by diag_k / D_k.
+            amplified = energy + ((gram[:p, p] / pivots) ** 2 * diag).sum(axis=0)
             good = (
                 (pivots > FALLBACK_RTOL * diag).all(axis=0)
                 & (sse > FALLBACK_RTOL * amplified)
@@ -310,7 +328,6 @@ def scan_statistics(series, h: int, order: int | None = None) -> ScanProfile:
             phi = _solve_stack(gram[:, :, members], pivots[:, members], diag[:, members])
             phi = phi.reshape(p, 3, len(redo))
             resid_sse = np.empty((3, len(redo)))
-            windows = sliding_window_view(x, 2 * h)  # windows[k] is window k
             for g in range(0, len(redo), group):
                 part = slice(g, g + group)
                 w = windows[k0 + redo[part]]
@@ -326,6 +343,7 @@ def scan_statistics(series, h: int, order: int | None = None) -> ScanProfile:
             values[k0 + redo] = weights @ log_sse + const
     bad = np.isnan(values)
     values[bad] = 0.0
+    h, p = int(h), int(p)  # from any integer type: the report stays JSON-ready
     return ScanProfile(
         values=values, offset=h, radius=h, order=p, degenerate=int(bad.sum()), fallback=fallback
     )
@@ -344,11 +362,11 @@ def extract_candidates(profile: ScanProfile) -> CandidateSet:
     if n == 0:
         raise ValueError("empty scan profile")
     h = profile.radius
-    # ext is the profile with h -inf before it and at least h after; win[k]
+    # ext is the profile with h -inf before it and h after; win[k]
     # is the maximum of ext[k : k + h].  before[i] = win[i] covers
     # vals[i - h .. i - 1], after[i] = win[i + h + 1] covers vals[i + 1 .. i + h].
-    win = np.empty((-(-(n + 1) // h) + 1) * h)
-    ext = np.full(len(win) + h, -np.inf)
+    win = np.empty(n + h + 1)
+    ext = np.full(n + 2 * h, -np.inf)
     ext[h : h + n] = vals
     _window_reduce(np.maximum, ext, h, win)
     before = win[:n]

@@ -306,6 +306,24 @@ class TestLevinsonPath:
             _, nested = levinson_path(stack.reshape(2, 2, order + 1), order)
             assert np.array_equal(nested.reshape(4, order + 1), sigma2s, equal_nan=True)
 
+    @pytest.mark.parametrize("order", [13, 20])
+    def test_wide_stacks_match_rows_one_at_a_time(self, order):
+        # numpy sums a one-row reduction in another order than a stack-wide
+        # one; every row's dot products must add up the same either way.
+        rng = np.random.default_rng(order)
+        rows = []
+        for _ in range(19):
+            e = rng.standard_normal(600)
+            x = e[2:] + rng.uniform(-0.8, 0.8) * e[1:-1] + rng.uniform(-0.5, 0.5) * e[:-2]
+            rows.append(sample_autocov(mean_correct(x), order))
+        alone = [levinson_path(row, order) for row in rows]
+        assert all(np.isfinite(sigma2s).all() for _, sigma2s in alone)
+        for size in (1, 2, 4, 19):
+            phi, sigma2s = levinson_path(np.stack(rows[:size]), order)
+            for k in range(size):
+                assert np.array_equal(phi[k], alone[k][0])
+                assert np.array_equal(sigma2s[k], alone[k][1])
+
     def test_bic_order_of_a_stack_is_each_rows(self):
         rng = np.random.default_rng(3)
         gammas = np.stack([random_ar_autocov(rng) for _ in range(3)] + [np.zeros(13)])

@@ -211,6 +211,14 @@ class TestSimulateCommand:
         sidecar = json.loads((tmp_path / "b.csv.json").read_text())
         assert sidecar["true_cps"] == [512, 768]
 
+    def test_simulate_negative_seed_exit_2_without_out(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        code = main(["simulate", "--model", "B", "--seed", "-1", "-o", str(out)])
+        assert code == 2
+        assert "--seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "b.csv.json").exists()
+
     def test_simulate_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["simulate", "--model", "G", "--seed", "9", "-o", str(a)])

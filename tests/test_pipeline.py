@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,14 @@ class TestDetect:
                 DetectConfig(**bad)
         # numpy integers are integers
         assert DetectConfig(window_radius=np.int64(20), scan_order=np.int32(2)).scan_order == 2
+
+    def test_numpy_integer_config_report_is_json_ready(self):
+        x = simulate_piecewise(builtin_model("B"), 0)
+        cfg = DetectConfig(window_radius=np.int64(50), scan_order=np.int32(2))
+        d = json.loads(json.dumps(detect_changepoints(x, cfg).to_dict()))
+        assert d["config"]["window_radius"] == 50
+        assert d["config"]["scan_order"] == 2
+        assert d == detect_changepoints(x, DetectConfig(scan_order=2)).to_dict()
 
     def test_multidimensional_series_rejected(self):
         # two columns used to be interleaved into one series of length 2048

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from arcpd import scan as scan_module
 from arcpd.ar import mean_correct
@@ -16,6 +17,7 @@ from arcpd.scan import (
     _chunk_windows,
     _eliminate,
     _solve_stack,
+    _window_reduce,
     extract_candidates,
     scan_statistics,
 )
@@ -197,10 +199,11 @@ class TestScanStatistics:
 
     @pytest.mark.parametrize("h", [3, 7, 25])
     def test_block_edges_match_brute_force(self, h, monkeypatch):
-        # Gram matrices are range sums over blocks of h - p lag products, so
-        # windows sit at every offset in a block.  Chunks of 2h + 1 windows
-        # start mid-block; window counts are a multiple of h, one off it, and
-        # 1 (T = 2h).
+        # Gram matrices are range sums of h - p lag products, each made of
+        # the power-of-two blocks of h - p's set bits (1 to 25 here: one
+        # block or several), reaching to the last column of a chunk's sums.
+        # Chunks of 2h + 1 windows leave a short last chunk; window counts
+        # are a multiple of h, one off it, and 1 (T = 2h).
         for order in range((h - 1) // 2 + 1):
             monkeypatch.setattr(scan_module, "CHUNK_VALUES", 3 * (order + 1) ** 2 * (2 * h + 1))
             assert _chunk_windows(order) == 2 * h + 1
@@ -214,7 +217,7 @@ class TestScanStatistics:
 
     @pytest.mark.parametrize("order", [2, 10])
     def test_wide_radius_across_a_chunk_edge(self, order):
-        # At h = 200 a chunk sums lag products over 3h = 600 columns beyond
+        # At h = 200 a chunk sums lag products over 2h = 400 columns beyond
         # its windows: more than the 361 windows of an order-10 chunk.  The
         # second chunk holds h + 1 windows.
         h = 200
@@ -347,6 +350,45 @@ class TestScanStatistics:
         assert min(abs(t - 400), abs(t - 612)) <= 40
 
 
+class TestWindowReduce:
+    LENGTHS = sorted({1, 2, 3, 5, 7, 31, 32, 33, 50, 63, 64, 97, 127, 128, 129, 255, 256, 259, 260})
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_sums_are_window_local(self, length):
+        # Terms spread over twelve decades: a window's error is bounded by
+        # its own terms, whatever the rest of the row holds.
+        rng = np.random.default_rng(length)
+        z = rng.standard_normal((2, length + 300)) * 10.0 ** rng.uniform(-6, 6, (2, length + 300))
+        out = np.empty((2, 301))
+        _window_reduce(np.add, z, length, out)
+        eps = np.finfo(float).eps
+        for r in range(2):
+            for s in range(301):
+                terms = z[r, s : s + length]
+                bound = (math.ceil(math.log2(length)) + 1) * eps * math.fsum(np.abs(terms))
+                assert abs(out[r, s] - math.fsum(terms)) <= bound
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_sums_over_zeros_are_exactly_zero(self, length):
+        rng = np.random.default_rng(1000 + length)
+        z = np.concatenate([1e8 * rng.standard_normal(300), np.zeros(length + 40), rng.standard_normal(300)])
+        out = np.empty(len(z) - length + 1)
+        _window_reduce(np.add, z, length, out)
+        assert (out[300:341] == 0.0).all()
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_maxima_equal_a_direct_scan(self, length):
+        rng = np.random.default_rng(2000 + length)
+        ties = rng.integers(0, 3, 2 * length + 100).astype(float)
+        padded = np.concatenate([np.full(length, -np.inf), ties, np.full(length, np.inf)])
+        padded[length + 7] = -np.inf
+        for z in (ties, padded):
+            want = sliding_window_view(z, length).max(axis=-1)
+            out = np.empty(len(want))
+            _window_reduce(np.maximum, z, length, out)
+            assert out.tobytes() == want.tobytes()
+
+
 def eliminate_and_solve(gram):
     """_solve_stack's back-substitution on a copy of gram that _eliminate has reduced."""
     gram = gram.copy()
@@ -362,6 +404,18 @@ class TestSolveStack:
         want = np.linalg.solve(a[:, :p, :p], a[:, :p, p:])[:, :, 0].T
         got = eliminate_and_solve(gram)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 10])
+    def test_lower_triangle_is_never_read(self, p):
+        gram = gram_stack(np.random.default_rng(200 + p).standard_normal((30, 60, p + 1)))
+        junk = gram.copy()
+        junk[np.tril_indices(p + 1, -1)] = np.nan
+        pivots, diag = _eliminate(gram)
+        junk_pivots, junk_diag = _eliminate(junk)
+        upper = np.triu_indices(p + 1)
+        assert np.array_equal(junk[upper], gram[upper])
+        assert np.array_equal(junk_pivots, pivots) and np.array_equal(junk_diag, diag)
+        assert np.array_equal(_solve_stack(junk, pivots, diag), _solve_stack(gram, pivots, diag))
 
     @pytest.mark.parametrize("p", [1, 2, 5, 10])
     def test_singular_members_are_nan(self, p):
