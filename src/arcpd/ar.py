@@ -3,20 +3,18 @@
 A time series is a 1-D float array.  Everything here treats the input as
 already mean-corrected unless noted; use :func:`mean_correct` first.
 
-:func:`levinson_path` is the one Levinson-Durbin recursion.  It takes a
-stack of autocovariance rows (shape (..., L); a 1-D input is one row, as
-from :func:`sample_autocov`) and gives each row's Yule-Walker coefficients
-and innovation variance at every order up to the one asked for, with
-vector operations across rows and a Python loop over orders only.  It
-works on the stack transposed, orders on the outer axis and rows on the
-inner (autocovariances (L, count), coefficients (order, order, count)), so
-each step of the loop is a few ufunc calls over contiguous stack-wide
-rows; its results come back in the caller's shapes.  Its dot products
-add their terms in order, so a row's result depends on that row alone,
-bit for bit, stacked or not.  Breakdown
-follows one convention for every row: a row whose variance at order m - 1
-is not positive and finite stops there, and its later variances and
-coefficient rows are NaN.
+:func:`levinson_path` is the one Levinson-Durbin recursion, in its Schur
+form (Le Roux & Gueguen 1977).  It takes a stack of autocovariance rows
+(shape (..., L); a 1-D input is one row, as from :func:`sample_autocov`)
+and gives each row's reflection coefficients and Yule-Walker innovation
+variances at every order up to the one asked for, with vector operations
+across rows and a Python loop over orders only.  It updates two generator
+columns, copies of the autocovariances with lags on the outer axis and
+rows on the inner, so each step is a few elementwise ufunc calls over
+contiguous stack-wide rows, and a row's result depends on that row alone,
+bit for bit, stacked or not.  Breakdown follows one convention for every
+row: a row whose variance at order m - 1 is not positive and finite stops
+there, and its later variances and reflection coefficients are NaN.
 
 :func:`bic_order` is the one BIC scorer, read off such paths alone with the
 concentrated Gaussian likelihood: BIC(p) = n * (log(2 pi) + log sigma2_p + 1)
@@ -24,10 +22,12 @@ concentrated Gaussian likelihood: BIC(p) = n * (log(2 pi) + log sigma2_p + 1)
 depends on the data only through ratios of innovation variances, the
 selected order does not depend on the units (scale) of the series.
 
-Coefficients are those of the predictor: ``phi[p-1, :p]`` of
-:func:`levinson_path` fits x[t] ~ phi_1 x[t-1] + ... + phi_p x[t-p], the
-generating convention of :mod:`arcpd.simulate`, so a process simulated with
-``ar=(0.7,)`` gives ``phi[0, 0] ~= 0.7``.
+Reflection coefficients carry the predictor's sign, that of
+x[t] ~ phi_1 x[t-1] + ... + phi_p x[t-p], the generating convention of
+:mod:`arcpd.simulate`: a process simulated with ``ar=(0.7,)`` gives
+``reflect[0] ~= 0.7``.  The order-p predictor is the step-up of
+reflect[:p]: phi_m = k_m and phi_j <- phi_j - k_m phi_{m-j} for each order
+m, with k_m = reflect[m-1].
 """
 
 from __future__ import annotations
@@ -87,55 +87,50 @@ def sample_autocov(values, max_lag: int) -> np.ndarray:
 
 
 def levinson_path(gamma, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the Yule-Walker equations of every order up to `order`, per row.
+    """Reflection coefficients and innovation variances of every order up to
+    `order`, per row, by the Schur recursion.
 
     gamma is one autocovariance row or a stack of rows, shape (..., L) with
-    L > order.  Returns (phi, sigma2s) of shapes (..., order, order) and
-    (..., order + 1): phi[..., p-1, :p] are the predictor coefficients of
-    the order-p solution (x[t] ~ sum phi_j x[t-j]; the whitening
-    coefficients are -phi[..., p-1, :p]) and sigma2s[..., p] is the
-    innovation variance at order p.  Each order is equivalent to a dense
-    Toeplitz solve but costs O(p) per row.  A row whose sigma2s[m-1] is not
-    positive and finite breaks down entering order m: its sigma2s past
-    m - 1 and its phi rows from order m on are NaN.  Callers read a row's
-    breakdown order off its first variance that is not positive and finite.
+    L > order.  Returns (reflect, sigma2s) of shapes (..., order) and
+    (..., order + 1): reflect[..., m-1] is the order-m reflection (partial
+    autocorrelation) coefficient k_m and sigma2s[..., m] the innovation
+    variance of the order-m Yule-Walker fit.  The generators a and b start
+    as gamma[:order + 1]; order m takes k_m = a[m] / b[m-1] and
+    sigma2s[m] = sigma2s[m-1] * (1 - k_m**2), then, from the old values,
+    sets a[i] -= k_m b[i-1] for i > m and b[i] = b[i-1] - k_m a[i] for
+    m <= i < order.  Each order is equivalent to a dense Toeplitz solve but
+    costs O(order) per row.  A row whose sigma2s[m-1] is not positive and
+    finite breaks down entering order m: its sigma2s past m - 1 and its
+    reflect from order m on are NaN.  Callers read a row's breakdown order
+    off its first variance that is not positive and finite.
     """
     g = np.asarray(gamma, dtype=float)
     if not 0 <= order < g.shape[-1]:
         raise ValueError(
             f"need autocovariances to lag {order}, have {g.shape[-1] - 1}"
         )
-    # Orders on the outer axis, rows on the inner (module docstring).
-    cols = np.ascontiguousarray(g.reshape(-1, g.shape[-1])[:, : order + 1].T)
-    count = cols.shape[1]
-    phi = np.zeros((order, order, count))
-    sigma2s = np.empty((order + 1, count))
-    sigma2s[0] = cols[0]
+    # The two generator columns, lags on the outer axis and rows on the
+    # inner; a copy, since the recursion updates them in place.
+    a = g.reshape(-1, g.shape[-1])[:, : order + 1].T.copy()
+    b = a.copy()
+    reflect = np.empty((order, a.shape[1]))
+    sigma2s = np.empty_like(a)
+    sigma2s[0] = a[0]
     # A row keeps computing after it breaks down; what it computes then is
     # masked with NaN below, so its warnings mean nothing.
     with np.errstate(all="ignore"):
         for m in range(1, order + 1):
-            prev = sigma2s[m - 1]
-            if m == 1:
-                reflect = cols[1] / prev
-            else:
-                last = phi[m - 2, : m - 1]  # order m - 1 coefficients
-                # accumulate adds in order whatever the stack width; reduce
-                # would sum a one-row stack pairwise.
-                dot = np.add.accumulate(last * cols[m - 1 : 0 : -1], axis=0)[-1]
-                reflect = (cols[m] - dot) / prev
-                phi[m - 1, : m - 1] = last - reflect * last[::-1]
-            phi[m - 1, m - 1] = reflect
-            sigma2s[m] = prev * (1.0 - reflect * reflect)
+            k = reflect[m - 1] = a[m] / b[m - 1]
+            sigma2s[m] = sigma2s[m - 1] * (1.0 - k * k)
+            new_b = b[m - 1 : order - 1] - k * a[m:order]
+            a[m + 1 :] -= k * b[m:order]
+            b[m:order] = new_b
     usable = (0.0 < sigma2s) & (sigma2s < math.inf)
     broken = ~np.logical_and.accumulate(usable, axis=0)[:-1]  # entering order m
     sigma2s[1:][broken] = np.nan
-    np.copyto(phi, np.nan, where=broken[:, None, :])
+    reflect[broken] = np.nan
     shape = g.shape[:-1]
-    return (
-        phi.transpose(2, 0, 1).reshape(shape + (order, order)),
-        sigma2s.T.reshape(shape + (order + 1,)),
-    )
+    return reflect.T.reshape(shape + (order,)), sigma2s.T.reshape(shape + (order + 1,))
 
 
 def bic_order(sigma2s, n):

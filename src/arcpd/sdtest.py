@@ -67,6 +67,7 @@ untestable.  The pass returns the report's records, one
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +103,13 @@ class OrderMode:
     def __post_init__(self):
         if self.kind not in ("fixed", "bic"):
             raise ValueError(f"unknown order mode {self.kind!r}")
+        if not isinstance(self.exponent, numbers.Real):
+            raise ValueError(f"exponent must be a real number, got {self.exponent!r}")
+        if not isinstance(self.max_order, numbers.Integral):
+            raise ValueError(f"max_order must be an integer, got {self.max_order!r}")
+        # Plain Python numbers, so the report's to_dict is JSON-ready.
+        object.__setattr__(self, "exponent", float(self.exponent))
+        object.__setattr__(self, "max_order", int(self.max_order))
         if self.kind == "fixed" and not self.exponent > 1.0:
             raise ValueError("fixed-order exponent must be > 1")
         if self.kind == "bic" and self.max_order < 1:

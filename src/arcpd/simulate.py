@@ -5,8 +5,8 @@ Coefficients here use the generating convention
     x[t] = ar_1 x[t-1] + ... + ar_p x[t-p] + e[t] + ma_1 e[t-1] + ... + ma_q e[t-q]
 
 with ``e[t] ~ N(0, noise_sd**2)``.  The fitting module (:mod:`arcpd.ar`)
-uses the same sign: an AR(1) generated with ``ar=(0.7,)`` has Levinson
-predictor coefficient ``phi[0, 0] ~= 0.7``.
+uses the same sign: an AR(1) generated with ``ar=(0.7,)`` has order-1
+reflection coefficient ``reflect[0] ~= 0.7`` on its Levinson path.
 
 Reproducibility: draws come from a Philox counter-based generator keyed by
 ``numpy.random.SeedSequence``.  ``simulate_piecewise(spec, seed)`` is

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -40,11 +41,23 @@ def toeplitz_solve(gamma, order):
     return coeffs, sigma2
 
 
+def step_up(reflect):
+    """Predictor coefficients phi_1..phi_p from reflection coefficients
+    k_1..k_p: order m sets phi_m = k_m and phi_j -= k_m phi_{m-j}."""
+    phi = np.empty(0)
+    for m, k in enumerate(reflect, start=1):
+        new = np.empty(m)
+        new[m - 1] = k
+        new[: m - 1] = phi - k * phi[::-1]
+        phi = new
+    return phi
+
+
 def yule_walker(gamma, order):
     """(whitening coefficients, innovation variance) of the order-`order` fit,
     read off one levinson_path."""
-    phi, sigma2s = levinson_path(np.asarray(gamma, dtype=float), order)
-    return -phi[order - 1, :order] if order else np.empty(0), sigma2s[order]
+    reflect, sigma2s = levinson_path(np.asarray(gamma, dtype=float), order)
+    return -step_up(reflect), sigma2s[order]
 
 
 def brute_force_bic_order(x, max_order):
@@ -76,13 +89,7 @@ def random_ar_autocov(rng, order_hint=None):
     p = order_hint or rng.integers(1, 6)
     # partial autocorrelations in (-0.9, 0.9) guarantee stationarity
     pacf = rng.uniform(-0.9, 0.9, size=p)
-    # build coefficients by the forward recursion
-    phi = np.empty(0)
-    for m, k in enumerate(pacf, start=1):
-        new = np.empty(m)
-        new[m - 1] = k
-        new[: m - 1] = phi - k * phi[::-1]
-        phi = new
+    phi = step_up(pacf)
     # run the process long enough to estimate sample autocovariances
     n = 2048
     e = rng.standard_normal(n + 200)
@@ -204,8 +211,8 @@ class TestLevinsonDurbin:
             pair_test(np.zeros(50), rng.standard_normal(50))
 
     def test_order_zero_needs_no_positive_variance(self):
-        phi, sigma2s = levinson_path(np.array([0.0]), 0)
-        assert phi.shape == (0, 0) and sigma2s.tolist() == [0.0]
+        reflect, sigma2s = levinson_path(np.array([0.0]), 0)
+        assert reflect.shape == (0,) and sigma2s.tolist() == [0.0]
 
     def test_breakdown_names_stage(self):
         # Each product of two values of size 2.3e-162 rounds to the smallest
@@ -244,22 +251,23 @@ class TestFitAr:
         # order rely on
         rng = np.random.default_rng(10)
         x = mean_correct(rng.standard_normal(128))
-        phi, sigma2s = levinson_path(sample_autocov(x, 6), 6)
+        reflect, sigma2s = levinson_path(sample_autocov(x, 6), 6)
         assert len(sigma2s) == 7
         for p in range(1, 7):
             coeffs, sigma2 = self.fit(x, p)
-            assert np.array_equal(-phi[p - 1, :p], coeffs)
+            assert np.array_equal(-step_up(reflect[:p]), coeffs)
             assert sigma2s[p] == sigma2
 
     def test_recovers_ar1_coefficient(self):
-        # generated with x[t] = 0.7 x[t-1] + e[t]: levinson_path's predictor
-        # keeps the sign, the whitening coefficients of yule_walker flip it
+        # generated with x[t] = 0.7 x[t-1] + e[t]: levinson_path's reflection
+        # coefficient keeps the predictor's sign, the whitening coefficients
+        # of yule_walker flip it
         spec = PiecewiseSpec(((ArmaSpec(ar=(0.7,)), 4096),))
         x = mean_correct(simulate_piecewise(spec, 0))
-        phi, _ = levinson_path(sample_autocov(x, 1), 1)
-        assert abs(phi[0, 0] - 0.7) < 0.05
+        reflect, _ = levinson_path(sample_autocov(x, 1), 1)
+        assert abs(reflect[0] - 0.7) < 0.05
         coeffs, _ = self.fit(x, 1)
-        assert coeffs[0] == -phi[0, 0]
+        assert coeffs[0] == -reflect[0]
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(30)
@@ -273,14 +281,14 @@ class TestFitAr:
 class TestLevinsonPath:
     def test_stops_at_last_order_reached(self):
         # perfectly correlated: zero residual variance at order 1, NaN past it
-        phi, sigma2s = levinson_path(np.array([1.0, 1.0, 1.0, 1.0]), 3)
+        reflect, sigma2s = levinson_path(np.array([1.0, 1.0, 1.0, 1.0]), 3)
         assert sigma2s[:2].tolist() == [1.0, 0.0] and np.isnan(sigma2s[2:]).all()
-        assert phi[0, 0] == 1.0 and np.isnan(phi[1:]).all()
+        assert reflect[0] == 1.0 and np.isnan(reflect[1:]).all()
 
     def test_zero_gamma0_stops_at_order_zero(self):
-        phi, sigma2s = levinson_path(np.zeros(4), 3)
+        reflect, sigma2s = levinson_path(np.zeros(4), 3)
         assert sigma2s[0] == 0.0 and np.isnan(sigma2s[1:]).all()
-        assert np.isnan(phi).all()
+        assert np.isnan(reflect).all()
 
     @pytest.mark.parametrize("order", [3, 10])
     def test_stack_matches_rows_one_at_a_time(self, order):
@@ -292,13 +300,13 @@ class TestLevinsonPath:
             stack = np.stack([rows[0], broken, rows[1], rows[2]])
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                phi, sigma2s = levinson_path(stack, order)
-            assert phi.shape == (4, order, order) and sigma2s.shape == (4, order + 1)
-            for k, (want_phi, want_sigma2s) in zip((0, 2, 3), alone):
-                assert np.array_equal(phi[k], want_phi)
+                reflect, sigma2s = levinson_path(stack, order)
+            assert reflect.shape == (4, order) and sigma2s.shape == (4, order + 1)
+            for k, (want_reflect, want_sigma2s) in zip((0, 2, 3), alone):
+                assert np.array_equal(reflect[k], want_reflect)
                 assert np.array_equal(sigma2s[k], want_sigma2s)
-            broken_phi, broken_sigma2s = levinson_path(broken, order)
-            assert np.array_equal(phi[1], broken_phi, equal_nan=True)
+            broken_reflect, broken_sigma2s = levinson_path(broken, order)
+            assert np.array_equal(reflect[1], broken_reflect, equal_nan=True)
             assert np.array_equal(sigma2s[1], broken_sigma2s, equal_nan=True)
             assert sigma2s[1, stop] == 0.0 and np.isfinite(sigma2s[1, :stop]).all()
             assert np.isnan(sigma2s[1, stop + 1 :]).all()
@@ -308,8 +316,7 @@ class TestLevinsonPath:
 
     @pytest.mark.parametrize("order", [13, 20])
     def test_wide_stacks_match_rows_one_at_a_time(self, order):
-        # numpy sums a one-row reduction in another order than a stack-wide
-        # one; every row's dot products must add up the same either way.
+        # a row's result must not depend on how many rows share its stack
         rng = np.random.default_rng(order)
         rows = []
         for _ in range(19):
@@ -319,10 +326,37 @@ class TestLevinsonPath:
         alone = [levinson_path(row, order) for row in rows]
         assert all(np.isfinite(sigma2s).all() for _, sigma2s in alone)
         for size in (1, 2, 4, 19):
-            phi, sigma2s = levinson_path(np.stack(rows[:size]), order)
+            reflect, sigma2s = levinson_path(np.stack(rows[:size]), order)
             for k in range(size):
-                assert np.array_equal(phi[k], alone[k][0])
+                assert np.array_equal(reflect[k], alone[k][0])
                 assert np.array_equal(sigma2s[k], alone[k][1])
+
+    @pytest.mark.parametrize("shape", [(7,), (1, 7), (4, 7), (2, 3, 7)])
+    def test_input_is_left_unchanged(self, shape):
+        # the recursion updates its generators in place; the transpose of a
+        # one-row stack is contiguous, so only an explicit copy protects it
+        rng = np.random.default_rng(sum(shape))
+        rows = [random_ar_autocov(rng)[:7] for _ in range(math.prod(shape[:-1]))]
+        gamma = np.stack(rows).reshape(shape)
+        before = gamma.tobytes()
+        levinson_path(gamma, 6)
+        assert gamma.tobytes() == before
+
+    @pytest.mark.parametrize("ar", [(0.999,), (1.399, -0.4), (1.69, -0.81)])
+    @pytest.mark.parametrize("length", [108, 200, 400])
+    def test_near_unit_root_matches_exact_toeplitz_solve(self, ar, length):
+        # against a 50-digit dense Yule-Walker solve of the same sample
+        # autocovariances, at every order 1..13
+        spec = PiecewiseSpec(((ArmaSpec(ar=ar), length),))
+        gamma = sample_autocov(mean_correct(simulate_piecewise(spec, length)), 13)
+        _, sigma2s = levinson_path(gamma, 13)
+        with mpmath.workdps(50):
+            g = [mpmath.mpf(float(v)) for v in gamma]
+            for p in range(1, 14):
+                G = mpmath.matrix([[g[abs(i - j)] for j in range(p)] for i in range(p)])
+                phi = mpmath.lu_solve(G, mpmath.matrix(g[1 : p + 1]))
+                want = g[0] - sum(g[j + 1] * phi[j] for j in range(p))
+                assert abs(sigma2s[p] / want - 1) <= 1e-12, (p, sigma2s[p], want)
 
     def test_bic_order_of_a_stack_is_each_rows(self):
         rng = np.random.default_rng(3)

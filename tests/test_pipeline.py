@@ -194,6 +194,22 @@ class TestDetect:
         assert d["config"]["scan_order"] == 2
         assert d == detect_changepoints(x, DetectConfig(scan_order=2)).to_dict()
 
+    def test_numpy_order_mode_report_is_json_ready(self):
+        x = simulate_piecewise(builtin_model("B"), 0)
+        for mode, plain in [
+            (OrderMode.fixed(np.float32(1.5)), OrderMode.fixed(1.5)),
+            (OrderMode.bic(np.int64(10)), OrderMode.bic(10)),
+        ]:
+            d = json.loads(json.dumps(detect_changepoints(x, DetectConfig(order_mode=mode)).to_dict()))
+            assert d == detect_changepoints(x, DetectConfig(order_mode=plain)).to_dict()
+            assert type(mode.exponent) is float and type(mode.max_order) is int
+
+    def test_order_mode_rejects_non_numbers(self):
+        with pytest.raises(ValueError, match=r"max_order must be an integer, got 10\.5"):
+            OrderMode.bic(10.5)
+        with pytest.raises(ValueError, match="exponent must be a real number"):
+            OrderMode.fixed("1.5")
+
     def test_multidimensional_series_rejected(self):
         # two columns used to be interleaved into one series of length 2048
         b = simulate_piecewise(builtin_model("B"), 0)
