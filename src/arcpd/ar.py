@@ -46,6 +46,9 @@ __all__ = [
 ]
 
 LOG_2PI = math.log(2.0 * math.pi)
+# Exact-fit rule of the scan and the segment test: a residual sum of squares or
+# centred lag-0 sum of at most 1e-20 times the raw energy is rounding noise.
+EXACT_FIT_RTOL = 1e-20
 
 
 class DegenerateFitError(ArithmeticError):

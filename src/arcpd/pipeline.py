@@ -67,6 +67,9 @@ class DetectConfig:
             raise ValueError(
                 f"correction must be one of {sorted(CORRECTIONS)}, got {self.correction!r}"
             )
+        if not isinstance(self.alpha, numbers.Real):
+            raise ValueError(f"alpha must be a real number, got {self.alpha!r}")
+        object.__setattr__(self, "alpha", float(self.alpha))  # JSON-ready, as in OrderMode
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
 

@@ -70,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .ar import LOG_2PI, as_series, bic_select_order
+from .ar import EXACT_FIT_RTOL, LOG_2PI, as_series, bic_select_order
 
 __all__ = [
     "ScanProfile",
@@ -94,11 +94,9 @@ AUTO_MAX_ORDER = 10
 # 2 MB stack at p = 2) 17% slower than 2**17 at order 2.
 CHUNK_VALUES = 2**17
 
-# Degenerate-piece rules (module docstring).  A pivot ratio of 1e-10 means the
-# normal equations have lost about ten of sixteen digits; a residual sum of
-# squares of 1e-20 times the energy is rounding noise of an exact fit.
+# Degenerate-piece rules (module docstring), with ar.EXACT_FIT_RTOL.  A pivot
+# ratio of 1e-10 means the normal equations have lost about ten of sixteen digits.
 PIVOT_RTOL = 1e-10
-EXACT_FIT_RTOL = 1e-20
 # Conditioning below which a window's SSEs come from explicit residuals
 # (module docstring): a well-conditioned SSE carries a relative error of a
 # few roundoffs / FALLBACK_RTOL, about 1e-12.

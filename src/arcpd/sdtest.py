@@ -20,14 +20,13 @@ vectorised pass; a pair test is the one-boundary partition.  Each segment
 gets one row of one autocovariance table, so an inner segment is fitted
 once for both of its boundaries.  The table is built lag by lag from one
 buffer that holds each centred segment behind as many zeros as the highest
-lag (at least one): every product that would cross a segment bound is a
-product with a padded zero, so one multiply and one per-segment sum give a
-whole column.  One boolean mask of the buffer's sample slots places the
-raw samples, whose segment sums (each from its segment's leading zero)
-give the means, and then the centred ones.  Adjacent rows are pooled into
-the rows below the segments' in the same array, and one stacked
-:func:`arcpd.ar.levinson_path` runs every segment row and every pooled
-row at once; each fit reads its variance at its own order, which is exact
+lag (at least one), written once through a boolean mask of its sample
+slots: every product that would cross a segment bound is a product with a
+padded zero, so one multiply and one per-segment sum give a whole column
+of lag sums.  Each pooled row, c[j] above, is its two segments' rows of
+sums over T1 + T2, and sits below the segments' rows in one array.  One
+stacked :func:`arcpd.ar.levinson_path` runs every segment row and every
+pooled row at once; each fit reads its variance at its own order, exact
 because the path is prefix-consistent.  The pass costs a fixed few dozen
 numpy calls plus a few per lag, and the chi-square tail is one table of
 terms (:func:`chi_sq_upper_tail`), not a loop over its steps.  Each
@@ -56,10 +55,10 @@ that is not positive and finite.  Otherwise its warning names the first fit
 that does not, its stop k and the variance v there: "{first|second|pooled}
 segment fit breaks down at order k: residual variance v".
 
-A segment whose centred lag-0 autocovariance is at most ``EXACT_FIT_RTOL``
-(the scan's exact-fit rule) times its raw mean square is constant up to
-rounding, whether or not its mean rounds exactly: its row of the table is
-set to 0, so its fit breaks down at order 0 and its boundaries are
+A segment whose centred lag-0 sum S0 is at most ``EXACT_FIT_RTOL`` (the
+scan's exact-fit rule) times its raw energy S0 + T * mean**2 is constant up
+to rounding, whether or not its mean rounds exactly: its row of the table
+is set to 0, so its fit breaks down at order 0 and its boundaries are
 untestable.  The pass returns the report's records, one
 :class:`BoundaryTest` per boundary.
 """
@@ -72,11 +71,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ar import as_series, bic_order, levinson_path
+from .ar import EXACT_FIT_RTOL, as_series, bic_order, levinson_path
 
 # Not called here: kept as a module attribute so that perfbench/spans.py TARGETS can wrap it.
 from .ar import bic_select_order  # noqa: F401
-from .scan import EXACT_FIT_RTOL
 
 # Terms per block of the chi-square tail's table (chi_sq_upper_tail), 1 MB of
 # doubles: one call's peak is a few such blocks, whatever df and the number of
@@ -199,33 +197,27 @@ def discrimination_test(x, positions, mode: OrderMode | None = None) -> tuple[Bo
     is_sample = np.zeros(2 * count, dtype=bool)
     is_sample[1::2] = True
     is_sample = np.repeat(is_sample, layout)
+    mean = np.add.reduceat(x, bounds[:-1]) / n
     buf = np.zeros(len(x) + pad * count)
-    buf[is_sample] = x
-    # reduceat adds a range's first value to the pairwise sum of the rest;
-    # from the zero before a segment it gives the pairwise sum itself,
-    # np.mean's, so each segment's mean is its own mean bit for bit.
-    lead = edges.copy()
-    lead[::2] -= 1
-    buf[is_sample] = x - np.repeat(np.add.reduceat(buf, lead)[::2] / n, n)
-    # One autocovariance table: row s holds segment s's lags 0..width, and
-    # the rows after the segments' hold the pooled fits'.
+    buf[is_sample] = x - np.repeat(mean, n)
+    # One table of lag sums, then autocovariances: row s holds segment s's
+    # lags 0..width, and the rows after the segments' hold the pooled fits'.
     rows = np.empty((2 * count - 1, width + 1))
     table, pooled = rows[:count], rows[count:]
     prod = np.empty_like(buf)
-    # Products and the weighted pooled sums may overflow: an inf or NaN row's
-    # fit breaks down at order 0, and an overflowing mean square decides
-    # nothing (constant segments: module docstring).
+    # Products, energies and pooled sums may overflow: an inf or NaN row's fit
+    # breaks down at order 0, and an overflowing energy decides nothing
+    # (constant segments: module docstring).
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(width + 1):
             np.multiply(buf[j:], buf[: len(buf) - j], out=prod[j:])
             table[:, j] = np.add.reduceat(prod, edges)[::2]
-        mean_sq = np.add.reduceat(np.multiply(x, x, out=prod[: len(x)]), bounds[:-1]) / n
         del buf, prod, is_sample  # sample-length; the rest of the pass is per segment
-        table /= n[:, None]
-        table[(table[:, 0] <= EXACT_FIT_RTOL * mean_sq) & (mean_sq < math.inf)] = 0.0
-        np.multiply(n1[:, None], table[:-1], out=pooled)
-        pooled += n2[:, None] * table[1:]
+        energy = table[:, 0] + n * mean * mean
+        table[(table[:, 0] <= EXACT_FIT_RTOL * energy) & (energy < math.inf)] = 0.0
+        np.add(table[:-1], table[1:], out=pooled)
         pooled /= (n1 + n2)[:, None]
+        table /= n[:, None]
 
     _, paths = levinson_path(rows, width)
     path_seg, path_0 = paths[:count], paths[count:]

@@ -210,6 +210,17 @@ class TestDetect:
         with pytest.raises(ValueError, match="exponent must be a real number"):
             OrderMode.fixed("1.5")
 
+    def test_numpy_alpha_report_is_json_ready(self):
+        x = simulate_piecewise(builtin_model("B"), 0)
+        cfg = DetectConfig(alpha=np.float32(0.05))
+        d = json.loads(json.dumps(detect_changepoints(x, cfg).to_dict()))
+        assert type(cfg.alpha) is float
+        assert d["config"]["alpha"] == d["correction"]["alpha"] == float(np.float32(0.05))
+
+    def test_alpha_must_be_a_real_number(self):
+        with pytest.raises(ValueError, match="alpha must be a real number, got '0.05'"):
+            DetectConfig(alpha="0.05")
+
     def test_multidimensional_series_rejected(self):
         # two columns used to be interleaved into one series of length 2048
         b = simulate_piecewise(builtin_model("B"), 0)

@@ -625,11 +625,11 @@ class TestPartition:
         assert [bt.left_range for bt in tests[1:]] == [bt.right_range for bt in tests[:-1]]
 
     @pytest.mark.parametrize("mode", [OrderMode.fixed(), OrderMode.bic()], ids=["fixed", "bic"])
-    @pytest.mark.parametrize("value", [0.1, 0.3, 1.7])
+    @pytest.mark.parametrize("value", [0.1, 0.3, 1.7, 1e6 + 0.1, -2.5e-7])
     def test_constant_segment_is_untestable(self, value, mode):
         # Only 0.3's mean rounds exactly, so only it centres to exact zeros;
-        # 0.1 and 1.7 leave tiny equal residues.  The relative rule makes all
-        # three constant.
+        # the others leave tiny equal residues.  The relative rule makes all
+        # of them constant.
         rng = np.random.default_rng(0)
         a, b = rng.standard_normal(300), rng.standard_normal(300)
         tests = discrimination_test(np.r_[a, np.full(300, value), b], [300, 600], mode)
@@ -637,6 +637,18 @@ class TestPartition:
             (None, 1.0, SECOND_BREAKS_AT_ZERO),
             (None, 1.0, FIRST_BREAKS_AT_ZERO),
         ]
+
+    @pytest.mark.parametrize("mode", [OrderMode.fixed(), OrderMode.bic()], ids=["fixed", "bic"])
+    def test_constant_rule_bound_is_relative_to_the_energy(self, mode):
+        # At level 1 and 300 points the energy is about 300: noise of sd 1e-9
+        # gives a centred lag-0 sum of about 1e-18 of it, sd 1e-11 about 1e-22,
+        # on either side of EXACT_FIT_RTOL = 1e-20.
+        rng = np.random.default_rng(0)
+        a, noise = rng.standard_normal(300), rng.standard_normal(300)
+        (tested,) = discrimination_test(np.r_[a, 1.0 + 1e-9 * noise], [300], mode)
+        assert tested.result is not None and tested.p_value == 0.0
+        (flat,) = discrimination_test(np.r_[a, 1.0 + 1e-11 * noise], [300], mode)
+        assert (flat.result, flat.p_value, flat.warning) == (None, 1.0, SECOND_BREAKS_AT_ZERO)
 
     def test_positions_must_increase_inside_the_series(self):
         x = np.random.default_rng(0).standard_normal(20)
