@@ -8,11 +8,12 @@ form (Le Roux & Gueguen 1977).  It takes a stack of autocovariance rows
 (shape (..., L); a 1-D input is one row, as from :func:`sample_autocov`)
 and gives each row's reflection coefficients and Yule-Walker innovation
 variances at every order up to the one asked for, with vector operations
-across rows and a Python loop over orders only.  It updates two generator
-columns, copies of the autocovariances with lags on the outer axis and
-rows on the inner, so each step is a few elementwise ufunc calls over
-contiguous stack-wide rows, and a row's result depends on that row alone,
-bit for bit, stacked or not.  Breakdown follows one convention for every
+across rows and a Python loop over orders only.  It carries two generator
+columns, the autocovariances with lags on the outer axis and rows on the
+inner, so each step is one division and two updates over contiguous
+stack-wide rows; the variances follow as one running product down the
+orders.  A row's result depends on that row alone, bit for bit, stacked
+or not.  Breakdown follows one convention for every
 row: a row whose variance at order m - 1 is not positive and finite stops
 there, and its later variances and reflection coefficients are NaN.
 
@@ -98,10 +99,10 @@ def levinson_path(gamma, order: int) -> tuple[np.ndarray, np.ndarray]:
     (..., order + 1): reflect[..., m-1] is the order-m reflection (partial
     autocorrelation) coefficient k_m and sigma2s[..., m] the innovation
     variance of the order-m Yule-Walker fit.  The generators a and b start
-    as gamma[:order + 1]; order m takes k_m = a[m] / b[m-1] and
-    sigma2s[m] = sigma2s[m-1] * (1 - k_m**2), then, from the old values,
-    sets a[i] -= k_m b[i-1] for i > m and b[i] = b[i-1] - k_m a[i] for
-    m <= i < order.  Each order is equivalent to a dense Toeplitz solve but
+    as gamma[:order + 1]; order m takes k_m = a[m] / b[m-1], then, from the
+    old values, sets a[i] -= k_m b[i-1] for i > m and b[i] = b[i-1] - k_m a[i]
+    for m <= i < order.  After the last order, sigma2s[m] = sigma2s[m-1] *
+    (1 - k_m**2).  Each order is equivalent to a dense Toeplitz solve but
     costs O(order) per row.  A row whose sigma2s[m-1] is not positive and
     finite breaks down entering order m: its sigma2s past m - 1 and its
     reflect from order m on are NaN.  Callers read a row's breakdown order
@@ -112,22 +113,22 @@ def levinson_path(gamma, order: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"need autocovariances to lag {order}, have {g.shape[-1] - 1}"
         )
-    # The two generator columns, lags on the outer axis and rows on the
-    # inner; a copy, since the recursion updates them in place.
-    a = g.reshape(-1, g.shape[-1])[:, : order + 1].T.copy()
-    b = a.copy()
-    reflect = np.empty((order, a.shape[1]))
-    sigma2s = np.empty_like(a)
-    sigma2s[0] = a[0]
+    # The generator columns, lags on the outer axis and rows on the inner,
+    # copied to be contiguous: strided reads in the first order cost more
+    # than the copy.  Entering order m, a holds a[m:] and b holds
+    # b[m-1:order]: k_m is a[0] / b[0], and the update rebinds both to new
+    # arrays, so gamma is never written.
+    cols = g.reshape(-1, g.shape[-1])[:, : order + 1].T.copy()
+    a, b = cols[1:], cols[:-1]
+    reflect = np.empty((order, cols.shape[1]))
     # A row keeps computing after it breaks down; what it computes then is
     # masked with NaN below, so its warnings mean nothing.
     with np.errstate(all="ignore"):
-        for m in range(1, order + 1):
-            k = reflect[m - 1] = a[m] / b[m - 1]
-            sigma2s[m] = sigma2s[m - 1] * (1.0 - k * k)
-            new_b = b[m - 1 : order - 1] - k * a[m:order]
-            a[m + 1 :] -= k * b[m:order]
-            b[m:order] = new_b
+        for k in reflect:
+            np.divide(a[0], b[0], out=k)
+            a, b = a[1:] - k * b[1:], b[:-1] - k * a[:-1]
+        sigma2s = np.concatenate([cols[:1], 1.0 - reflect * reflect])
+        np.multiply.accumulate(sigma2s, axis=0, out=sigma2s)
     usable = (0.0 < sigma2s) & (sigma2s < math.inf)
     broken = ~np.logical_and.accumulate(usable, axis=0)[:-1]  # entering order m
     sigma2s[1:][broken] = np.nan

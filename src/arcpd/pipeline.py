@@ -11,10 +11,13 @@ The detector runs three stages on a series of length T:
    Bonferroni); the candidates whose hypotheses are rejected are the final
    change points: :func:`keep_changepoints`, which :mod:`arcpd.bench` calls too.
 
-Stage 2 gives the report's records, one :class:`arcpd.sdtest.BoundaryTest`
-per candidate.  A boundary whose test cannot run (a segment too short or
-constant, a fit that breaks down) enters the correction with p-value 1, is
-never rejected, and is reported with a warning.
+Stage 2 gives the report's :class:`arcpd.sdtest.BoundaryTests`, columns
+that read as one :class:`arcpd.sdtest.BoundaryTest` record per candidate.
+Stage 3, the diagnostics, the bench and :meth:`ChangePointReport.to_dict`
+read the columns, so detect builds no record.  A boundary whose test
+cannot run (a segment too short or constant, a fit that breaks down)
+enters the correction with p-value 1, is never rejected, and is reported
+with a warning.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .scan import (
     extract_candidates,
     scan_statistics,
 )
-from .sdtest import BoundaryTest, OrderMode, discrimination_test
+from .sdtest import BoundaryTest, BoundaryTests, OrderMode, discrimination_test
 
 __all__ = ["DetectConfig", "BoundaryTest", "ChangePointReport", "detect_changepoints"]
 
@@ -80,7 +83,7 @@ class ChangePointReport:
     config: DetectConfig
     profile: ScanProfile
     candidates: CandidateSet
-    boundary_tests: tuple[BoundaryTest, ...]
+    boundary_tests: BoundaryTests  # a sequence of BoundaryTest records over columns
     outcome: MultipleTestOutcome
     final_cps: tuple[int, ...]
     diagnostics: tuple[str, ...]
@@ -106,19 +109,7 @@ class ChangePointReport:
                 {"position": pos, "scan_value": val}
                 for pos, val in zip(self.candidates.positions, self.candidates.scan_values)
             ],
-            "boundary_tests": [
-                {
-                    "position": bt.position,
-                    "left": list(bt.left_range),
-                    "right": list(bt.right_range),
-                    "p_value": bt.p_value,
-                    "statistic": bt.result.statistic if bt.result else None,
-                    "df": bt.result.df if bt.result else None,
-                    "orders": list(bt.result.orders) if bt.result else None,
-                    "warning": bt.warning,
-                }
-                for bt in self.boundary_tests
-            ],
+            "boundary_tests": _boundary_dicts(self.boundary_tests),
             "correction": {
                 "method": self.outcome.method,
                 "alpha": self.outcome.alpha,
@@ -128,6 +119,23 @@ class ChangePointReport:
             "final_cps": list(self.final_cps),
             "diagnostics": list(self.diagnostics),
         }
+
+
+def _boundary_dicts(tests: BoundaryTests) -> list[dict]:
+    """The report's boundary tests as JSON-ready dicts, read off the columns."""
+    return [
+        {
+            "position": pos,
+            "left": [lo + 1, pos],
+            "right": [pos + 1, hi],
+            "p_value": pv,
+            "statistic": st if ok else None,
+            "df": d if ok else None,
+            "orders": [q1, q2, q0] if ok else None,
+            "warning": warning,
+        }
+        for lo, pos, hi, ok, pv, st, d, q1, q2, q0, *_, warning in tests.rows()
+    ]
 
 
 def detect_changepoints(series, cfg: DetectConfig | None = None) -> ChangePointReport:
@@ -172,9 +180,8 @@ def detect_changepoints(series, cfg: DetectConfig | None = None) -> ChangePointR
             f"{profile.degenerate} scan window(s) had degenerate fits (scored 0)"
         )
     tests = discrimination_test(xc, candidates.positions, cfg.order_mode)
-    for bt in tests:
-        if bt.warning:
-            diagnostics.append(f"boundary {bt.position}: {bt.warning}")
+    for i, warning in tests.warnings.items():
+        diagnostics.append(f"boundary {int(tests.positions[i])}: {warning}")
     outcome, kept, rounds = keep_changepoints(xc, tests, cfg, CORRECTIONS[cfg.correction])
     removed = sum(outcome.rejected) - len(kept)
     if removed:
@@ -195,15 +202,15 @@ def detect_changepoints(series, cfg: DetectConfig | None = None) -> ChangePointR
 
 
 def keep_changepoints(xc, tests, cfg: DetectConfig, correct):
-    """Stage 3: correct the p-values of `tests`, the first boundary tests of
+    """Stage 3: correct the p-values of `tests`, the first BoundaryTests of
     the mean-corrected series `xc`, with `correct` (a CORRECTIONS procedure)
     and keep the rejected positions; with ``cfg.iterate``, re-test and correct
     the kept set until a round keeps all it tested.  Returns the first
     outcome, the kept positions and the number of re-testing rounds."""
     rounds = 0
     while True:
-        positions = tuple(bt.position for bt in tests)
-        outcome = correct([bt.p_value for bt in tests], cfg.alpha)
+        positions = tuple(tests.positions.tolist())
+        outcome = correct(tests.p_values, cfg.alpha)
         if rounds == 0:
             first = outcome
         kept = tuple(pos for pos, rej in zip(positions, outcome.rejected) if rej)

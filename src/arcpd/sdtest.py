@@ -59,14 +59,20 @@ A segment whose centred lag-0 sum S0 is at most ``EXACT_FIT_RTOL`` (the
 scan's exact-fit rule) times its raw energy S0 + T * mean**2 is constant up
 to rounding, whether or not its mean rounds exactly: its row of the table
 is set to 0, so its fit breaks down at order 0 and its boundaries are
-untestable.  The pass returns the report's records, one
-:class:`BoundaryTest` per boundary.
+untestable.
+
+The pass returns one :class:`BoundaryTests`: a column per field, and notes
+for the flagged boundaries only.  It reads as a sequence of
+:class:`BoundaryTest` records, one per boundary, built when first read, so
+a caller that needs only positions and p-values, like the pipeline's
+stage 3, builds none.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +91,7 @@ __all__ = [
     "OrderMode",
     "DiscriminationResult",
     "BoundaryTest",
+    "BoundaryTests",
     "discrimination_test",
     "chi_sq_upper_tail",
 ]
@@ -142,22 +149,93 @@ class BoundaryTest:
     warning: str | None = None
 
 
-def discrimination_test(x, positions, mode: OrderMode | None = None) -> tuple[BoundaryTest, ...]:
+class BoundaryTests(Sequence):
+    """The boundary tests of one pass as read-only columns, and a read-only
+    sequence of their BoundaryTest records, built when first read.
+
+    Per boundary: ``p_values``, ``statistics``, ``df``, ``tested``, and
+    ``orders`` and ``sigma2`` of shape (3, B) (first, second and pooled fit);
+    a boundary not tested has p-value 1, and its other columns mean nothing.
+    ``bounds`` are the partition's, 0 and len(x) included: boundary i is
+    bounds[i + 1].  ``warnings`` maps the index of each flagged boundary
+    (untestable, capped or clamped) to its note.
+    """
+
+    def __init__(self, bounds, p_values, statistics, df, orders, sigma2, tested, warnings):
+        self.bounds, self.p_values, self.statistics, self.df = bounds, p_values, statistics, df
+        self.orders, self.sigma2, self.tested = orders, sigma2, tested
+        for column in (bounds, p_values, statistics, df, orders, sigma2, tested):
+            column.flags.writeable = False
+        self.warnings = warnings
+        self._records = None
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self.bounds[1:-1]
+
+    def rows(self):
+        """Per boundary, as Python values: the outer bounds lo and hi of its
+        two segments around its position, then tested, p-value, statistic,
+        df, the three orders, the three variances and the warning (or None)."""
+        b = self.bounds.tolist()
+        warnings = [None] * len(self)
+        for i, warning in self.warnings.items():
+            warnings[i] = warning
+        columns = (self.tested, self.p_values, self.statistics, self.df, *self.orders, *self.sigma2)
+        return zip(b, b[1:], b[2:], *(c.tolist() for c in columns), warnings)
+
+    def records(self) -> tuple[BoundaryTest, ...]:
+        """The records, one per boundary, built on the first call and kept."""
+        if self._records is None:
+            self._records = tuple(
+                BoundaryTest(
+                    pos,
+                    (lo + 1, pos),
+                    (pos + 1, hi),
+                    pv,
+                    DiscriminationResult(st, d, (q1, q2, q0), (v1, v2, v0)) if ok else None,
+                    warning,
+                )
+                for lo, pos, hi, ok, pv, st, d, q1, q2, q0, v1, v2, v0, warning in self.rows()
+            )
+        return self._records
+
+    def __len__(self) -> int:
+        return len(self.p_values)
+
+    def __getitem__(self, index):
+        return self.records()[index]
+
+    def __iter__(self):
+        return iter(self.records())
+
+    def __eq__(self, other):
+        if isinstance(other, (BoundaryTests, tuple)):
+            return self.records() == tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self.records())
+
+
+def discrimination_test(x, positions, mode: OrderMode | None = None) -> BoundaryTests:
     """Test every boundary of the partition of x at `positions` in one pass.
 
     Boundary i splits x[positions[i-1]:positions[i]] from
     x[positions[i]:positions[i+1]] (with x's ends as outer bounds);
     positions must increase strictly inside (0, len(x)).  Each segment is
-    mean-corrected here, so callers may pass a raw series.  Returns one
-    BoundaryTest per boundary, in order: the segment ranges, the chi-square
-    upper-tail p-value, the DiscriminationResult (statistic, degrees of
-    freedom, orders and innovation variances of the three fits; accept/reject
-    is left to the caller) and notes on a capped fixed order or a clamped
-    statistic.  A boundary that cannot be tested (a segment shorter than 3,
-    or a fit that breaks down at or below its order: module docstring) has
-    no result, p-value 1 and a warning that says why; nothing is raised per
-    boundary.  Each result is symmetric in its two segments and invariant to
-    rescaling x.  Positions are integers, numpy's of any width too.
+    mean-corrected here, so callers may pass a raw series.  Returns a
+    BoundaryTests, columns that read as one BoundaryTest record per boundary,
+    in order: the segment ranges, the chi-square upper-tail p-value, the
+    DiscriminationResult (statistic, degrees of freedom, orders and
+    innovation variances of the three fits; accept/reject is left to the
+    caller) and notes on a capped fixed order or a clamped statistic.  The
+    records are built when first read.  A boundary that cannot be tested (a
+    segment shorter than 3, or a fit that breaks down at or below its order:
+    module docstring) has no result, p-value 1 and a warning that says why;
+    nothing is raised per boundary.  Each result is symmetric in its two
+    segments and invariant to rescaling x.  Positions are integers, numpy's
+    of any width too.
     """
     if mode is None:
         mode = OrderMode.fixed()
@@ -170,8 +248,11 @@ def discrimination_test(x, positions, mode: OrderMode | None = None) -> tuple[Bo
     if (n < 1).any():
         raise ValueError("positions must increase strictly inside (0, len(x))")
     count = len(n)
-    if count == 1:
-        return ()
+    if count == 1:  # no boundary
+        none = np.empty((3, 0))
+        return BoundaryTests(
+            bounds, none[0], none[0], none[0].astype(int), none.astype(int), none, none[0] > 0, {}
+        )
     n1, n2 = n[:-1], n[1:]
     t_min = np.minimum(n1, n2)
     testable = t_min >= 3
@@ -180,9 +261,11 @@ def discrimination_test(x, positions, mode: OrderMode | None = None) -> tuple[Bo
         # Past the cap an order is the cap, however large: saturate before numpy.
         raw = [_fixed_order(t, mode.exponent) for t in t_min.tolist()]
         capped = np.array([min(r, c) for r, c in zip(raw, (t_min // 3).tolist())])
+        binds = np.array(raw, dtype=float) > capped  # the cap binds: a note
         p1 = p2 = np.where(testable, np.maximum(capped, 1), 0)
         width = int(p1.max())
     else:
+        binds = np.zeros(count - 1, dtype=bool)
         lags = np.minimum(mode.max_order, n - 2)  # per segment: its search cap
         width = max(int(lags.max()), 0)
 
@@ -239,42 +322,39 @@ def discrimination_test(x, positions, mode: OrderMode | None = None) -> tuple[Bo
     fit_orders = np.array([p1, p2, p0])
     stops = ((0.0 < paths) & (paths < math.inf)).sum(axis=1)[fit_rows]
     fitted = testable & (stops > fit_orders).all(axis=0)
-    s1, s2, s0 = paths[fit_rows, fit_orders]
+    sigma2 = paths[fit_rows, fit_orders]
+    s1, s2, s0 = sigma2
     with np.errstate(divide="ignore", invalid="ignore"):  # boundaries not fitted
         stat = np.where(fitted, n1 * np.log(s0 / s1) + n2 * np.log(s0 / s2), 0.0)
     # p0 <= max(p1, p2), so df >= min(p1, p2) + 1; in fixed mode it is p + 1.
     df = np.where(fitted, p1 + p2 - p0 + 1, 1)
     p_value = chi_sq_upper_tail(np.maximum(stat, 0.0), df)
 
-    tests = []
-    b = bounds.tolist()
-    columns = (testable, fitted, p1, p2, p0, stat, df, p_value, s1, s2, s0)
-    for i, (ok, fit, q1, q2, q0, st, d, pv, v1, v2, v0) in enumerate(
-        zip(*(c.tolist() for c in columns))
-    ):
-        lo, pos, hi = b[i : i + 3]
-        lengths, sides = (pos - lo, hi - pos), ((lo + 1, pos), (pos + 1, hi))
-        if not fit:  # untestable: p = 1, never rejected
-            if ok:  # name the first fit whose stop is at or below its order
-                f = int((stops[:, i] <= fit_orders[:, i]).argmax())
-                k, label = int(stops[f, i]), ("first", "second", "pooled")[f]
-                v = float(paths[fit_rows[f, i], k])
-                warning = f"{label} segment fit breaks down at order {k}: residual variance {v!r}"
-            else:
-                warning = f"segments of lengths {lengths} are too short to compare"
-            tests.append(BoundaryTest(pos, *sides, 1.0, None, warning))
-            continue
-        notes = []
-        if mode.kind == "fixed" and raw[i] > q1:
-            notes.append(f"fixed order {raw[i]} capped to {q1} for segment lengths {lengths}")
-        # Exact nonnegativity only holds when the pooled order is nested in
-        # both per-segment orders (always true in fixed mode); flag anything
-        # beyond rounding.
-        if st < -1e-8:
-            notes.append(f"statistic {st:.3e} below zero; clamped")
-        result = DiscriminationResult(st, d, (q1, q2, q0), (v1, v2, v0))
-        tests.append(BoundaryTest(pos, *sides, pv, result, "; ".join(notes) or None))
-    return tuple(tests)
+    # Notes for the flagged boundaries only.  Exact nonnegativity of the
+    # statistic only holds when the pooled order is nested in both
+    # per-segment orders (always true in fixed mode); flag anything beyond
+    # rounding.
+    clamped = fitted & (stat < -1e-8)
+    warnings = {}
+    for i in np.flatnonzero(~fitted | binds | clamped).tolist():
+        lengths = (int(n1[i]), int(n2[i]))
+        if not testable[i]:
+            warnings[i] = f"segments of lengths {lengths} are too short to compare"
+        elif not fitted[i]:  # name the first fit whose stop is at or below its order
+            f = int((stops[:, i] <= fit_orders[:, i]).argmax())
+            k, label = int(stops[f, i]), ("first", "second", "pooled")[f]
+            v = float(paths[fit_rows[f, i], k])
+            warnings[i] = f"{label} segment fit breaks down at order {k}: residual variance {v!r}"
+        else:
+            notes = []
+            if binds[i]:
+                notes.append(
+                    f"fixed order {raw[i]} capped to {int(p1[i])} for segment lengths {lengths}"
+                )
+            if clamped[i]:
+                notes.append(f"statistic {float(stat[i]):.3e} below zero; clamped")
+            warnings[i] = "; ".join(notes)
+    return BoundaryTests(bounds, p_value, stat, df, fit_orders, sigma2, fitted, warnings)
 
 
 def _fixed_order(t: int, exponent: float) -> float:

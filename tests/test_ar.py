@@ -99,6 +99,40 @@ def random_ar_autocov(rng, order_hint=None):
     return sample_autocov(x[200:] - x[200:].mean(), 12)
 
 
+def ieee_div(x, y):
+    """x / y in Python floats with IEEE 754 semantics at y = 0 (Python raises)."""
+    if y != 0.0:
+        return x / y
+    if x == 0.0 or math.isnan(x):
+        return math.nan
+    return math.copysign(math.inf, x) * math.copysign(1.0, y)
+
+
+def scalar_schur(gamma, order):
+    """Reflection coefficients and innovation variances of one autocovariance
+    row, one Python float at a time: the Schur recursion in its in-place
+    form, k_m = a[m] / b[m-1], then from the old values a[i] -= k_m b[i-1]
+    for i > m and b[i] = b[i-1] - k_m a[i] for m <= i < order, and
+    sigma2[m] = sigma2[m-1] * (1 - k_m**2).  From the first order entered
+    with a variance that is not positive and finite, all is NaN."""
+    a, b = list(gamma[: order + 1]), list(gamma[: order + 1])
+    reflect, sigma2s = [], [gamma[0]]
+    for m in range(1, order + 1):
+        k = ieee_div(a[m], b[m - 1])
+        reflect.append(k)
+        sigma2s.append(sigma2s[-1] * (1.0 - k * k))
+        new_b = [b[i - 1] - k * a[i] for i in range(m, order)]
+        for i in range(order, m, -1):
+            a[i] -= k * b[i - 1]
+        b[m:order] = new_b
+    for m in range(1, order + 1):
+        if not 0.0 < sigma2s[m - 1] < math.inf:
+            reflect[m - 1 :] = [math.nan] * (order - m + 1)
+            sigma2s[m:] = [math.nan] * (order - m + 1)
+            break
+    return reflect, sigma2s
+
+
 class TestMeanCorrect:
     def test_example(self):
         assert np.allclose(mean_correct([1, 2, 3]), [-1, 0, 1])
@@ -330,6 +364,40 @@ class TestLevinsonPath:
             for k in range(size):
                 assert np.array_equal(reflect[k], alone[k][0])
                 assert np.array_equal(sigma2s[k], alone[k][1])
+
+    def test_matches_a_scalar_schur_recursion_bit_for_bit(self):
+        # 100 random stacks of 1-59 rows at orders 0-15.  Rows: sample
+        # autocovariances of MA(1) series and of random walks, zero rows,
+        # rows of random numbers (not autocovariances: most break down), rows
+        # near overflow and an inf lag 0.  Each row's reflections and
+        # variances equal those of the recursion run on it alone in Python
+        # floats, NaNs included.
+        rng = np.random.default_rng(1912)
+
+        def row(kind, width):
+            if kind == 0:
+                return np.zeros(width)
+            if kind == 1:
+                return rng.standard_normal(width)
+            e = rng.standard_normal(int(rng.integers(width + 1, 300)))
+            x = np.cumsum(e) if kind == 2 else e[1:] + rng.uniform(-1, 1) * e[:-1]
+            g = sample_autocov(x - x.mean(), width - 1)
+            return g * 1e305 if kind == 3 else g
+
+        breaks = 0
+        for trial in range(100):
+            order = int(rng.integers(0, 16))
+            width = order + 1 + int(rng.integers(0, 3))
+            stack = np.stack([row(int(rng.integers(0, 5)), width) for _ in range(rng.integers(1, 60))])
+            if trial % 10 == 0:
+                stack[0, 0] = math.inf
+            reflect, sigma2s = levinson_path(stack, order)
+            for gamma, got_reflect, got_sigma2s in zip(stack.tolist(), reflect, sigma2s):
+                want_reflect, want_sigma2s = scalar_schur(gamma, order)
+                assert np.array_equal(got_reflect, want_reflect, equal_nan=True), (trial, gamma)
+                assert np.array_equal(got_sigma2s, want_sigma2s, equal_nan=True), (trial, gamma)
+                breaks += bool(np.isnan(got_sigma2s).any())
+        assert breaks >= 100
 
     @pytest.mark.parametrize("shape", [(7,), (1, 7), (4, 7), (2, 3, 7)])
     def test_input_is_left_unchanged(self, shape):

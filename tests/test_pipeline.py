@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from arcpd import DetectConfig, OrderMode, detect_changepoints
+from arcpd import DetectConfig, OrderMode, detect_changepoints, sdtest
 from arcpd.multtest import bonferroni_procedure
 from arcpd.scan import SeriesTooShortError
 from arcpd.simulate import (
@@ -262,3 +263,95 @@ class TestAgainstManualComposition:
             if rej
         )
         assert report.final_cps == manual
+
+
+def dicts_from_records(tests):
+    """A report's boundary-test dicts, rebuilt from its BoundaryTest records."""
+    return [
+        {
+            "position": bt.position,
+            "left": list(bt.left_range),
+            "right": list(bt.right_range),
+            "p_value": bt.p_value,
+            "statistic": bt.result.statistic if bt.result else None,
+            "df": bt.result.df if bt.result else None,
+            "orders": list(bt.result.orders) if bt.result else None,
+            "warning": bt.warning,
+        }
+        for bt in tests
+    ]
+
+
+def mid_constant_series():
+    # A constant middle stretch whose mean does not round exactly (0.1).
+    r = np.random.default_rng(0)
+    return np.r_[r.standard_normal(300), np.full(300, 0.1), r.standard_normal(300)]
+
+
+def eight_regime_series():
+    spec = PiecewiseSpec(tuple(
+        (ArmaSpec(ar=(0.5 if k % 2 == 0 else -0.5,)), 8192 * (k + 1)) for k in range(8)
+    ))
+    return simulate_piecewise(spec, replicate_seed(0, 0))
+
+
+class TestColumns:
+    """Stage 3, the diagnostics and to_dict read the boundary tests' columns;
+    the records are built only when something reads them, and agree."""
+
+    CONFIGS = (DetectConfig(), DetectConfig(order_mode=OrderMode.bic()), DetectConfig(iterate=True))
+
+    def test_detect_builds_no_records(self, monkeypatch):
+        x = simulate_piecewise(builtin_model("B"), 0)
+        want = []
+        for cfg in self.CONFIGS:
+            report = detect_changepoints(x, cfg)
+            want.append((report.final_cps, report.diagnostics, dicts_from_records(report.boundary_tests)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a record was built")
+
+        monkeypatch.setattr(sdtest, "BoundaryTest", refuse)
+        monkeypatch.setattr(sdtest, "DiscriminationResult", refuse)
+        for cfg, (final_cps, diagnostics, dicts) in zip(self.CONFIGS, want):
+            report = detect_changepoints(x, cfg)
+            assert report.final_cps == final_cps and final_cps
+            assert report.diagnostics == diagnostics
+            assert json.dumps(report.to_dict()["boundary_tests"]) == json.dumps(dicts)
+            with pytest.raises(AssertionError, match="a record was built"):
+                report.boundary_tests[0]
+
+    @pytest.mark.parametrize(
+        "series,cfg,flag",
+        [
+            ("B", DetectConfig(), None),
+            ("B", DetectConfig(order_mode=OrderMode.bic()), None),
+            ("B", DetectConfig(iterate=True), None),
+            ("B", DetectConfig(order_mode=OrderMode.fixed(2.5)), "capped to"),
+            ("mid", DetectConfig(window_radius=20), "breaks down at order 0"),
+            ("8regime", DetectConfig(), None),
+        ],
+        ids=["B-fixed", "B-bic", "B-iterate", "B-v2.5", "mid-constant", "8regime"],
+    )
+    def test_to_dict_from_columns_equals_the_records(self, series, cfg, flag):
+        x = {
+            "B": lambda: simulate_piecewise(builtin_model("B"), 0),
+            "mid": mid_constant_series,
+            "8regime": eight_regime_series,
+        }[series]()
+        report = detect_changepoints(x, cfg)
+        got = report.to_dict()
+        tests = report.boundary_tests
+        assert json.dumps(got["boundary_tests"]) == json.dumps(dicts_from_records(tests))
+        notes = [f"boundary {bt.position}: {bt.warning}" for bt in tests if bt.warning]
+        assert [d for d in report.diagnostics if d.startswith("boundary ")] == notes
+        if flag:
+            assert any(flag in (bt.warning or "") for bt in tests)
+
+    def test_report_replace_keeps_its_boundary_tests(self):
+        report = detect_changepoints(simulate_piecewise(builtin_model("B"), 0))
+        moved = dataclasses.replace(report, final_cps=report.final_cps[1:])
+        assert moved.final_cps == report.final_cps[1:]
+        assert moved.boundary_tests is report.boundary_tests
+        assert moved.to_dict()["boundary_tests"] == report.to_dict()["boundary_tests"]
+        assert moved.to_dict()["final_cps"] == list(report.final_cps[1:])

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from collections.abc import Sequence
 
 import mpmath
 import numpy as np
@@ -11,6 +12,7 @@ from arcpd.ar import DegenerateFitError, bic_select_order, mean_correct
 from arcpd.pipeline import detect_changepoints
 from arcpd.sdtest import (
     TAIL_VALUES,
+    BoundaryTest,
     OrderMode,
     chi_sq_upper_tail,
     discrimination_test,
@@ -683,3 +685,41 @@ class TestPartition:
         finally:
             tracemalloc.stop()
         assert peak < 4.5 * len(x) * 8
+
+
+class TestBoundaryTestsSequence:
+    """The pass's columns read as a read-only sequence of BoundaryTest
+    records, like the tuple of records they stand for."""
+
+    @pytest.mark.parametrize("mode", [OrderMode.fixed(2.5), OrderMode.bic()], ids=["fixed", "bic"])
+    def test_behaves_as_a_tuple_of_its_records(self, mode):
+        segs = oracle_partition()
+        x = np.concatenate(segs)
+        positions = np.cumsum([len(s) for s in segs])[:-1].tolist()
+        tests = discrimination_test(x, positions, mode)
+        assert isinstance(tests, Sequence)
+        records = tuple(tests)
+        assert all(isinstance(bt, BoundaryTest) for bt in records)
+        assert len(tests) == len(records) == len(positions)
+        assert tests[-1] is records[-1] and tests[-len(tests)] is records[0]
+        assert tests[1:3] == records[1:3] and tests[::-1] == records[::-1]
+        first, *rest = tests
+        assert (first, *rest) == records
+        assert tests == records and records == tests
+        assert tests != records[:-1] and tests != ()
+        assert discrimination_test(x, positions, mode) == tests
+        assert repr(tests) == repr(records)
+        # the columns hold what the records hold
+        assert tests.positions.tolist() == [bt.position for bt in records]
+        assert tests.p_values.tolist() == [bt.p_value for bt in records]
+        assert tests.tested.tolist() == [bt.result is not None for bt in records]
+        assert {i: bt.warning for i, bt in enumerate(records) if bt.warning} == tests.warnings
+        for column in (tests.bounds, tests.p_values, tests.orders):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
+
+    def test_no_boundary_is_the_empty_tuple(self):
+        x = np.random.default_rng(0).standard_normal(20)
+        tests = discrimination_test(x, [])
+        assert tests == () and () == tests and not tests and list(tests) == []
+        assert tests.bounds.tolist() == [0, 20] and tests.orders.shape == (3, 0)
