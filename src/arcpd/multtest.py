@@ -59,9 +59,7 @@ def bh_procedure(pvals, alpha: float = 0.05) -> MultipleTestOutcome:
     adjusted = np.empty(q)
     rejected[order] = rejected_sorted
     adjusted[order] = adjusted_sorted
-    return MultipleTestOutcome(
-        "bh", alpha, tuple(bool(r) for r in rejected), tuple(float(v) for v in adjusted)
-    )
+    return MultipleTestOutcome("bh", alpha, tuple(rejected.tolist()), tuple(adjusted.tolist()))
 
 
 def bonferroni_procedure(pvals, alpha: float = 0.05) -> MultipleTestOutcome:
@@ -72,8 +70,5 @@ def bonferroni_procedure(pvals, alpha: float = 0.05) -> MultipleTestOutcome:
     rejected = scaled <= alpha
     adjusted = np.minimum(1.0, scaled)
     return MultipleTestOutcome(
-        "bonferroni",
-        alpha,
-        tuple(bool(r) for r in rejected),
-        tuple(float(v) for v in adjusted),
+        "bonferroni", alpha, tuple(rejected.tolist()), tuple(adjusted.tolist())
     )

@@ -53,7 +53,12 @@ its SSE exceeds ``FALLBACK_RTOL`` times its energy plus each lag's
 explained part scaled by that lag's diagonal-to-pivot ratio (the factor
 by which rounding in that part is amplified).  Degenerate pieces fail the
 test, so the ``PIVOT_RTOL`` and ``EXACT_FIT_RTOL`` rules are only applied
-on the fallback path.  The profile stays within about 1e-12 of a
+on the fallback path.  A chunk first tests one bound over all its pieces,
+from what the elimination already gives: the least pivot-to-diagonal ratio
+rho of any lag, the least SSE-to-energy ratio and the finiteness of the
+chunk's values.  The bound implies the per-piece test, so only a chunk
+that fails it runs that test piece by piece: on 8-regime AR(+-0.5) data
+at the default radius none does.  The profile stays within about 1e-12 of a
 per-window least-squares fit at the default radius, near-unit-root
 models included.
 
@@ -237,6 +242,36 @@ def _solve_stack(gram: np.ndarray, pivots: np.ndarray, diag: np.ndarray) -> np.n
     return phi
 
 
+def _well_conditioned(pivots, diag, sse, energy, values) -> bool:
+    """True when one chunk-wide bound shows every piece of a chunk well
+    conditioned by the per-piece rule (module docstring).
+
+    pivots and diag are what _eliminate returned for the chunk's stack, sse
+    its last pivots, energy its targets' energies before elimination and
+    values the chunk's scan values.  With R = FALLBACK_RTOL and rho the least
+    ratio of a lag pivot to its diagonal entry over the whole stack (1
+    without lags), the bound is rho > 2R, every sse / energy > 2R (1 + 1/rho)
+    and every value finite.  It implies the per-piece rule: fl(D / d) > 2R
+    gives D > R d; the amplified energy is at most energy + (energy -
+    sse) / rho up to rounding, so the second condition gives sse > R times it
+    with a factor 2 to spare; and a value is not finite where its sse is not.
+    A NaN anywhere makes a minimum NaN and the bound false.  Raises no
+    warning.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fit = (sse / energy).min()
+        # rho <= 1 (a matrix's first pivot is its diagonal entry), so a chunk
+        # whose fit is at most 4R fails whatever rho is: one ratio, not two.
+        if not fit > 4 * FALLBACK_RTOL:
+            return False
+        rho = (pivots / diag).min() if len(pivots) else 1.0
+        return bool(
+            rho > 2 * FALLBACK_RTOL
+            and fit > 2 * FALLBACK_RTOL * (1 + 1 / rho)
+            and np.isfinite(values).all()
+        )
+
+
 def scan_statistics(series, h: int, order: int | None = None) -> ScanProfile:
     """Compute the scan profile with window radius h at every admissible position.
 
@@ -280,20 +315,21 @@ def scan_statistics(series, h: int, order: int | None = None) -> ScanProfile:
     span = width + h  # columns of z
     xz = np.zeros((m - 1) // chunk * chunk + span + p)
     xz[:n] = x
-    lagged = sliding_window_view(xz, len(xz) - p)[:dim]  # lagged[l, s] = x[s + l]
-    z = np.empty((dim, span))
+    z = np.empty((dim, span))  # z[l, s] = x[s] x[s + l], s from the chunk's first window
     sums = np.empty((3, dim, width))
-    # Every chunk's Gram stack.  No lower triangle is written, and the
-    # fallback copies whole matrices: zeros, so it copies no unset memory.
-    stack = np.zeros(dim * dim * 3 * chunk)
+    # Every chunk's Gram stack.  Only upper triangles are written or read
+    # (_eliminate, _solve_stack): the lower ones are left unset, and the
+    # fallback's copies of whole matrices carry them along unread.
+    stack = np.empty(dim * dim * 3 * chunk)
 
     values = np.empty(m)
     fallback = 0
-    windows = sliding_window_view(x, 2 * h)  # windows[k] is window k
+    windows = None  # windows[k] is window k, on the fallback path only
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for k0 in range(0, m, chunk):
             c = min(chunk, m - k0)
-            np.multiply(xz[k0 : k0 + span], lagged[:, k0 : k0 + span], out=z)
+            for lag in range(dim):
+                np.multiply(xz[k0 : k0 + span], xz[k0 + lag : k0 + lag + span], out=z[lag])
             _window_reduce(np.add, z, h - p, sums[0])
             right = sums[1, :, : chunk + p]
             right[:] = sums[0, :, h - p : h + chunk]
@@ -306,18 +342,20 @@ def scan_statistics(series, h: int, order: int | None = None) -> ScanProfile:
             for i in range(dim):  # upper triangles only (_eliminate)
                 gram[i, i:] = sums[:, : dim - i, i : i + c].transpose(1, 0, 2)
             gram = gram.reshape(dim, dim, 3 * c)
-            energy = gram[p, p].copy()
+            energy = sums[:, 0, p : p + c]  # targets' energies: gram[p, p] before elimination
             pivots, diag = _eliminate(gram)
             sse = gram[p, p]
+            values[k0 : k0 + c] = weights @ np.log(sse).reshape(3, c) + const
+            if _well_conditioned(pivots, diag, sse.reshape(3, c), energy, values[k0 : k0 + c]):
+                continue
             # Lag row k explains u_k^2 / D_k of the target's energy (u_k =
             # gram[k, p], D_k its pivot), amplified by diag_k / D_k.
-            amplified = energy + ((gram[:p, p] / pivots) ** 2 * diag).sum(axis=0)
+            amplified = energy.ravel() + ((gram[:p, p] / pivots) ** 2 * diag).sum(axis=0)
             good = (
                 (pivots > FALLBACK_RTOL * diag).all(axis=0)
                 & (sse > FALLBACK_RTOL * amplified)
                 & np.isfinite(sse)
             )
-            values[k0 : k0 + c] = weights @ np.log(sse).reshape(3, c) + const
             if good.all():
                 continue
             redo = np.flatnonzero(~good.reshape(3, c).all(axis=0))
@@ -326,6 +364,8 @@ def scan_statistics(series, h: int, order: int | None = None) -> ScanProfile:
             phi = _solve_stack(gram[:, :, members], pivots[:, members], diag[:, members])
             phi = phi.reshape(p, 3, len(redo))
             resid_sse = np.empty((3, len(redo)))
+            if windows is None:
+                windows = sliding_window_view(x, 2 * h)
             for g in range(0, len(redo), group):
                 part = slice(g, g + group)
                 w = windows[k0 + redo[part]]
@@ -335,7 +375,7 @@ def scan_statistics(series, h: int, order: int | None = None) -> ScanProfile:
                         resid -= phi[p - j, i, part, None] * w[:, lo - j : hi - j]
                     np.einsum("ij,ij->i", resid, resid, out=resid_sse[i, part])
             # NaN phi (rank-deficient lags) gives NaN sse.
-            floor = EXACT_FIT_RTOL * energy.reshape(3, c)[:, redo]
+            floor = EXACT_FIT_RTOL * energy[:, redo]
             ok = (resid_sse > floor) & np.isfinite(resid_sse)
             log_sse = np.log(resid_sse, out=np.full_like(resid_sse, np.nan), where=ok)
             values[k0 + redo] = weights @ log_sse + const

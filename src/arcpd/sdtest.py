@@ -258,10 +258,14 @@ def discrimination_test(x, positions, mode: OrderMode | None = None) -> Boundary
     testable = t_min >= 3
 
     if mode.kind == "fixed":
-        # Past the cap an order is the cap, however large: saturate before numpy.
-        raw = [_fixed_order(t, mode.exponent) for t in t_min.tolist()]
-        capped = np.array([min(r, c) for r, c in zip(raw, (t_min // 3).tolist())])
-        binds = np.array(raw, dtype=float) > capped  # the cap binds: a note
+        # One order per distinct length.  Past the cap an order is the cap,
+        # however large: it is an int or inf, so as a float it saturates.
+        shortest = t_min.tolist()
+        order_of = {t: _fixed_order(t, mode.exponent) for t in set(shortest)}
+        raw = [order_of[t] for t in shortest]
+        raw_order = np.array(raw, dtype=float)
+        capped = np.minimum(raw_order, t_min // 3).astype(int)
+        binds = raw_order > capped  # the cap binds: a note
         p1 = p2 = np.where(testable, np.maximum(capped, 1), 0)
         width = int(p1.max())
     else:

@@ -401,8 +401,8 @@ class TestLevinsonPath:
 
     @pytest.mark.parametrize("shape", [(7,), (1, 7), (4, 7), (2, 3, 7)])
     def test_input_is_left_unchanged(self, shape):
-        # the recursion updates its generators in place; the transpose of a
-        # one-row stack is contiguous, so only an explicit copy protects it
+        # gamma is only read: the generators start as a copy of its columns,
+        # and each order makes new arrays from them
         rng = np.random.default_rng(sum(shape))
         rows = [random_ar_autocov(rng)[:7] for _ in range(math.prod(shape[:-1]))]
         gamma = np.stack(rows).reshape(shape)

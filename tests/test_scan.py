@@ -11,12 +11,14 @@ from arcpd.pipeline import DetectConfig, detect_changepoints
 from arcpd.scan import (
     DEFAULT_RADIUS,
     EXACT_FIT_RTOL,
+    FALLBACK_RTOL,
     CandidateSet,
     ScanProfile,
     SeriesTooShortError,
     _chunk_windows,
     _eliminate,
     _solve_stack,
+    _well_conditioned,
     _window_reduce,
     extract_candidates,
     scan_statistics,
@@ -428,6 +430,130 @@ class TestSolveStack:
         phi = eliminate_and_solve(gram_stack(X))
         assert np.flatnonzero(np.isnan(phi).any(axis=0)).tolist() == planted
         assert np.isnan(phi[:, planted]).all()
+
+
+def per_piece_rule(gram):
+    """The per-piece fallback rule on a copy of a (p+1, p+1, N) stack: per
+    member, every lag pivot above FALLBACK_RTOL times its diagonal entry and
+    a finite SSE above FALLBACK_RTOL times the amplified energy.  Returns the
+    rule and _eliminate's outputs, with the SSEs and the energies."""
+    gram = gram.copy()
+    p = gram.shape[0] - 1
+    energy = gram[p, p].copy()
+    pivots, diag = _eliminate(gram)
+    sse = gram[p, p]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        amplified = energy + ((gram[:p, p] / pivots) ** 2 * diag).sum(axis=0)
+        good = (
+            (pivots > FALLBACK_RTOL * diag).all(axis=0)
+            & (sse > FALLBACK_RTOL * amplified)
+            & np.isfinite(sse)
+        )
+    return good, pivots, diag, sse, energy
+
+
+class TestChunkBound:
+    """A chunk passes one chunk-wide bound, or each piece goes through the
+    per-piece fallback rule; the bound implies that rule."""
+
+    @staticmethod
+    def bound(gram):
+        good, pivots, diag, sse, energy = per_piece_rule(gram)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = np.log(sse)
+        return _well_conditioned(pivots, diag, sse, energy, values), good
+
+    @pytest.mark.parametrize("p", range(6))
+    def test_bound_implies_per_piece_rule(self, p):
+        # Designs from well conditioned to nearly collinear lags and nearly
+        # exact fits: wherever the bound holds, every member passes the rule.
+        rng = np.random.default_rng(300 + p)
+        held = 0
+        for eps in 10.0 ** -np.arange(0, 9):
+            X = rng.standard_normal((40, 30, p + 1))
+            if p > 1:
+                X[:, :, 1] = X[:, :, 0] + eps * X[:, :, 1]
+            X[:, :, p] = X[:, :, :p].sum(axis=2) + eps * X[:, :, p]
+            ok, good = self.bound(gram_stack(X))
+            assert not ok or good.all(), eps
+            held += ok
+        assert held >= 1
+
+    def test_well_conditioned_stack(self):
+        X = np.random.default_rng(7).standard_normal((20, 40, 3))
+        ok, good = self.bound(gram_stack(X))
+        assert ok and good.all()
+        # No lags: rho is 1, and the SSE is the energy.
+        ok, good = self.bound(gram_stack(X[:, :, :1]))
+        assert ok and good.all()
+
+    @pytest.mark.parametrize("p", [0, 1, 3])
+    def test_non_finite_or_empty_members_fail(self, p):
+        X = np.random.default_rng(11 + p).standard_normal((20, 40, p + 1))
+        cases = []
+        for spoil in ("inf_diag", "zero_energy", "nan"):
+            Y = X.copy()
+            if spoil == "inf_diag":
+                Y[5, 0, 0] = 1e200  # its square overflows: an inf diagonal entry
+            elif spoil == "zero_energy":
+                Y[5, :, p] = 0.0
+            else:
+                Y[5, 3, 0] = np.nan
+            cases.append(gram_stack(Y))
+        for gram in cases:
+            ok, good = self.bound(gram)
+            assert not ok
+            assert not good[5]
+
+    def test_non_finite_value_fails(self):
+        X = np.random.default_rng(3).standard_normal((20, 40, 3))
+        good, pivots, diag, sse, energy = per_piece_rule(gram_stack(X))
+        values = np.log(sse)
+        assert _well_conditioned(pivots, diag, sse, energy, values)
+        values[4] = np.inf
+        assert not _well_conditioned(pivots, diag, sse, energy, values)
+
+    def test_profiles_do_not_depend_on_the_bound(self, monkeypatch):
+        # With the bound always false every chunk takes the per-piece rule:
+        # the same values bit for bit, degenerate and fallback counts.
+        series = [
+            (mean_correct(simulate_piecewise(builtin_model(name), 0)), 28, order)
+            for name in "BCDEFGHI"
+            for order in (0, 2, 5)
+        ]
+        for b in (0.999, -0.999, 0.99):
+            series.append((mean_correct(ar1(9, 4000, b=b)), 50, 2))
+        for seed in range(2):
+            for order in (1, 3):
+                series += [(c * flat_run_walk(seed), 10, order) for c in (1.0, 1e-100, 1e100)]
+        x = np.random.default_rng(5).standard_normal(600)
+        x[200:300] = 0.0  # a zero run
+        series += [(x, h, 1) for h in (3, 28)]
+        big = np.random.default_rng(6).standard_normal(400)
+        big[0] = 1e200  # seen only as a lag: its square overflows a diagonal entry
+        series += [(big, 10, order) for order in (1, 2, 3)]
+        base = [scan_statistics(x, h, order) for x, h, order in series]
+        monkeypatch.setattr(scan_module, "_well_conditioned", lambda *args: False)
+        for (x, h, order), want in zip(series, base):
+            got = scan_statistics(x, h, order)
+            assert got.values.tobytes() == want.values.tobytes()
+            assert (got.degenerate, got.fallback) == (want.degenerate, want.fallback)
+        assert sum(prof.fallback > 0 for prof in base) >= 10
+        assert all(prof.fallback > 0 for prof in base[-3:])
+
+    def test_ar_half_chunks_pass_the_bound(self, monkeypatch):
+        # AR(+-0.5) data: every chunk of a default scan is decided by the bound.
+        calls = []
+
+        def spy(*args):
+            calls.append(_well_conditioned(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(scan_module, "_well_conditioned", spy)
+        regimes = [(ArmaSpec(ar=(0.5 - k % 2,)), 2048 * (k + 1)) for k in range(8)]
+        x = mean_correct(simulate_piecewise(PiecewiseSpec(tuple(regimes)), 101))
+        prof = scan_statistics(x, DEFAULT_RADIUS, 2)
+        assert len(calls) == -(-len(prof.values) // _chunk_windows(2)) and all(calls)
 
 
 class TestExtractCandidates:
