@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -38,67 +39,51 @@ def _writing(path: str):
 
 
 def read_series_csv(path: str, column: str | None = None) -> list[float]:
-    """Read one numeric column from a CSV file.
+    """Read one numeric column from a CSV file; blank lines are skipped.
 
-    The header row is optional and auto-detected.  `column` selects by
-    header name or 0-based index; without it the file must have exactly
-    one column.  Each data cell is a decimal number that Python's
-    ``float()`` accepts, as written by ``repr(float(x))`` or by ``arcpd
-    simulate``; numpy 2 scalar reprs such as ``np.float64(0.5)`` are not
-    numbers and are rejected (``arcpd detect`` exits 2).  Parse failures
-    name the first offending line.
+    `column` is a 0-based index when ``int()`` accepts it, else a name
+    matched against the first row's stripped cells; without it the file
+    must have exactly one column.  The first row is a header when the
+    column was chosen by name, or when its cell in that column is not a
+    number.  Each data cell is a decimal number that Python's ``float()``
+    accepts, as written by ``repr(float(x))`` or by ``arcpd simulate``;
+    numpy 2 scalar reprs such as ``np.float64(0.5)`` are not numbers and
+    are rejected (``arcpd detect`` exits 2).  Parse failures name the first
+    offending line.
     """
     try:
         with open(path, newline="") as fh:
-            rows = [(i, row) for i, row in enumerate(csv.reader(fh), start=1)]
+            rows = [(i, row) for i, row in enumerate(csv.reader(fh), start=1) if row]
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    rows = [(i, row) for i, row in rows if row]
     if not rows:
         raise InputError(f"{path}: no data rows")
+    names = [cell.strip() for cell in rows[0][1]]
+    width = len(names)
+    for i, row in rows:
+        if len(row) != width:
+            raise InputError(f"{path}: line {i}: inconsistent number of columns")
 
-    first_line, first = rows[0]
-    width = len(first)
-    if any(len(row) != width for _, row in rows):
-        bad = next(i for i, row in rows if len(row) != width)
-        raise InputError(f"{path}: line {bad}: inconsistent number of columns")
-
-    col = 0
-    header_names = None
-    if column is not None:
+    col, start = 0, 0
+    if column is None:
+        if width != 1:
+            raise InputError(f"{path}: has {width} columns; select one with --column")
+    else:
         try:
             col = int(column)
         except ValueError:
-            header_names = [c.strip() for c in first]
-            if column not in header_names:
-                raise InputError(
-                    f"{path}: no column named {column!r} in header {header_names}"
-                ) from None
-            col = header_names.index(column)
+            if column not in names:
+                raise InputError(f"{path}: no column named {column!r} in header {names}") from None
+            col, start = names.index(column), 1  # chosen by name: the first row is a header
         if not 0 <= col < width:
             raise InputError(f"{path}: column index {col} out of range (width {width})")
-    elif width != 1:
-        raise InputError(
-            f"{path}: has {width} columns; select one with --column"
-        )
-
-    start = 0
-    if header_names is not None:
-        start = 1  # column selected by name, so the first row is a header
-    else:
-        try:
-            float(first[col])
-        except ValueError:
-            start = 1  # non-numeric first row: treat as header
     values = []
     for i, row in rows[start:]:
-        cell = row[col]
         try:
-            values.append(float(cell))
+            values.append(float(row[col]))
         except ValueError:
-            raise InputError(
-                f"{path}: line {i}: not a number: {cell.strip()!r}"
-            ) from None
+            if i != rows[0][0]:  # a first row that is not a number is a header
+                raise InputError(f"{path}: line {i}: not a number: {row[col].strip()!r}") from None
     if not values:
         raise InputError(f"{path}: no numeric rows")
     return values
@@ -148,25 +133,14 @@ def _cmd_simulate(args) -> int:
     _check_seed(args.seed)
     x = simulate_piecewise(spec, args.seed)
     with _writing(args.out), open(args.out, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["x"])
-        for v in x:
-            w.writerow([repr(float(v))])
+        fh.writelines(["x\n", *(f"{v!r}\n" for v in x.tolist())])
     sidecar = {
         "schema": 1,
         "model": args.model,
         "seed": args.seed,
         "length": spec.total_length,
         "true_cps": list(spec.true_cps),
-        "segments": [
-            {
-                "ar": list(arma.ar),
-                "ma": list(arma.ma),
-                "noise_sd": arma.noise_sd,
-                "end": end,
-            }
-            for arma, end in spec.segments
-        ],
+        "segments": [{**dataclasses.asdict(arma), "end": end} for arma, end in spec.segments],
     }
     with _writing(args.out + ".json"), open(args.out + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2)

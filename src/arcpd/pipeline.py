@@ -14,7 +14,8 @@ The detector runs three stages on a series of length T:
 Stage 2 gives the report's :class:`arcpd.sdtest.BoundaryTests`, columns
 that read as one :class:`arcpd.sdtest.BoundaryTest` record per candidate.
 Stage 3, the diagnostics, the bench and :meth:`ChangePointReport.to_dict`
-read the columns, so detect builds no record.  A boundary whose test
+(through :meth:`arcpd.sdtest.BoundaryTests.dicts`) read the columns, so
+detect builds no record.  A boundary whose test
 cannot run (a segment too short or constant, a fit that breaks down)
 enters the correction with p-value 1, is never rejected, and is reported
 with a warning.
@@ -39,9 +40,9 @@ from .scan import (
     extract_candidates,
     scan_statistics,
 )
-from .sdtest import BoundaryTest, BoundaryTests, OrderMode, discrimination_test
+from .sdtest import BoundaryTests, OrderMode, discrimination_test
 
-__all__ = ["DetectConfig", "BoundaryTest", "ChangePointReport", "detect_changepoints"]
+__all__ = ["DetectConfig", "ChangePointReport", "detect_changepoints"]
 
 CORRECTIONS = {"bh": bh_procedure, "bonferroni": bonferroni_procedure}
 
@@ -109,7 +110,7 @@ class ChangePointReport:
                 {"position": pos, "scan_value": val}
                 for pos, val in zip(self.candidates.positions, self.candidates.scan_values)
             ],
-            "boundary_tests": _boundary_dicts(self.boundary_tests),
+            "boundary_tests": self.boundary_tests.dicts(),
             "correction": {
                 "method": self.outcome.method,
                 "alpha": self.outcome.alpha,
@@ -119,23 +120,6 @@ class ChangePointReport:
             "final_cps": list(self.final_cps),
             "diagnostics": list(self.diagnostics),
         }
-
-
-def _boundary_dicts(tests: BoundaryTests) -> list[dict]:
-    """The report's boundary tests as JSON-ready dicts, read off the columns."""
-    return [
-        {
-            "position": pos,
-            "left": [lo + 1, pos],
-            "right": [pos + 1, hi],
-            "p_value": pv,
-            "statistic": st if ok else None,
-            "df": d if ok else None,
-            "orders": [q1, q2, q0] if ok else None,
-            "warning": warning,
-        }
-        for lo, pos, hi, ok, pv, st, d, q1, q2, q0, *_, warning in tests.rows()
-    ]
 
 
 def detect_changepoints(series, cfg: DetectConfig | None = None) -> ChangePointReport:

@@ -233,10 +233,8 @@ def _solve_stack(gram: np.ndarray, pivots: np.ndarray, diag: np.ndarray) -> np.n
     p = len(pivots)
     phi = np.empty((p, gram.shape[2]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(p - 1, -1, -1):
-            rhs = gram[k, p]
-            if k + 1 < p:
-                rhs = rhs - np.einsum("jn,jn->n", gram[k, k + 1 : p], phi[k + 1 :])
+        for k in range(p - 1, -1, -1):  # at k = p - 1 the sum is empty: 0.0
+            rhs = gram[k, p] - np.einsum("jn,jn->n", gram[k, k + 1 : p], phi[k + 1 :])
             phi[k] = rhs / gram[k, k]
     phi[:, ~(pivots > PIVOT_RTOL * diag).all(axis=0)] = np.nan
     return phi
@@ -264,7 +262,7 @@ def _well_conditioned(pivots, diag, sse, energy, values) -> bool:
         # whose fit is at most 4R fails whatever rho is: one ratio, not two.
         if not fit > 4 * FALLBACK_RTOL:
             return False
-        rho = (pivots / diag).min() if len(pivots) else 1.0
+        rho = (pivots / diag).min(initial=1.0)  # the first lag's ratio is 1
         return bool(
             rho > 2 * FALLBACK_RTOL
             and fit > 2 * FALLBACK_RTOL * (1 + 1 / rho)

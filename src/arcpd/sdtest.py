@@ -49,11 +49,14 @@ alone.  Two order policies are supported:
 The degrees of freedom are p1 + p2 - p0 + 1 under both policies: order + 1
 in fixed mode, at least min(p1, p2) + 1 in bic mode.
 
-A boundary is tested only when its first, second and pooled fits all stop
-above their orders, where a fit's Levinson path stops at its first variance
-that is not positive and finite.  Otherwise its warning names the first fit
-that does not, its stop k and the variance v there: "{first|second|pooled}
-segment fit breaks down at order k: residual variance v".
+A boundary is tested only when its first, second and pooled fits are all
+usable: the variance of each at its order is positive and finite.  A
+Levinson path is NaN past its first variance that is not, so that is the
+same as each path stopping above its fit's order.  Otherwise its warning
+names the first fit that is not usable, its stop k (the order of its path's
+first variance that is not positive and finite) and the variance v there:
+"{first|second|pooled} segment fit breaks down at order k: residual
+variance v".
 
 A segment whose centred lag-0 sum S0 is at most ``EXACT_FIT_RTOL`` (the
 scan's exact-fit rule) times its raw energy S0 + T * mean**2 is constant up
@@ -65,7 +68,8 @@ The pass returns one :class:`BoundaryTests`: a column per field, and notes
 for the flagged boundaries only.  It reads as a sequence of
 :class:`BoundaryTest` records, one per boundary, built when first read, so
 a caller that needs only positions and p-values, like the pipeline's
-stage 3, builds none.
+stage 3, builds none; :meth:`BoundaryTests.dicts` gives the report's
+JSON-ready dicts off the columns, without records either.
 """
 
 from __future__ import annotations
@@ -158,7 +162,8 @@ class BoundaryTests(Sequence):
     a boundary not tested has p-value 1, and its other columns mean nothing.
     ``bounds`` are the partition's, 0 and len(x) included: boundary i is
     bounds[i + 1].  ``warnings`` maps the index of each flagged boundary
-    (untestable, capped or clamped) to its note.
+    (untestable, capped or clamped) to its note.  :meth:`dicts` reads the
+    columns as the report's JSON dicts.
     """
 
     def __init__(self, bounds, p_values, statistics, df, orders, sigma2, tested, warnings):
@@ -173,7 +178,7 @@ class BoundaryTests(Sequence):
     def positions(self) -> np.ndarray:
         return self.bounds[1:-1]
 
-    def rows(self):
+    def _rows(self):
         """Per boundary, as Python values: the outer bounds lo and hi of its
         two segments around its position, then tested, p-value, statistic,
         df, the three orders, the three variances and the warning (or None)."""
@@ -196,9 +201,26 @@ class BoundaryTests(Sequence):
                     DiscriminationResult(st, d, (q1, q2, q0), (v1, v2, v0)) if ok else None,
                     warning,
                 )
-                for lo, pos, hi, ok, pv, st, d, q1, q2, q0, v1, v2, v0, warning in self.rows()
+                for lo, pos, hi, ok, pv, st, d, q1, q2, q0, v1, v2, v0, warning in self._rows()
             )
         return self._records
+
+    def dicts(self) -> list[dict]:
+        """One JSON-ready dict per boundary, read off the columns (no record is
+        built): statistic, df and orders are None where it was not tested."""
+        return [
+            {
+                "position": pos,
+                "left": [lo + 1, pos],
+                "right": [pos + 1, hi],
+                "p_value": pv,
+                "statistic": st if ok else None,
+                "df": d if ok else None,
+                "orders": [q1, q2, q0] if ok else None,
+                "warning": warning,
+            }
+            for lo, pos, hi, ok, pv, st, d, q1, q2, q0, *_, warning in self._rows()
+        ]
 
     def __len__(self) -> int:
         return len(self.p_values)
@@ -319,14 +341,14 @@ def discrimination_test(x, positions, mode: OrderMode | None = None) -> Boundary
     else:
         p0 = p1
     # Per boundary, the first, second and pooled fits: their rows of paths,
-    # their orders and their stops.  A path is NaN past its first variance
-    # that is not positive and finite, so its stop, the order where it breaks
-    # down, is its count of usable variances; a fit is usable below its stop.
+    # their orders and their variances there.  A path is NaN past its first
+    # variance that is not positive and finite, so a fit is usable when its
+    # variance at its order is.
     fit_rows = np.arange(count - 1) + np.array([[0], [1], [count]])
     fit_orders = np.array([p1, p2, p0])
-    stops = ((0.0 < paths) & (paths < math.inf)).sum(axis=1)[fit_rows]
-    fitted = testable & (stops > fit_orders).all(axis=0)
     sigma2 = paths[fit_rows, fit_orders]
+    usable = (0.0 < sigma2) & (sigma2 < math.inf)
+    fitted = testable & usable.all(axis=0)
     s1, s2, s0 = sigma2
     with np.errstate(divide="ignore", invalid="ignore"):  # boundaries not fitted
         stat = np.where(fitted, n1 * np.log(s0 / s1) + n2 * np.log(s0 / s2), 0.0)
@@ -344,10 +366,11 @@ def discrimination_test(x, positions, mode: OrderMode | None = None) -> Boundary
         lengths = (int(n1[i]), int(n2[i]))
         if not testable[i]:
             warnings[i] = f"segments of lengths {lengths} are too short to compare"
-        elif not fitted[i]:  # name the first fit whose stop is at or below its order
-            f = int((stops[:, i] <= fit_orders[:, i]).argmax())
-            k, label = int(stops[f, i]), ("first", "second", "pooled")[f]
-            v = float(paths[fit_rows[f, i], k])
+        elif not fitted[i]:  # name the first unusable fit and where its path stops
+            f = int((~usable[:, i]).argmax())
+            path = paths[fit_rows[f, i]]
+            k = int(((0.0 < path) & (path < math.inf)).sum())  # its count of usable variances
+            label, v = ("first", "second", "pooled")[f], float(path[k])
             warnings[i] = f"{label} segment fit breaks down at order {k}: residual variance {v!r}"
         else:
             notes = []
@@ -379,7 +402,9 @@ def chi_sq_upper_tail(stat, df):
     df may be arrays (broadcast together).  The recurrence is one table: row
     0 holds each start term, and row k the term of step k where df > k and k
     has df's parity, else 0; the rows are added down the table in order, so
-    each sum is the recurrence's, bit for bit.  The table is built in blocks
+    each sum is the recurrence's, bit for bit.  A statistic of 0 goes
+    through the table too: its start term is 1 and each step term exp(-inf)
+    = 0; only inf is left out, with tail 0.  The table is built in blocks
     of at most ``TAIL_VALUES`` terms, each block's first row the sums so far;
     a block's terms, running sums, exponents, step gaps and masks peak at
     about six block-sized arrays.  Returns a float for scalar input, else an
@@ -392,14 +417,14 @@ def chi_sq_upper_tail(stat, df):
     if not (stat >= 0.0).all():
         raise ValueError(f"statistic must be nonnegative, got {stat[~(stat >= 0.0)].flat[0]}")
     stat, df = np.broadcast_arrays(stat, df.astype(int))
-    tail = np.where(stat == 0.0, 1.0, 0.0)  # and 0 at stat = inf
-    live = (0.0 < stat) & (stat < math.inf)
+    tail = np.zeros(stat.shape)  # at stat = inf
+    live = stat < math.inf
     half, df = 0.5 * stat[live], df[live]
     odd = df % 2 == 1
     q = np.exp(-half)
     # numpy has no erfc: the odd-df start term is math.erfc, element by element.
     q[odd] = [math.erfc(math.sqrt(v)) for v in half[odd].tolist()]
-    with np.errstate(divide="ignore"):  # half is 0 at stat = 5e-324: its terms are 0
+    with np.errstate(divide="ignore"):  # half is 0 at stat = 0 and 5e-324: its terms are 0
         log_half = np.log(half)
     top = int(df.max(initial=0))
     block = max(1, TAIL_VALUES // max(len(q), 1) - 1)  # steps per block

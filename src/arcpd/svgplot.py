@@ -1,9 +1,9 @@
-"""Minimal hand-emitted SVG plots (rect/line/circle/text primitives only).
+"""Minimal hand-emitted SVG plots (rect/line/polyline/circle/text primitives only).
 
 Two plot kinds back the CLI:
 
-* :func:`series_plot` - the observations as a polyline of line segments
-  with solid vertical lines at detected change points.
+* :func:`series_plot` - the observations as one polyline, a vertex per
+  observation, with solid vertical lines at detected change points.
 * :func:`locations_plot` - one panel per method; each replicate that found
   the correct number of change points gets a horizontal line with a circle
   per estimated location, and dashed vertical lines mark the true
@@ -56,7 +56,7 @@ def _frame(x0, y0, x1, y1) -> list[str]:
 
 
 def series_plot(values, changepoints=(), width=900.0, height=300.0, title="") -> str:
-    """Series as consecutive line segments, change points as vertical lines."""
+    """Series as one polyline, change points as vertical lines."""
     y = np.asarray(values, dtype=float)
     n = len(y)
     x0, x1 = MARGIN["left"], width - MARGIN["right"]
@@ -75,8 +75,9 @@ def series_plot(values, changepoints=(), width=900.0, height=300.0, title="") ->
     body = _frame(x0, y0, x1, y1)
     if title:
         body.append(_text((x0 + x1) / 2, y0 - 7, title))
-    for t in range(1, n):
-        body.append(_line(px(t), py(y[t - 1]), px(t + 1), py(y[t]), "steelblue"))
+    vertices = zip(px(np.arange(1, n + 1)).tolist(), py(y).tolist())
+    points = " ".join(f"{a:.2f},{b:.2f}" for a, b in vertices)  # _fmt, inlined
+    body.append(f'<polyline points="{points}" fill="none" stroke="steelblue" stroke-width="1" />')
     for cp in changepoints:
         body.append(_line(px(cp), y0, px(cp), y1, "crimson", width="1.5"))
         body.append(_text(px(cp), y1 + 14, str(cp), size=10))

@@ -450,6 +450,11 @@ class TestBicSelectOrder:
         got = bic_select_order([0.3, -1.2, 0.7, 0.1, -0.4], 3)
         assert got in (0, 1, 2, 3)
 
+    def test_max_order_must_be_positive(self):
+        x = np.random.default_rng(0).standard_normal(50)
+        with pytest.raises(ValueError, match=r"^max_order must be >= 1$"):
+            bic_select_order(x, 0)
+
     def test_max_order_must_fit(self):
         with pytest.raises(ValueError):
             bic_select_order([1.0, 2.0, 3.0], 3)

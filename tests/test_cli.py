@@ -83,6 +83,27 @@ class TestReadSeriesCsv:
         assert main(["detect", str(path)]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text,column,message",
+        [
+            ("", None, "no data rows"),
+            ("\n\n\n", None, "no data rows"),
+            ("a,b\n1,2\n3\n", "0", "line 3: inconsistent number of columns"),
+            ("a,b\n1,2\n", "c", "no column named 'c' in header ['a', 'b']"),
+            ("a,b\n1,2\n", "5", "column index 5 out of range (width 2)"),
+            ("x\n", None, "no numeric rows"),
+        ],
+    )
+    def test_bad_file_names_its_fault_and_exits_2(self, tmp_path, capsys, text, column, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(InputError) as exc:
+            read_series_csv(str(path), column)
+        assert str(exc.value) == f"{path}: {message}"
+        flags = [] if column is None else ["--column", column]
+        assert main(["detect", str(path), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
     def test_noise_fixture_round_trips_exactly(self, noise_csv):
         expected = np.random.default_rng(0).standard_normal(1024)
         got = np.array(read_series_csv(noise_csv))
@@ -281,6 +302,10 @@ class TestBenchCommand:
         assert code == 2
         assert "window_radius must be at least 2 * scan order + 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_run_model_needs_a_replicate(self):
+        with pytest.raises(ValueError, match=r"^replicates must be >= 1$"):
+            bench.run_model("B", 0, 0)
 
     def test_bench_zero_replicates_exit_2_without_out(self, tmp_path, capsys):
         out = tmp_path / "d"

@@ -171,6 +171,18 @@ class TestDetect:
         ):
             detect_changepoints(x, DetectConfig(scan_order=scan_order))
 
+    def test_flat_run_scan_windows_are_reported_degenerate(self):
+        # The zero run is constant after mean correction, so at order 1 a half
+        # window inside it fits exactly: the 200 scan windows at positions
+        # 301-500 (h = 50) are degenerate and scored 0, which the report
+        # names first.  Both ends of the run are still found.
+        r = np.random.default_rng(0)
+        x = np.r_[r.standard_normal(300), np.zeros(200), r.standard_normal(300)]
+        report = detect_changepoints(x, DetectConfig(scan_order=1))
+        assert report.profile.degenerate == 200
+        assert report.diagnostics[0] == "200 scan window(s) had degenerate fits (scored 0)"
+        assert report.final_cps == (300, 502)
+
     def test_config_validation(self):
         assert DetectConfig().window_radius == 50
         with pytest.raises(ValueError):
@@ -210,6 +222,12 @@ class TestDetect:
             OrderMode.bic(10.5)
         with pytest.raises(ValueError, match="exponent must be a real number"):
             OrderMode.fixed("1.5")
+
+    def test_order_mode_rejects_unknown_kind_and_zero_max_order(self):
+        with pytest.raises(ValueError, match=r"^unknown order mode 'x'$"):
+            OrderMode("x")
+        with pytest.raises(ValueError, match=r"^max_order must be >= 1$"):
+            OrderMode.bic(0)
 
     def test_numpy_alpha_report_is_json_ready(self):
         x = simulate_piecewise(builtin_model("B"), 0)

@@ -338,6 +338,12 @@ class TestScanStatistics:
             scan_statistics(x, 5, -1)
         assert DetectConfig(window_radius=21, scan_order=10).scan_order == 10
 
+    @pytest.mark.parametrize("h", [1, 2])
+    def test_auto_order_is_zero_below_h_3(self, h):
+        # The cap (h - 1) // 2 is 0: no BIC search, order 0.
+        x = mean_correct(np.random.default_rng(0).standard_normal(100))
+        assert scan_statistics(x, h).order == 0
+
     def test_auto_order_capped_by_window(self):
         # BIC picks order 8 on this series; at h = 15 the cap is (h - 1) // 2 = 7
         x = mean_correct(simulate_piecewise(PiecewiseSpec(((ArmaSpec(ma=(0.9,)), 800),)), 0))

@@ -271,6 +271,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ArmaSpec(noise_sd=-1.0)
 
+    def test_coefficients_must_be_finite(self):
+        with pytest.raises(ValueError, match=r"^ARMA coefficients must be finite$"):
+            ArmaSpec(ar=(np.inf,))
+
+    def test_needs_a_segment(self):
+        with pytest.raises(ValueError, match=r"^need at least one segment$"):
+            PiecewiseSpec(())
+
     def test_state_carries_across_boundary(self):
         # second segment is pure noise with sd 0; with AR carry-over from the
         # first segment the first post-boundary value must equal a * x[k-1]
