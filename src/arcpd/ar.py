@@ -47,8 +47,8 @@ __all__ = [
 ]
 
 LOG_2PI = math.log(2.0 * math.pi)
-# Exact-fit rule of the scan and the segment test: a residual sum of squares or
-# centred lag-0 sum of at most 1e-20 times the raw energy is rounding noise.
+# Exact-fit rule of the scan: a residual sum of squares of at most 1e-20 times
+# the raw energy is rounding noise.
 EXACT_FIT_RTOL = 1e-20
 
 

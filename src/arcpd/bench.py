@@ -41,6 +41,8 @@ GROUP_VALUES = 2**17
 
 @dataclass(frozen=True)
 class BenchResult:
+    """One method's change point locations over a model's replicates."""
+
     model: str
     method: str
     replicates: int

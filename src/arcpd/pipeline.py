@@ -11,11 +11,11 @@ The detector runs three stages on a series of length T:
    Bonferroni); the candidates whose hypotheses are rejected are the final
    change points: :func:`keep_changepoints`, which :mod:`arcpd.bench` calls too.
 
-Stage 2 gives the report's :class:`arcpd.sdtest.BoundaryTests`, columns
-that read as one :class:`arcpd.sdtest.BoundaryTest` record per candidate.
-Stage 3, the diagnostics, the bench and :meth:`ChangePointReport.to_dict`
-(through :meth:`arcpd.sdtest.BoundaryTests.dicts`) read the columns, so
-detect builds no record.  A boundary whose test
+Stage 2 gives the report's :class:`arcpd.sdtest.BoundaryTests`, one column
+per field over the candidates.  Stage 3, the diagnostics, the bench and
+:meth:`ChangePointReport.to_dict` (through
+:meth:`arcpd.sdtest.BoundaryTests.dicts`) read the columns, so detect
+builds no :class:`arcpd.sdtest.BoundaryTest` record.  A boundary whose test
 cannot run (a segment too short or constant, a fit that breaks down)
 enters the correction with p-value 1, is never rejected, and is reported
 with a warning.
@@ -80,11 +80,14 @@ class DetectConfig:
 
 @dataclass(frozen=True)
 class ChangePointReport:
+    """One detect run: its scan profile, candidates, boundary tests, stage-3
+    outcome, final change points and diagnostics."""
+
     series_length: int
     config: DetectConfig
     profile: ScanProfile
     candidates: CandidateSet
-    boundary_tests: BoundaryTests  # a sequence of BoundaryTest records over columns
+    boundary_tests: BoundaryTests  # columns; iterating builds BoundaryTest records
     outcome: MultipleTestOutcome
     final_cps: tuple[int, ...]
     diagnostics: tuple[str, ...]

@@ -132,6 +132,8 @@ class ScanProfile:
 
 @dataclass(frozen=True)
 class CandidateSet:
+    """The scan's candidate change points and their scan values, in order."""
+
     positions: tuple[int, ...]
     scan_values: tuple[float, ...]
 

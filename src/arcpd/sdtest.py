@@ -58,30 +58,30 @@ first variance that is not positive and finite) and the variance v there:
 "{first|second|pooled} segment fit breaks down at order k: residual
 variance v".
 
-A segment whose centred lag-0 sum S0 is at most ``EXACT_FIT_RTOL`` (the
-scan's exact-fit rule) times its raw energy S0 + T * mean**2 is constant up
-to rounding, whether or not its mean rounds exactly: its row of the table
-is set to 0, so its fit breaks down at order 0 and its boundaries are
-untestable.
+A segment whose centred lag-0 sum S0 is at most (8 eps)**2 times its raw
+energy S0 + T * mean**2 (sd / level at most about 8 eps) is constant up to
+rounding, whether or not its mean rounds exactly (a constant segment's
+rounding residue measured below 6 eps**2 of its energy, at levels from
+1e-200 to 1e200 and T up to 2**20).  Its row of the table is set to 0, so
+its fit breaks down at order 0 and its boundaries are untestable.
 
 The pass returns one :class:`BoundaryTests`: a column per field, and notes
-for the flagged boundaries only.  It reads as a sequence of
-:class:`BoundaryTest` records, one per boundary, built when first read, so
-a caller that needs only positions and p-values, like the pipeline's
-stage 3, builds none; :meth:`BoundaryTests.dicts` gives the report's
-JSON-ready dicts off the columns, without records either.
+for the flagged boundaries only.  Iterating over it builds one
+:class:`BoundaryTest` record per boundary as it goes, so a caller that
+needs only positions and p-values, like the pipeline's stage 3, builds
+none; :meth:`BoundaryTests.dicts` gives the report's JSON-ready dicts off
+the columns, without records either.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ar import EXACT_FIT_RTOL, as_series, bic_order, levinson_path
+from .ar import as_series, bic_order, levinson_path
 
 # Not called here: kept as a module attribute so that perfbench/spans.py TARGETS can wrap it.
 from .ar import bic_select_order  # noqa: F401
@@ -90,6 +90,9 @@ from .ar import bic_select_order  # noqa: F401
 # doubles: one call's peak is a few such blocks, whatever df and the number of
 # boundaries.
 TAIL_VALUES = 2**17
+
+# Constant-segment rule (module docstring): S0 at most this times the energy.
+CONSTANT_RTOL = (8 * np.finfo(float).eps) ** 2
 
 __all__ = [
     "OrderMode",
@@ -135,6 +138,8 @@ class OrderMode:
 
 @dataclass(frozen=True)
 class DiscriminationResult:
+    """One tested boundary's statistic, df, orders and fitted variances."""
+
     statistic: float
     df: int
     orders: tuple[int, int, int]  # (left segment, right segment, pooled)
@@ -153,9 +158,8 @@ class BoundaryTest:
     warning: str | None = None
 
 
-class BoundaryTests(Sequence):
-    """The boundary tests of one pass as read-only columns, and a read-only
-    sequence of their BoundaryTest records, built when first read.
+class BoundaryTests:
+    """The boundary tests of one pass as read-only columns.
 
     Per boundary: ``p_values``, ``statistics``, ``df``, ``tested``, and
     ``orders`` and ``sigma2`` of shape (3, B) (first, second and pooled fit);
@@ -163,7 +167,8 @@ class BoundaryTests(Sequence):
     ``bounds`` are the partition's, 0 and len(x) included: boundary i is
     bounds[i + 1].  ``warnings`` maps the index of each flagged boundary
     (untestable, capped or clamped) to its note.  :meth:`dicts` reads the
-    columns as the report's JSON dicts.
+    columns as the report's JSON dicts; iterating builds one BoundaryTest
+    record per boundary as it goes.
     """
 
     def __init__(self, bounds, p_values, statistics, df, orders, sigma2, tested, warnings):
@@ -172,7 +177,6 @@ class BoundaryTests(Sequence):
         for column in (bounds, p_values, statistics, df, orders, sigma2, tested):
             column.flags.writeable = False
         self.warnings = warnings
-        self._records = None
 
     @property
     def positions(self) -> np.ndarray:
@@ -188,22 +192,6 @@ class BoundaryTests(Sequence):
             warnings[i] = warning
         columns = (self.tested, self.p_values, self.statistics, self.df, *self.orders, *self.sigma2)
         return zip(b, b[1:], b[2:], *(c.tolist() for c in columns), warnings)
-
-    def records(self) -> tuple[BoundaryTest, ...]:
-        """The records, one per boundary, built on the first call and kept."""
-        if self._records is None:
-            self._records = tuple(
-                BoundaryTest(
-                    pos,
-                    (lo + 1, pos),
-                    (pos + 1, hi),
-                    pv,
-                    DiscriminationResult(st, d, (q1, q2, q0), (v1, v2, v0)) if ok else None,
-                    warning,
-                )
-                for lo, pos, hi, ok, pv, st, d, q1, q2, q0, v1, v2, v0, warning in self._rows()
-            )
-        return self._records
 
     def dicts(self) -> list[dict]:
         """One JSON-ready dict per boundary, read off the columns (no record is
@@ -225,19 +213,10 @@ class BoundaryTests(Sequence):
     def __len__(self) -> int:
         return len(self.p_values)
 
-    def __getitem__(self, index):
-        return self.records()[index]
-
     def __iter__(self):
-        return iter(self.records())
-
-    def __eq__(self, other):
-        if isinstance(other, (BoundaryTests, tuple)):
-            return self.records() == tuple(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(self.records())
+        for lo, pos, hi, ok, pv, st, d, q1, q2, q0, v1, v2, v0, warning in self._rows():
+            result = DiscriminationResult(st, d, (q1, q2, q0), (v1, v2, v0)) if ok else None
+            yield BoundaryTest(pos, (lo + 1, pos), (pos + 1, hi), pv, result, warning)
 
 
 def discrimination_test(x, positions, mode: OrderMode | None = None) -> BoundaryTests:
@@ -247,17 +226,16 @@ def discrimination_test(x, positions, mode: OrderMode | None = None) -> Boundary
     x[positions[i]:positions[i+1]] (with x's ends as outer bounds);
     positions must increase strictly inside (0, len(x)).  Each segment is
     mean-corrected here, so callers may pass a raw series.  Returns a
-    BoundaryTests, columns that read as one BoundaryTest record per boundary,
-    in order: the segment ranges, the chi-square upper-tail p-value, the
-    DiscriminationResult (statistic, degrees of freedom, orders and
-    innovation variances of the three fits; accept/reject is left to the
-    caller) and notes on a capped fixed order or a clamped statistic.  The
-    records are built when first read.  A boundary that cannot be tested (a
-    segment shorter than 3, or a fit that breaks down at or below its order:
-    module docstring) has no result, p-value 1 and a warning that says why;
-    nothing is raised per boundary.  Each result is symmetric in its two
-    segments and invariant to rescaling x.  Positions are integers, numpy's
-    of any width too.
+    BoundaryTests, columns that iterate as one BoundaryTest record per
+    boundary, in order: the segment ranges, the chi-square upper-tail
+    p-value, the DiscriminationResult (statistic, degrees of freedom, orders
+    and innovation variances of the three fits; accept/reject is left to the
+    caller) and notes on a capped fixed order or a clamped statistic.  A
+    boundary that cannot be tested (a segment shorter than 3, or a fit that
+    breaks down at or below its order: module docstring) has no result,
+    p-value 1 and a warning that says why; nothing is raised per boundary.
+    Each result is symmetric in its two segments and invariant to rescaling
+    x.  Positions are integers, numpy's of any width too.
     """
     if mode is None:
         mode = OrderMode.fixed()
@@ -323,7 +301,7 @@ def discrimination_test(x, positions, mode: OrderMode | None = None) -> Boundary
             table[:, j] = np.add.reduceat(prod, edges)[::2]
         del buf, prod, is_sample  # sample-length; the rest of the pass is per segment
         energy = table[:, 0] + n * mean * mean
-        table[(table[:, 0] <= EXACT_FIT_RTOL * energy) & (energy < math.inf)] = 0.0
+        table[(table[:, 0] <= CONSTANT_RTOL * energy) & (energy < math.inf)] = 0.0
         np.add(table[:-1], table[1:], out=pooled)
         pooled /= (n1 + n2)[:, None]
         table /= n[:, None]

@@ -42,6 +42,7 @@ def _line(x1, y1, x2, y2, stroke, width="1", dash=None) -> str:
 
 
 def _text(x, y, s, size=11, anchor="middle") -> str:
+    s = s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")  # a CSV path, say
     return (
         f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="sans-serif" '
         f'font-size="{size}" text-anchor="{anchor}">{s}</text>'

@@ -26,7 +26,7 @@ from arcpd.simulate import (
 def pair_test(x, y, mode=None):
     """Test x against y as the one-boundary partition and return its record;
     an untestable boundary's warning is raised as a DegenerateFitError."""
-    bt = discrimination_test(np.concatenate([x, y]), [len(x)], mode)[0]
+    (bt,) = discrimination_test(np.concatenate([x, y]), [len(x)], mode)
     if bt.result is None:
         raise DegenerateFitError(bt.warning)
     return bt

@@ -1,6 +1,8 @@
 import csv
 import filecmp
 import json
+import runpy
+import sys
 import tracemalloc
 import types
 
@@ -220,6 +222,17 @@ class TestUnwritableOutput:
         code = main(["bench", "--model", "I", "--replicates", "2", "--out", target])
         assert code == 2
         assert f"error: cannot write {target}: " in capsys.readouterr().err
+
+
+def test_module_runs_as_a_script(monkeypatch, capsys):
+    # python -m arcpd.cli exits with the code of main().  arcpd.cli leaves
+    # sys.modules first, or runpy warns that it was imported already.
+    monkeypatch.delitem(sys.modules, "arcpd.cli")
+    monkeypatch.setattr(sys, "argv", ["arcpd", "--help"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("arcpd.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: arcpd")
 
 
 class TestSimulateCommand:

@@ -1,7 +1,6 @@
 import math
 import tracemalloc
 import warnings
-from collections.abc import Sequence
 
 import mpmath
 import numpy as np
@@ -23,7 +22,7 @@ from arcpd.simulate import ArmaSpec, PiecewiseSpec, replicate_seed, simulate_pie
 def pair_test(x, y, mode=None):
     """Test x against y as the one-boundary partition and return its record;
     an untestable boundary's warning is raised as a DegenerateFitError."""
-    bt = discrimination_test(np.concatenate([x, y]), [len(x)], mode)[0]
+    (bt,) = discrimination_test(np.concatenate([x, y]), [len(x)], mode)
     if bt.result is None:
         raise DegenerateFitError(bt.warning)
     return bt
@@ -175,7 +174,8 @@ class TestPooledAutocov:
 def fixed_pair(len_x, len_y, exponent):
     """The fixed-order record of a len_x-point normal segment beside a len_y-point one."""
     x = np.random.default_rng(len_x).standard_normal(len_x + len_y)
-    return discrimination_test(x, [len_x], OrderMode.fixed(exponent))[0]
+    (bt,) = discrimination_test(x, [len_x], OrderMode.fixed(exponent))
+    return bt
 
 
 class TestFixedOrder:
@@ -616,7 +616,7 @@ class TestPartition:
         segs = oracle_partition()
         x = np.concatenate(segs)
         positions = np.cumsum([len(s) for s in segs])[:-1].tolist()
-        tests = discrimination_test(x, positions, mode)
+        tests = tuple(discrimination_test(x, positions, mode))
         assert [bt.position for bt in tests] == positions
         assert any(bt.result is None for bt in tests)
         for bt in tests:
@@ -643,18 +643,40 @@ class TestPartition:
     @pytest.mark.parametrize("mode", [OrderMode.fixed(), OrderMode.bic()], ids=["fixed", "bic"])
     def test_constant_rule_bound_is_relative_to_the_energy(self, mode):
         # At level 1 and 300 points the energy is about 300: noise of sd 1e-9
-        # gives a centred lag-0 sum of about 1e-18 of it, sd 1e-11 about 1e-22,
-        # on either side of EXACT_FIT_RTOL = 1e-20.
+        # gives a centred lag-0 sum of about 1e-18 of it, sd 1e-15 (31 distinct
+        # values a few ulps apart) about 1e-30, on either side of
+        # CONSTANT_RTOL = (8 eps)**2 = 3.2e-30.
         rng = np.random.default_rng(0)
         a, noise = rng.standard_normal(300), rng.standard_normal(300)
         (tested,) = discrimination_test(np.r_[a, 1.0 + 1e-9 * noise], [300], mode)
         assert tested.result is not None and tested.p_value == 0.0
-        (flat,) = discrimination_test(np.r_[a, 1.0 + 1e-11 * noise], [300], mode)
+        (flat,) = discrimination_test(np.r_[a, 1.0 + 1e-15 * noise], [300], mode)
         assert (flat.result, flat.p_value, flat.warning) == (None, 1.0, SECOND_BREAKS_AT_ZERO)
+
+    @pytest.mark.parametrize("mode", [OrderMode.fixed(), OrderMode.bic()], ids=["fixed", "bic"])
+    def test_noisy_segment_at_a_high_level_is_tested(self, mode):
+        # sd 1e-3 at level 1e8 is 1e-11 of the level: far above rounding, so
+        # the segment is not constant and its boundary is tested.
+        rng = np.random.default_rng(0)
+        x = np.r_[rng.standard_normal(300), 1e8 + 1e-3 * rng.standard_normal(300)]
+        (bt,) = discrimination_test(x, [300], mode)
+        assert bt.result is not None and bt.warning is None and bt.p_value == 0.0
+
+    @pytest.mark.parametrize("value", [0.1, 1 / 3, 1e8 + 0.1, 7.3e-5])
+    def test_long_constant_segment_is_untestable(self, value):
+        # The mean's rounding residue of 2**20 equal values stays under the
+        # constant rule's bound.
+        rng = np.random.default_rng(0)
+        x = np.r_[rng.standard_normal(300), np.full(2**20, value), rng.standard_normal(300)]
+        tests = discrimination_test(x, [300, 300 + 2**20])
+        assert [(bt.result, bt.p_value, bt.warning) for bt in tests] == [
+            (None, 1.0, SECOND_BREAKS_AT_ZERO),
+            (None, 1.0, FIRST_BREAKS_AT_ZERO),
+        ]
 
     def test_positions_must_increase_inside_the_series(self):
         x = np.random.default_rng(0).standard_normal(20)
-        assert discrimination_test(x, []) == ()
+        assert tuple(discrimination_test(x, [])) == ()
         for bad in ([0], [20], [5, 5], [8, 4]):
             with pytest.raises(ValueError, match="positions must increase strictly"):
                 discrimination_test(x, bad)
@@ -662,9 +684,9 @@ class TestPartition:
             with pytest.raises(ValueError, match="positions must be integers"):
                 discrimination_test(x, bad)
         # numpy integers of any width are positions
-        want = discrimination_test(x, [8])
+        want = tuple(discrimination_test(x, [8]))
         for good in ([np.int64(8)], np.array([8], dtype=np.int32), np.array([8], dtype=np.uint64)):
-            assert discrimination_test(x, good) == want
+            assert tuple(discrimination_test(x, good)) == want
 
     @pytest.mark.parametrize("mode", [OrderMode.fixed(), OrderMode.bic()], ids=["fixed", "bic"])
     def test_sample_length_buffers_are_freed_before_the_fits(self, mode):
@@ -688,8 +710,8 @@ class TestPartition:
 
 
 class TestBoundaryTestsSequence:
-    """The pass's columns read as a read-only sequence of BoundaryTest
-    records, like the tuple of records they stand for."""
+    """The pass's read-only columns iterate as the BoundaryTest records they
+    stand for, built as they are read."""
 
     @pytest.mark.parametrize("mode", [OrderMode.fixed(2.5), OrderMode.bic()], ids=["fixed", "bic"])
     def test_behaves_as_a_tuple_of_its_records(self, mode):
@@ -697,18 +719,12 @@ class TestBoundaryTestsSequence:
         x = np.concatenate(segs)
         positions = np.cumsum([len(s) for s in segs])[:-1].tolist()
         tests = discrimination_test(x, positions, mode)
-        assert isinstance(tests, Sequence)
         records = tuple(tests)
         assert all(isinstance(bt, BoundaryTest) for bt in records)
         assert len(tests) == len(records) == len(positions)
-        assert tests[-1] is records[-1] and tests[-len(tests)] is records[0]
-        assert tests[1:3] == records[1:3] and tests[::-1] == records[::-1]
         first, *rest = tests
         assert (first, *rest) == records
-        assert tests == records and records == tests
-        assert tests != records[:-1] and tests != ()
-        assert discrimination_test(x, positions, mode) == tests
-        assert repr(tests) == repr(records)
+        assert tuple(discrimination_test(x, positions, mode)) == records
         # the columns hold what the records hold
         assert tests.positions.tolist() == [bt.position for bt in records]
         assert tests.p_values.tolist() == [bt.p_value for bt in records]
@@ -721,5 +737,5 @@ class TestBoundaryTestsSequence:
     def test_no_boundary_is_the_empty_tuple(self):
         x = np.random.default_rng(0).standard_normal(20)
         tests = discrimination_test(x, [])
-        assert tests == () and () == tests and not tests and list(tests) == []
+        assert tuple(tests) == () and not tests and list(tests) == []
         assert tests.bounds.tolist() == [0, 20] and tests.orders.shape == (3, 0)
