@@ -46,11 +46,6 @@ __all__ = [
     "bic_select_order",
 ]
 
-LOG_2PI = math.log(2.0 * math.pi)
-# Exact-fit rule of the scan: a residual sum of squares of at most 1e-20 times
-# the raw energy is rounding noise.
-EXACT_FIT_RTOL = 1e-20
-
 
 class DegenerateFitError(ArithmeticError):
     """The Yule-Walker system is singular or broke down mid-recursion."""

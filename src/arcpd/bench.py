@@ -19,7 +19,6 @@ outputs are byte-identical for identical inputs whatever the grouping.
 from __future__ import annotations
 
 import csv
-import io
 import os
 from dataclasses import dataclass
 
@@ -115,26 +114,6 @@ def run_bench(
     return rows
 
 
-def rates_csv(rows: list[BenchResult]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["model", "method", "replicates", "exact_detection_rate"])
-    for r in rows:
-        w.writerow([r.model, r.method, r.replicates, f"{r.exact_detection_rate:.4f}"])
-    return buf.getvalue()
-
-
-def locations_csv(rows: list[BenchResult]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["model", "method", "replicate", "position"])
-    for r in rows:
-        for rep, locs in enumerate(r.locations):
-            for pos in locs:
-                w.writerow([r.model, r.method, rep, pos])
-    return buf.getvalue()
-
-
 def _safe_name(model: str) -> str:
     return model.replace(":", "_")
 
@@ -142,11 +121,24 @@ def _safe_name(model: str) -> str:
 def write_bench_outputs(rows: list[BenchResult], out_dir: str) -> list[str]:
     """Write rates.csv, locations.csv and per-model location SVGs; returns paths."""
     os.makedirs(out_dir, exist_ok=True)
+    tables = {
+        "rates.csv": (
+            ["model", "method", "replicates", "exact_detection_rate"],
+            ([r.model, r.method, r.replicates, f"{r.exact_detection_rate:.4f}"] for r in rows),
+        ),
+        "locations.csv": (
+            ["model", "method", "replicate", "position"],
+            ([r.model, r.method, rep, pos]
+             for r in rows for rep, locs in enumerate(r.locations) for pos in locs),
+        ),
+    }
     paths = []
-    for name, text in (("rates.csv", rates_csv(rows)), ("locations.csv", locations_csv(rows))):
+    for name, (header, body) in tables.items():
         path = os.path.join(out_dir, name)
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(header)
+            w.writerows(body)
         paths.append(path)
     by_model: dict[str, list[BenchResult]] = {}
     for r in rows:

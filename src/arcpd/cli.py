@@ -49,10 +49,11 @@ def read_series_csv(path: str, column: str | None = None) -> list[float]:
     accepts, as written by ``repr(float(x))`` or by ``arcpd simulate``;
     numpy 2 scalar reprs such as ``np.float64(0.5)`` are not numbers and
     are rejected (``arcpd detect`` exits 2).  Parse failures name the first
-    offending line.
+    offending line.  The file is UTF-8; a leading byte-order mark, as
+    Excel's "CSV UTF-8" writes, is skipped.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [(i, row) for i, row in enumerate(csv.reader(fh), start=1) if row]
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None

@@ -70,12 +70,13 @@ resolve as in a direct scan of each window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .ar import EXACT_FIT_RTOL, LOG_2PI, as_series, bic_select_order
+from .ar import as_series, bic_select_order
 
 __all__ = [
     "ScanProfile",
@@ -99,9 +100,13 @@ AUTO_MAX_ORDER = 10
 # 2 MB stack at p = 2) 17% slower than 2**17 at order 2.
 CHUNK_VALUES = 2**17
 
-# Degenerate-piece rules (module docstring), with ar.EXACT_FIT_RTOL.  A pivot
-# ratio of 1e-10 means the normal equations have lost about ten of sixteen digits.
+LOG_2PI = math.log(2.0 * math.pi)
+
+# Degenerate-piece rules (module docstring).  A pivot ratio of 1e-10 means the
+# normal equations have lost about ten of sixteen digits; a residual sum of
+# squares of at most 1e-20 times the raw energy is rounding noise.
 PIVOT_RTOL = 1e-10
+EXACT_FIT_RTOL = 1e-20
 # Conditioning below which a window's SSEs come from explicit residuals
 # (module docstring): a well-conditioned SSE carries a relative error of a
 # few roundoffs / FALLBACK_RTOL, about 1e-12.

@@ -13,7 +13,6 @@ from arcpd.ar import (
     mean_correct,
     sample_autocov,
 )
-from arcpd.sdtest import discrimination_test
 from arcpd.simulate import (
     ArmaSpec,
     PiecewiseSpec,
@@ -22,14 +21,7 @@ from arcpd.simulate import (
     simulate_piecewise,
 )
 
-
-def pair_test(x, y, mode=None):
-    """Test x against y as the one-boundary partition and return its record;
-    an untestable boundary's warning is raised as a DegenerateFitError."""
-    (bt,) = discrimination_test(np.concatenate([x, y]), [len(x)], mode)
-    if bt.result is None:
-        raise DegenerateFitError(bt.warning)
-    return bt
+from pairs import pair_test
 
 
 def toeplitz_solve(gamma, order):

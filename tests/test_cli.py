@@ -5,6 +5,7 @@ import runpy
 import sys
 import tracemalloc
 import types
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -106,6 +107,17 @@ class TestReadSeriesCsv:
         assert main(["detect", str(path), *flags]) == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a byte-order mark.  It is
+        # not part of the first cell: a headerless first value stays data,
+        # and the first header name matches --column.
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(b"\xef\xbb\xbf1.5\n2.5\n3.5\n")
+        assert read_series_csv(str(plain)) == [1.5, 2.5, 3.5]
+        named = tmp_path / "named.csv"
+        named.write_bytes(b"\xef\xbb\xbfx,y\n1.0,2.0\n3.0,4.0\n")
+        assert read_series_csv(str(named), "x") == [1.0, 3.0]
+
     def test_noise_fixture_round_trips_exactly(self, noise_csv):
         expected = np.random.default_rng(0).standard_normal(1024)
         got = np.array(read_series_csv(noise_csv))
@@ -120,14 +132,22 @@ class TestDetectCommand:
         assert report["schema"] == 1
         assert {"candidates", "boundary_tests", "final_cps"} <= set(report)
 
-    def test_detect_out_and_plot(self, noise_csv, tmp_path):
-        out = tmp_path / "report.json"
-        plot = tmp_path / "series.svg"
-        assert main(["detect", noise_csv, "--out", str(out), "--plot", str(plot)]) == 0
+    def test_detect_out_and_plot(self, tmp_path):
+        # The series is one polyline, with a crimson line per final change
+        # point.  The title is the CSV path, escaped: markup in the file name
+        # leaves the SVG well-formed.
+        series = tmp_path / "a&b<c.csv"
+        assert main(["simulate", "--model", "B", "--seed", "0", "-o", str(series)]) == 0
+        out, plot = tmp_path / "report.json", tmp_path / "series.svg"
+        assert main(["detect", str(series), "--out", str(out), "--plot", str(plot)]) == 0
         report = json.loads(out.read_text())
         assert report["series_length"] == 1024
         svg = plot.read_text()
         assert svg.startswith("<svg") and "</svg>" in svg
+        assert svg.count("<polyline") == 1
+        assert svg.count("crimson") == len(report["final_cps"]) > 0
+        title = next(ElementTree.parse(plot).iter("{http://www.w3.org/2000/svg}text"))
+        assert title.text == str(series)
 
     def test_too_short_is_exit_1(self, tmp_path, capsys):
         path = tmp_path / "short.csv"

@@ -183,6 +183,19 @@ class TestDetect:
         assert report.diagnostics[0] == "200 scan window(s) had degenerate fits (scored 0)"
         assert report.final_cps == (300, 502)
 
+    def test_model_f_bic_mode(self):
+        # Model F is near a unit root with the smallest variance ratios: in
+        # BIC mode every tested boundary has df = p1 + p2 - p0 + 1 and a
+        # p-value in [0, 1].
+        x = simulate_piecewise(builtin_model("F"), 0)
+        report = detect_changepoints(x, DetectConfig(order_mode=OrderMode.bic()))
+        assert report.final_cps == (74, 245, 375, 732, 833)
+        tested = [d for d in report.to_dict()["boundary_tests"] if d["df"] is not None]
+        assert tested
+        for d in tested:
+            p1, p2, p0 = d["orders"]
+            assert d["df"] == p1 + p2 - p0 + 1 and 0.0 <= d["p_value"] <= 1.0
+
     def test_config_validation(self):
         assert DetectConfig().window_radius == 50
         with pytest.raises(ValueError):
@@ -269,6 +282,16 @@ def test_scale_does_not_change_detection(model, replicate, mode):
         assert summary(detect_changepoints(c * x, cfg)) == want, c
 
 
+@pytest.mark.parametrize("mode", [OrderMode.fixed(), OrderMode.bic()], ids=["fixed", "bic"])
+@pytest.mark.parametrize("model", ["B", "F"])
+def test_level_shift_does_not_change_detection(model, mode):
+    # Each segment is mean-corrected, so a level shift is no evidence of a
+    # change: adding 1e6 to every value keeps the final change points.
+    x = simulate_piecewise(builtin_model(model), 0)
+    cfg = DetectConfig(order_mode=mode)
+    assert detect_changepoints(x + 1e6, cfg).final_cps == detect_changepoints(x, cfg).final_cps
+
+
 class TestAgainstManualComposition:
     def test_final_cps_match_manual_correction(self):
         x = simulate_piecewise(builtin_model("C"), 11)
@@ -306,6 +329,19 @@ def mid_constant_series():
     return np.r_[r.standard_normal(300), np.full(300, 0.1), r.standard_normal(300)]
 
 
+def two_regime_series():
+    # 20,000 points of AR(0.5), then AR(-0.5) from the 10,001st, started at 0
+    # with no burn-in.  At h = 200 each scan chunk sums lag products over 2h
+    # columns beyond its windows, and the series spans 5 chunks.
+    e = np.random.default_rng(1).standard_normal(20000)
+    x = np.empty(20000)
+    prev = 0.0
+    for t in range(20000):
+        prev = (0.5 if t < 10000 else -0.5) * prev + e[t]
+        x[t] = prev
+    return x
+
+
 def eight_regime_series():
     spec = PiecewiseSpec(tuple(
         (ArmaSpec(ar=(0.5 if k % 2 == 0 else -0.5,)), 8192 * (k + 1)) for k in range(8)
@@ -315,7 +351,8 @@ def eight_regime_series():
 
 class TestColumns:
     """Stage 3, the diagnostics and to_dict read the boundary tests' columns;
-    the records are built only when something reads them, and agree."""
+    the records are built only when something reads them, and agree.  The
+    reports of a range of series and settings stay within their bounds."""
 
     CONFIGS = (DetectConfig(), DetectConfig(order_mode=OrderMode.bic()), DetectConfig(iterate=True))
 
@@ -346,15 +383,25 @@ class TestColumns:
             ("B", DetectConfig(order_mode=OrderMode.bic()), None),
             ("B", DetectConfig(iterate=True), None),
             ("B", DetectConfig(order_mode=OrderMode.fixed(2.5)), "capped to"),
+            # floor((ln T_min) ** 30) passes int64: an order past the cap is the cap.
+            ("B", DetectConfig(order_mode=OrderMode.fixed(30)), "capped to"),
+            # Each range sum of the scan is of h - p = 2 lag products: one doubling step.
+            ("B", DetectConfig(window_radius=3, scan_order=1), None),
             ("mid", DetectConfig(window_radius=20), "breaks down at order 0"),
+            ("two", DetectConfig(window_radius=200, scan_order=2), None),
+            # Fixed orders run past a hundred, so the chi-square tail adds
+            # terms over many steps of its table.
+            ("two", DetectConfig(window_radius=200, scan_order=2, order_mode=OrderMode.fixed(3)), None),
             ("8regime", DetectConfig(), None),
         ],
-        ids=["B-fixed", "B-bic", "B-iterate", "B-v2.5", "mid-constant", "8regime"],
+        ids=["B-fixed", "B-bic", "B-iterate", "B-v2.5", "B-v30", "B-h3-order1", "mid-constant",
+             "two-h200", "two-h200-v3", "8regime"],
     )
     def test_to_dict_from_columns_equals_the_records(self, series, cfg, flag):
         x = {
             "B": lambda: simulate_piecewise(builtin_model("B"), 0),
             "mid": mid_constant_series,
+            "two": two_regime_series,
             "8regime": eight_regime_series,
         }[series]()
         report = detect_changepoints(x, cfg)
@@ -365,6 +412,14 @@ class TestColumns:
         assert [d for d in report.diagnostics if d.startswith("boundary ")] == notes
         if flag:
             assert any(flag in (bt.warning or "") for bt in tests)
+        # Every case has candidates, p-values in [0, 1] and fixed orders of at
+        # most T_min // 3.
+        assert got["candidates"]
+        for d in got["boundary_tests"]:
+            assert 0.0 <= d["p_value"] <= 1.0
+            if d["orders"] and cfg.order_mode.kind == "fixed":
+                t_min = min(d["left"][1] - d["left"][0], d["right"][1] - d["right"][0]) + 1
+                assert max(d["orders"]) <= t_min // 3
 
     def test_report_replace_keeps_its_boundary_tests(self):
         report = detect_changepoints(simulate_piecewise(builtin_model("B"), 0))

@@ -18,14 +18,7 @@ from arcpd.sdtest import (
 )
 from arcpd.simulate import ArmaSpec, PiecewiseSpec, replicate_seed, simulate_piecewise
 
-
-def pair_test(x, y, mode=None):
-    """Test x against y as the one-boundary partition and return its record;
-    an untestable boundary's warning is raised as a DegenerateFitError."""
-    (bt,) = discrimination_test(np.concatenate([x, y]), [len(x)], mode)
-    if bt.result is None:
-        raise DegenerateFitError(bt.warning)
-    return bt
+from pairs import pair_test
 
 
 def chi2_tail_quadrature(stat, df):
