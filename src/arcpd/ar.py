@@ -12,8 +12,10 @@ across rows and a Python loop over orders only.  It carries two generator
 columns, the autocovariances with lags on the outer axis and rows on the
 inner, so each step is one division and two updates over contiguous
 stack-wide rows; the variances follow as one running product down the
-orders.  A row's result depends on that row alone, bit for bit, stacked
-or not.  Breakdown follows one convention for every
+orders.  One row (a 1-D input) runs the same steps on Python floats
+instead, where numpy's per-call cost would outweigh O(order) updates.  A
+row's result depends on that row alone, bit for bit, stacked or not.
+Breakdown follows one convention for every
 row: a row whose variance at order m - 1 is not positive and finite stops
 there, and its later variances and reflection coefficients are NaN.
 
@@ -21,7 +23,9 @@ there, and its later variances and reflection coefficients are NaN.
 concentrated Gaussian likelihood: BIC(p) = n * (log(2 pi) + log sigma2_p + 1)
 + (p + 1) * log(n).  It needs no residual pass, and since the minimizer
 depends on the data only through ratios of innovation variances, the
-selected order does not depend on the units (scale) of the series.
+selected order does not depend on the units (scale) of the series.  One
+path (1-D) is scored and searched in Python floats after its one numpy
+logarithm, with the stack's arithmetic, so it gets the stack's order.
 
 Reflection coefficients carry the predictor's sign, that of
 x[t] ~ phi_1 x[t-1] + ... + phi_p x[t-p], the generating convention of
@@ -101,13 +105,17 @@ def levinson_path(gamma, order: int) -> tuple[np.ndarray, np.ndarray]:
     costs O(order) per row.  A row whose sigma2s[m-1] is not positive and
     finite breaks down entering order m: its sigma2s past m - 1 and its
     reflect from order m on are NaN.  Callers read a row's breakdown order
-    off its first variance that is not positive and finite.
+    off its first variance that is not positive and finite.  A 1-D gamma
+    runs on Python floats, with the same bits as its row in a stack.
     """
     g = np.asarray(gamma, dtype=float)
     if not 0 <= order < g.shape[-1]:
         raise ValueError(
             f"need autocovariances to lag {order}, have {g.shape[-1] - 1}"
         )
+    if g.ndim == 1:
+        reflect, sigma2s = _levinson_row(g[: order + 1].tolist(), order)
+        return np.array(reflect), np.array(sigma2s)
     # The generator columns, lags on the outer axis and rows on the inner,
     # copied to be contiguous: strided reads in the first order cost more
     # than the copy.  Entering order m, a holds a[m:] and b holds
@@ -132,6 +140,30 @@ def levinson_path(gamma, order: int) -> tuple[np.ndarray, np.ndarray]:
     return reflect.T.reshape(shape + (order,)), sigma2s.T.reshape(shape + (order + 1,))
 
 
+def _levinson_row(g: list, order: int) -> tuple[list, list]:
+    """levinson_path of one row, its lags 0..order as Python floats: the
+    stacked steps, one float at a time in the same order, so the same bits.
+    The generators are updated in place: entering order m + 1, a[m:] and
+    b[m:] are the stack's a and b.  It stops where the row breaks down; the
+    rest is NaN, as in the stack."""
+    a, b = g[1:], g[:-1]
+    s = g[0]
+    reflect, sigma2s = [], [s]
+    for m in range(order):
+        if not 0.0 < s < math.inf:  # broken entering this order
+            break
+        # Python raises on a division by 0, where numpy gives inf or NaN.
+        k = a[m] / b[m] if b[m] else a[m] * math.copysign(math.inf, b[m])
+        for i in range(order - 1, m, -1):  # downwards: each reads old values
+            a[i], b[i] = a[i] - k * b[i], b[i - 1] - k * a[i - 1]
+        reflect.append(k)
+        s = s * (1.0 - k * k)
+        sigma2s.append(s)
+    reflect += [math.nan] * (order - len(reflect))
+    sigma2s += [math.nan] * (order + 1 - len(sigma2s))
+    return reflect, sigma2s
+
+
 def bic_order(sigma2s, n):
     """BIC order of each Levinson path in a stack, for sample sizes n.
 
@@ -143,18 +175,30 @@ def bic_order(sigma2s, n):
     n * log(sigma2s[p] / sigma2s[0]) + (p + 1) * log(n).  Orders stop at the
     first variance that is not positive and finite (0 when sigma2s[0] is
     not), so a caller limits a row's search by setting its later entries to
-    NaN; ties go to the smallest order.
+    NaN; ties go to the smallest order.  One path is searched in Python
+    floats, with the same scores.
     """
     s = np.asarray(sigma2s, dtype=float)
     n = np.asarray(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.log(s / s[..., :1])
     # math.log: numpy's log of an integer can differ from it in the last bit.
+    if s.ndim == 1:  # one path: the same scores and argmin, in Python floats
+        n = n.item()
+        log_n = math.log(n)
+        best, low = 0, math.inf
+        for p, (v, lr) in enumerate(zip(s.tolist(), log_ratio.tolist())):
+            if not 0.0 < v < math.inf:
+                break
+            score = n * lr + (p + 1) * log_n
+            if score < low:
+                best, low = p, score
+        return best
     log_n = np.array([math.log(v) for v in n.ravel().tolist()]).reshape(n.shape)
     usable = np.logical_and.accumulate((0.0 < s) & (s < math.inf), axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        score = n[..., None] * np.log(s / s[..., :1])
+    score = n[..., None] * log_ratio
     score += np.arange(1, s.shape[-1] + 1) * log_n[..., None]
-    best = np.where(usable, score, math.inf).argmin(axis=-1)
-    return int(best) if s.ndim == 1 else best
+    return np.where(usable, score, math.inf).argmin(axis=-1)
 
 
 def bic_select_order(values, max_order: int) -> int:

@@ -68,7 +68,8 @@ def _replicate_groups(replicates: int, padded_length: int) -> list[range]:
 
 def _kept_changepoints(x, cfg: DetectConfig):
     report = detect_changepoints(x, cfg)
-    xc = mean_correct(x)
+    # Stage 3 reads the mean-corrected series only to re-test (cfg.iterate).
+    xc = mean_correct(x) if cfg.iterate else None
     # Detect has already kept the change points of cfg.correction.
     return {
         method: report.final_cps

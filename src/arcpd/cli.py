@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -50,13 +51,23 @@ def read_series_csv(path: str, column: str | None = None) -> list[float]:
     numpy 2 scalar reprs such as ``np.float64(0.5)`` are not numbers and
     are rejected (``arcpd detect`` exits 2).  Parse failures name the first
     offending line.  The file is UTF-8; a leading byte-order mark, as
-    Excel's "CSV UTF-8" writes, is skipped.
+    Excel's "CSV UTF-8" writes, is skipped, and a byte that is not UTF-8
+    is an error that names its line.
     """
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = [(i, row) for i, row in enumerate(csv.reader(fh), start=1) if row]
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.object is what the decoder saw: the file after any byte-order mark.
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        bad = exc.object[exc.start]
+        raise InputError(f"{path}: line {line}: not UTF-8 text (byte {bad:#04x})") from None
+    lines = io.StringIO(text, newline="")
+    rows = [(i, row) for i, row in enumerate(csv.reader(lines), start=1) if row]
     if not rows:
         raise InputError(f"{path}: no data rows")
     names = [cell.strip() for cell in rows[0][1]]

@@ -3,15 +3,25 @@
 Two procedures: Benjamini-Hochberg step-up FDR control and Bonferroni
 adjusted p-values.  Both take p-values in hypothesis order and report
 rejection flags in the same order.
+
+At most ``FLOAT_COUNT`` p-values (a T = 1024 detect tests about 8
+boundaries) are checked and corrected in Python floats, where numpy's
+per-call cost would outweigh the arithmetic; more go through numpy.  Both
+paths make the same comparisons and roundings, so their outcomes are equal
+bit for bit, and their messages are the same.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["MultipleTestOutcome", "bh_procedure", "bonferroni_procedure"]
+
+# At most this many p-values, the procedures run on Python floats.
+FLOAT_COUNT = 24
 
 
 @dataclass(frozen=True)
@@ -24,18 +34,27 @@ class MultipleTestOutcome:
     adjusted: tuple[float, ...]
 
 
-def _validated(pvals, alpha: float) -> np.ndarray:
+def _validated(pvals, alpha: float) -> np.ndarray | list[float]:
+    """The p-values as a 1-D array, or as a list of floats when there are at
+    most FLOAT_COUNT of them."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     p = np.asarray(pvals, dtype=float)
     if p.ndim != 1:
         raise ValueError(f"p-values must be 1-D, got an array of shape {p.shape}")
-    bad = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
-    if bad.size:
-        raise ValueError(
-            f"p-value at index {bad[0]} outside [0, 1]: {float(p[bad[0]])!r}"
-        )
+    if len(p) <= FLOAT_COUNT:
+        p = p.tolist()
+        bad = [i for i, v in enumerate(p) if not 0.0 <= v <= 1.0]
+    else:
+        bad = np.flatnonzero(~((p >= 0.0) & (p <= 1.0))).tolist()
+    if bad:
+        raise ValueError(f"p-value at index {bad[0]} outside [0, 1]: {float(p[bad[0]])!r}")
     return p
+
+
+def _min(a: float, b: float) -> float:
+    """np.minimum of two floats: b on a tie, so min(-0.0, 0.0) is 0.0."""
+    return a if a < b else b
 
 
 def bh_procedure(pvals, alpha: float = 0.05) -> MultipleTestOutcome:
@@ -48,6 +67,19 @@ def bh_procedure(pvals, alpha: float = 0.05) -> MultipleTestOutcome:
     """
     p = _validated(pvals, alpha)
     q = len(p)
+    if isinstance(p, list):
+        order = sorted(range(q), key=p.__getitem__)  # stable, as argsort's
+        ranked = [p[k] for k in order]
+        low, adjusted_sorted = math.inf, [0.0] * q
+        for i in range(q - 1, -1, -1):  # the running minimum from the largest
+            low = _min(low, ranked[i] * q / (i + 1))
+            adjusted_sorted[i] = _min(1.0, low)
+        a = float(alpha)
+        cutoff = max((i + 1 for i, v in enumerate(ranked) if v <= (i + 1) * a / q), default=0)
+        rejected, adjusted = [False] * q, [0.0] * q
+        for i, k in enumerate(order):
+            rejected[k], adjusted[k] = i < cutoff, adjusted_sorted[i]
+        return MultipleTestOutcome("bh", alpha, tuple(rejected), tuple(adjusted))
     order = np.argsort(p, kind="stable")
     ranked = p[order]
     scaled = ranked * q / np.arange(1, q + 1)
@@ -66,6 +98,12 @@ def bonferroni_procedure(pvals, alpha: float = 0.05) -> MultipleTestOutcome:
     """Reject hypothesis i when q * p_i <= alpha; adjusted value min(1, q * p_i)."""
     p = _validated(pvals, alpha)
     q = len(p)
+    if isinstance(p, list):
+        a = float(alpha)
+        scaled = [q * v for v in p]
+        return MultipleTestOutcome(
+            "bonferroni", alpha, tuple(v <= a for v in scaled), tuple(_min(1.0, v) for v in scaled)
+        )
     scaled = q * p
     rejected = scaled <= alpha
     adjusted = np.minimum(1.0, scaled)

@@ -192,8 +192,9 @@ def keep_changepoints(xc, tests, cfg: DetectConfig, correct):
     """Stage 3: correct the p-values of `tests`, the first BoundaryTests of
     the mean-corrected series `xc`, with `correct` (a CORRECTIONS procedure)
     and keep the rejected positions; with ``cfg.iterate``, re-test and correct
-    the kept set until a round keeps all it tested.  Returns the first
-    outcome, the kept positions and the number of re-testing rounds."""
+    the kept set until a round keeps all it tested (xc is read only then).
+    Returns the first outcome, the kept positions and the number of
+    re-testing rounds."""
     rounds = 0
     while True:
         positions = tuple(tests.positions.tolist())

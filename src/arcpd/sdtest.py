@@ -29,7 +29,8 @@ stacked :func:`arcpd.ar.levinson_path` runs every segment row and every
 pooled row at once; each fit reads its variance at its own order, exact
 because the path is prefix-consistent.  The pass costs a fixed few dozen
 numpy calls plus a few per lag, and the chi-square tail is one table of
-terms (:func:`chi_sq_upper_tail`), not a loop over its steps.  Each
+terms (:func:`chi_sq_upper_tail`), not a loop over its steps, or, for at
+most ``TAIL_FLOATS`` boundaries, the same terms added in Python floats.  Each
 boundary's record is bit for bit that of a pass over its two segments
 alone.  Two order policies are supported:
 
@@ -90,6 +91,10 @@ from .ar import bic_select_order  # noqa: F401
 # doubles: one call's peak is a few such blocks, whatever df and the number of
 # boundaries.
 TAIL_VALUES = 2**17
+
+# At most this many values, the tail is summed in Python floats (_tail_floats):
+# below it numpy's per-call cost outweighs the table's arithmetic.
+TAIL_FLOATS = 16
 
 # Constant-segment rule (module docstring): S0 at most this times the energy.
 CONSTANT_RTOL = (8 * np.finfo(float).eps) ** 2
@@ -385,8 +390,10 @@ def chi_sq_upper_tail(stat, df):
     = 0; only inf is left out, with tail 0.  The table is built in blocks
     of at most ``TAIL_VALUES`` terms, each block's first row the sums so far;
     a block's terms, running sums, exponents, step gaps and masks peak at
-    about six block-sized arrays.  Returns a float for scalar input, else an
-    array.
+    about six block-sized arrays.  At most ``TAIL_FLOATS`` values of one
+    shape (a T = 1024 detect tests about 8 boundaries) skip the table: each
+    one's terms are added in step order in Python floats, bit for bit the
+    table's sums.  Returns a float for scalar input, else an array.
     """
     df = np.asarray(df)
     if (df < 1).any() or (df % 1).any():
@@ -394,6 +401,9 @@ def chi_sq_upper_tail(stat, df):
     stat = np.asarray(stat, dtype=float)
     if not (stat >= 0.0).all():
         raise ValueError(f"statistic must be nonnegative, got {stat[~(stat >= 0.0)].flat[0]}")
+    if stat.shape == df.shape and stat.size <= TAIL_FLOATS:
+        tail = _tail_floats(stat.ravel().tolist(), [int(d) for d in df.ravel().tolist()])
+        return tail[0] if stat.ndim == 0 else np.array(tail).reshape(stat.shape)
     stat, df = np.broadcast_arrays(stat, df.astype(int))
     tail = np.zeros(stat.shape)  # at stat = inf
     live = stat < math.inf
@@ -418,3 +428,35 @@ def chi_sq_upper_tail(stat, df):
         q = np.add.accumulate(terms)[-1]  # row after row, as the steps add
     tail[live] = np.minimum(1.0, q)
     return float(tail) if tail.ndim == 0 else tail
+
+
+def _tail_floats(stat: list, df: list) -> list:
+    """chi_sq_upper_tail of a few values, the statistics as Python floats and
+    df as ints: the table's terms, each value's added in step order in
+    floats.  The logarithms and the exponentials come from one numpy call
+    each, as in the table: math.exp can differ from numpy's exp in the last
+    bit."""
+    half = [0.5 * v for v in stat]
+    # Each value's steps k < df of df's parity; none at half = 0 (each term is
+    # exp(-inf) = 0 in the table) or at inf (tail 0).
+    steps = [range(2 - d % 2, d, 2) if 0.0 < h < math.inf else () for h, d in zip(half, df)]
+    log_half = iter(np.log([h for h, ks in zip(half, steps) if ks]).tolist())
+    lgam = [math.lgamma(0.5 * k + 1.0) for k in range(max(df, default=0))]
+    args = []  # per value: its start term's if df is even, then its steps'
+    for h, d, ks in zip(half, df, steps):
+        if d % 2 == 0 and h < math.inf:
+            args.append(-h)
+        if ks:
+            lh = next(log_half)
+            args += [0.5 * k * lh - h - lgam[k] for k in ks]
+    terms = iter(np.exp(args).tolist())
+    tail = []
+    for h, d, ks in zip(half, df, steps):
+        if h == math.inf:
+            tail.append(0.0)
+            continue
+        q = math.erfc(math.sqrt(h)) if d % 2 else next(terms)
+        for _ in ks:
+            q += next(terms)
+        tail.append(q if q < 1.0 else 1.0)
+    return tail

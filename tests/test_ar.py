@@ -321,8 +321,17 @@ class TestLevinsonPath:
         rng = np.random.default_rng(order)
         rows = [random_ar_autocov(rng)[: order + 1] for _ in range(3)]
         alone = [levinson_path(row, order) for row in rows]
-        # all zero stops at order 0; all one ([1, 1, 1, 1] at order 3) at order 1
-        for broken, stop in ((np.zeros(order + 1), 0), (np.ones(order + 1), 1)):
+        # all zero stops at order 0 and all one ([1, 1, 1, 1] at order 3) at
+        # order 1, with a variance of 0; an inf or negative lag 0 stops at
+        # order 0 with that variance, and an inf lag 2 at order 2 with -inf
+        lag2_inf = np.r_[1.0, 0.5, np.inf, rows[0][3:]]
+        for broken, stop, value in (
+            (np.zeros(order + 1), 0, 0.0),
+            (np.ones(order + 1), 1, 0.0),
+            (np.r_[np.inf, rows[0][1:]], 0, np.inf),
+            (-rows[1], 0, -rows[1][0]),
+            (lag2_inf, 2, -np.inf),
+        ):
             stack = np.stack([rows[0], broken, rows[1], rows[2]])
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
@@ -334,7 +343,7 @@ class TestLevinsonPath:
             broken_reflect, broken_sigma2s = levinson_path(broken, order)
             assert np.array_equal(reflect[1], broken_reflect, equal_nan=True)
             assert np.array_equal(sigma2s[1], broken_sigma2s, equal_nan=True)
-            assert sigma2s[1, stop] == 0.0 and np.isfinite(sigma2s[1, :stop]).all()
+            assert sigma2s[1, stop] == value and np.isfinite(sigma2s[1, :stop]).all()
             assert np.isnan(sigma2s[1, stop + 1 :]).all()
             # any leading shape stacks the same way
             _, nested = levinson_path(stack.reshape(2, 2, order + 1), order)
@@ -417,6 +426,30 @@ class TestLevinsonPath:
                 phi = mpmath.lu_solve(G, mpmath.matrix(g[1 : p + 1]))
                 want = g[0] - sum(g[j + 1] * phi[j] for j in range(p))
                 assert abs(sigma2s[p] / want - 1) <= 1e-12, (p, sigma2s[p], want)
+
+    def test_bic_order_of_one_path_is_its_row_in_a_stack(self):
+        # One path is scored in Python floats: the order of its row in a
+        # stack, for rows that break down, rows limited with NaN, sample
+        # sizes from 1 (log n = 0: ties go to the smallest order) up, and
+        # ratios that underflow (scores of -inf).
+        rng = np.random.default_rng(12)
+        rows = [random_ar_autocov(rng) for _ in range(40)]
+        rows += [np.zeros(13), np.ones(13), -rows[0], np.r_[rows[1][:5], np.inf, rows[1][6:]]]
+        _, paths = levinson_path(np.stack(rows), 12)
+        limited = paths.copy()
+        for path in limited[:20]:
+            path[int(rng.integers(1, 13)) :] = np.nan
+        flat = np.ones((3, 13))
+        tiny = np.r_[1e300, 1e-30, 5e-324, 5e-324, np.full(9, 0.5)]
+        stack = np.concatenate([paths, limited, flat, tiny[None]])
+        n = rng.integers(1, 2000, size=len(stack))
+        n[-4:-1] = (1, 2, 1000)
+        n[-1] = 40
+        got = bic_order(stack, n)
+        for path, m, want in zip(stack, n.tolist(), got.tolist()):
+            order = bic_order(path, m)
+            assert type(order) is int and order == want
+        assert got[-4] == 0 and got[-1] == 1  # the first of three -inf scores
 
     def test_bic_order_of_a_stack_is_each_rows(self):
         rng = np.random.default_rng(3)

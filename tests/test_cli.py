@@ -118,6 +118,27 @@ class TestReadSeriesCsv:
         named.write_bytes(b"\xef\xbb\xbfx,y\n1.0,2.0\n3.0,4.0\n")
         assert read_series_csv(str(named), "x") == [1.0, 3.0]
 
+    @pytest.mark.parametrize(
+        "data,line,byte",
+        [
+            (b"x\n1.0\n0.5\xff\n2.0\n", 3, "0xff"),
+            (b"\xef\xbb\xbfx\r\n1.0\r\n2.0\r\n\xc3(\r\n", 4, "0xc3"),
+            (b"\xe9\n1.0\n", 1, "0xe9"),
+            (b"1.0\n2.0\n3.0\xe2\x82", 3, "0xe2"),  # cut off at the end
+        ],
+    )
+    def test_bytes_that_are_not_utf8_name_their_line_and_exit_2(
+        self, tmp_path, capsys, data, line, byte
+    ):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(data)
+        message = f"{path}: line {line}: not UTF-8 text (byte {byte})"
+        with pytest.raises(InputError) as exc:
+            read_series_csv(str(path))
+        assert str(exc.value) == message
+        assert main(["detect", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_noise_fixture_round_trips_exactly(self, noise_csv):
         expected = np.random.default_rng(0).standard_normal(1024)
         got = np.array(read_series_csv(noise_csv))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from arcpd.multtest import bh_procedure, bonferroni_procedure
+from arcpd.multtest import FLOAT_COUNT, bh_procedure, bonferroni_procedure
 
 
 def bh_oracle(pvals, alpha):
@@ -22,6 +22,30 @@ def bh_oracle(pvals, alpha):
 
 def bonferroni_oracle(pvals, alpha):
     return [len(pvals) * p <= alpha for p in pvals]
+
+
+def bh_numpy(p, alpha):
+    """Numpy reference: the array BH pass, whatever the count.  Returns the
+    rejection flags and the adjusted values' bytes."""
+    p = np.asarray(p, dtype=float)
+    q = len(p)
+    order = np.argsort(p, kind="stable")
+    ranked = p[order]
+    scaled = ranked * q / np.arange(1, q + 1)
+    adjusted_sorted = np.minimum(1.0, np.minimum.accumulate(scaled[::-1])[::-1])
+    qualifying = np.flatnonzero(ranked <= np.arange(1, q + 1) * alpha / q)
+    cutoff = qualifying[-1] + 1 if qualifying.size else 0
+    rejected = np.empty(q, dtype=bool)
+    adjusted = np.empty(q)
+    rejected[order] = np.arange(q) < cutoff
+    adjusted[order] = adjusted_sorted
+    return tuple(rejected.tolist()), adjusted.tobytes()
+
+
+def bonferroni_numpy(p, alpha):
+    """Numpy reference of Bonferroni, as bh_numpy."""
+    scaled = len(p) * np.asarray(p, dtype=float)
+    return tuple((scaled <= alpha).tolist()), np.minimum(1.0, scaled).tobytes()
 
 
 class TestBH:
@@ -128,3 +152,45 @@ class TestProperties:
             direct = np.array(proc(p, 0.05).rejected)
             permuted = np.array(proc(p[perm], 0.05).rejected)
             assert np.array_equal(direct[perm], permuted)
+
+
+class TestFloatPath:
+    """At most FLOAT_COUNT p-values are corrected in Python floats: the same
+    flags and the same adjusted bits as numpy's pass, on both sides of it."""
+
+    @pytest.mark.parametrize("count", [FLOAT_COUNT - 1, FLOAT_COUNT, FLOAT_COUNT + 1])
+    def test_matches_the_numpy_reference_bit_for_bit(self, count):
+        rng = np.random.default_rng(count)
+        grid = [0.0, -0.0, 1.0, 5e-324, 0.001, 0.01, 0.0125, 0.025, 0.05, 0.5]
+        for trial in range(400):
+            if trial % 3 == 0:  # ties, zeros and ones
+                p = rng.choice(grid, size=count)
+            elif trial % 3 == 1:
+                p = np.round(rng.uniform(0, 0.2, size=count), 3)
+            else:
+                p = rng.uniform(0, 1, size=count) ** 6
+            alpha = float(rng.choice([0.01, 0.05, 0.1, 0.5]))
+            for proc, reference in ((bh_procedure, bh_numpy), (bonferroni_procedure, bonferroni_numpy)):
+                out = proc(p, alpha)
+                assert (out.rejected, np.array(out.adjusted).tobytes()) == reference(p, alpha)
+                assert all(type(v) is bool for v in out.rejected)
+                assert all(type(v) is float for v in out.adjusted)
+                assert proc(p.tolist(), alpha) == out
+
+    def test_minimum_keeps_numpys_zero_sign(self):
+        # np.minimum gives its second argument on a tie: -0.0 then 0.0 as the
+        # running minimum from the end reads 0.0
+        for p in ([0.0, -0.0], [-0.0, 0.0], [-0.0], [-0.0, 0.0, -0.0]):
+            adjusted = np.array(bh_procedure(p, 0.05).adjusted)
+            assert adjusted.tobytes() == bh_numpy(p, 0.05)[1]
+            assert np.array(bonferroni_procedure(p, 0.05).adjusted).tobytes() == bonferroni_numpy(p, 0.05)[1]
+
+    @pytest.mark.parametrize("count", [FLOAT_COUNT, FLOAT_COUNT + 1])
+    @pytest.mark.parametrize("proc", [bh_procedure, bonferroni_procedure])
+    def test_messages_are_the_same(self, proc, count):
+        for bad in (1.5, -0.25, float("nan"), float("inf")):
+            p = [0.5] * count
+            p[count - 2] = bad
+            with pytest.raises(ValueError) as exc:
+                proc(p, 0.05)
+            assert str(exc.value) == f"p-value at index {count - 2} outside [0, 1]: {bad!r}"

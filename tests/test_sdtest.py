@@ -10,6 +10,7 @@ from scipy import stats
 from arcpd.ar import DegenerateFitError, bic_select_order, mean_correct
 from arcpd.pipeline import detect_changepoints
 from arcpd.sdtest import (
+    TAIL_FLOATS,
     TAIL_VALUES,
     BoundaryTest,
     OrderMode,
@@ -294,6 +295,35 @@ class TestChiSqUpperTail:
                 np.testing.assert_array_equal(
                     chi_sq_upper_tail(s[:c], dc), chi2_tail_recurrence(s[:c], dc)
                 )
+
+    @pytest.mark.parametrize("count", [TAIL_FLOATS - 1, TAIL_FLOATS, TAIL_FLOATS + 1])
+    def test_few_values_match_the_table_bit_for_bit(self, count):
+        # At most TAIL_FLOATS values are summed in Python floats: the same
+        # bits as their columns in a table of more values, and as the step
+        # loop, on both sides of the size rule.  Statistics from 0 and the
+        # smallest subnormal through the far tail to inf, df 1 to 300.
+        rng = np.random.default_rng(count)
+        for trial in range(60):
+            df = rng.integers(1, (3, 15, 40, 301)[trial % 4], size=count)
+            stat = rng.chisquare(df) * rng.uniform(0.1, 4.0, size=count)
+            kind = rng.integers(0, 8, size=count)
+            stat[kind == 0] = 0.0
+            stat[kind == 1] = np.inf
+            stat[kind == 2] = 5e-324
+            stat[kind == 3] = 1e-300
+            got = chi_sq_upper_tail(stat, df)
+            pad = TAIL_FLOATS + 1  # the table, whatever count is
+            table = chi_sq_upper_tail(np.r_[stat, np.ones(pad)], np.r_[df, np.ones(pad, int)])
+            assert got.shape == (count,) and got.tobytes() == table[:count].tobytes()
+            finite = np.isfinite(stat) & (stat > 0)
+            want = chi2_tail_recurrence(stat[finite], df[finite])
+            np.testing.assert_array_equal(got[finite], want)
+            assert (got[stat == 0.0] == 1.0).all() and (got[stat == np.inf] == 0.0).all()
+            if count % 4 == 0:  # a 2-D stack of the same values
+                grid = chi_sq_upper_tail(stat.reshape(4, -1), df.reshape(4, -1))
+                assert grid.shape == (4, count // 4) and grid.tobytes() == got.tobytes()
+            for s, d, q in zip(stat.tolist(), df.tolist(), got.tolist()):
+                assert chi_sq_upper_tail(s, d) == q
 
     def test_term_table_is_built_in_bounded_blocks(self):
         # A whole table of 2000 boundaries with df up to 3000 would hold
