@@ -5,27 +5,24 @@ already mean-corrected unless noted; use :func:`mean_correct` first.
 
 :func:`levinson_path` is the one Levinson-Durbin recursion, in its Schur
 form (Le Roux & Gueguen 1977).  It takes a stack of autocovariance rows
-(shape (..., L); a 1-D input is one row, as from :func:`sample_autocov`)
-and gives each row's reflection coefficients and Yule-Walker innovation
-variances at every order up to the one asked for, with vector operations
-across rows and a Python loop over orders only.  It carries two generator
-columns, the autocovariances with lags on the outer axis and rows on the
-inner, so each step is one division and two updates over contiguous
-stack-wide rows; the variances follow as one running product down the
-orders.  One row (a 1-D input) runs the same steps on Python floats
-instead, where numpy's per-call cost would outweigh O(order) updates.  A
-row's result depends on that row alone, bit for bit, stacked or not.
-Breakdown follows one convention for every
-row: a row whose variance at order m - 1 is not positive and finite stops
-there, and its later variances and reflection coefficients are NaN.
+(shape (..., L); a 1-D input is a stack of one row) and gives each row's
+reflection coefficients and Yule-Walker innovation variances at every
+order up to the one asked for, with vector operations across rows and a
+Python loop over orders only.  A row's result depends on that row alone,
+bit for bit, whatever its stack.  Breakdown follows one convention for
+every row: a row whose variance at order m - 1 is not positive and finite
+stops there, and its later variances and reflection coefficients are NaN.
 
-:func:`bic_order` is the one BIC scorer, read off such paths alone with the
-concentrated Gaussian likelihood: BIC(p) = n * (log(2 pi) + log sigma2_p + 1)
-+ (p + 1) * log(n).  It needs no residual pass, and since the minimizer
-depends on the data only through ratios of innovation variances, the
-selected order does not depend on the units (scale) of the series.  One
-path (1-D) is scored and searched in Python floats after its one numpy
-logarithm, with the stack's arithmetic, so it gets the stack's order.
+:func:`bic_order` is the one BIC scorer, read off a stack of such paths
+with the concentrated Gaussian likelihood: BIC(p) = n * (log(2 pi) + log
+sigma2_p + 1) + (p + 1) * log(n).  It needs no residual pass, and since the
+minimizer depends on the data only through ratios of innovation variances,
+the selected order does not depend on the units (scale) of the series.
+
+Both kernels take stacks, as the segment test fits them.  The scan's order
+is one series, where numpy's per-call cost would outweigh O(order) updates:
+:func:`bic_select_order` runs the same steps and scores on Python floats,
+in the kernels' order, so it picks the order they pick, bit for bit.
 
 Reflection coefficients carry the predictor's sign, that of
 x[t] ~ phi_1 x[t-1] + ... + phi_p x[t-p], the generating convention of
@@ -38,6 +35,7 @@ m, with k_m = reflect[m-1].
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -93,11 +91,11 @@ def levinson_path(gamma, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Reflection coefficients and innovation variances of every order up to
     `order`, per row, by the Schur recursion.
 
-    gamma is one autocovariance row or a stack of rows, shape (..., L) with
-    L > order.  Returns (reflect, sigma2s) of shapes (..., order) and
-    (..., order + 1): reflect[..., m-1] is the order-m reflection (partial
-    autocorrelation) coefficient k_m and sigma2s[..., m] the innovation
-    variance of the order-m Yule-Walker fit.  The generators a and b start
+    gamma is a stack of autocovariance rows, shape (..., L) with L > order;
+    a 1-D gamma is one row.  Returns (reflect, sigma2s) of shapes
+    (..., order) and (..., order + 1): reflect[..., m-1] is the order-m
+    reflection (partial autocorrelation) coefficient k_m and sigma2s[..., m]
+    the innovation variance of the order-m Yule-Walker fit.  The generators a and b start
     as gamma[:order + 1]; order m takes k_m = a[m] / b[m-1], then, from the
     old values, sets a[i] -= k_m b[i-1] for i > m and b[i] = b[i-1] - k_m a[i]
     for m <= i < order.  After the last order, sigma2s[m] = sigma2s[m-1] *
@@ -105,17 +103,13 @@ def levinson_path(gamma, order: int) -> tuple[np.ndarray, np.ndarray]:
     costs O(order) per row.  A row whose sigma2s[m-1] is not positive and
     finite breaks down entering order m: its sigma2s past m - 1 and its
     reflect from order m on are NaN.  Callers read a row's breakdown order
-    off its first variance that is not positive and finite.  A 1-D gamma
-    runs on Python floats, with the same bits as its row in a stack.
+    off its first variance that is not positive and finite.
     """
     g = np.asarray(gamma, dtype=float)
     if not 0 <= order < g.shape[-1]:
         raise ValueError(
             f"need autocovariances to lag {order}, have {g.shape[-1] - 1}"
         )
-    if g.ndim == 1:
-        reflect, sigma2s = _levinson_row(g[: order + 1].tolist(), order)
-        return np.array(reflect), np.array(sigma2s)
     # The generator columns, lags on the outer axis and rows on the inner,
     # copied to be contiguous: strided reads in the first order cost more
     # than the copy.  Entering order m, a holds a[m:] and b holds
@@ -140,78 +134,44 @@ def levinson_path(gamma, order: int) -> tuple[np.ndarray, np.ndarray]:
     return reflect.T.reshape(shape + (order,)), sigma2s.T.reshape(shape + (order + 1,))
 
 
-def _levinson_row(g: list, order: int) -> tuple[list, list]:
-    """levinson_path of one row, its lags 0..order as Python floats: the
-    stacked steps, one float at a time in the same order, so the same bits.
-    The generators are updated in place: entering order m + 1, a[m:] and
-    b[m:] are the stack's a and b.  It stops where the row breaks down; the
-    rest is NaN, as in the stack."""
-    a, b = g[1:], g[:-1]
-    s = g[0]
-    reflect, sigma2s = [], [s]
-    for m in range(order):
-        if not 0.0 < s < math.inf:  # broken entering this order
-            break
-        # Python raises on a division by 0, where numpy gives inf or NaN.
-        k = a[m] / b[m] if b[m] else a[m] * math.copysign(math.inf, b[m])
-        for i in range(order - 1, m, -1):  # downwards: each reads old values
-            a[i], b[i] = a[i] - k * b[i], b[i - 1] - k * a[i - 1]
-        reflect.append(k)
-        s = s * (1.0 - k * k)
-        sigma2s.append(s)
-    reflect += [math.nan] * (order - len(reflect))
-    sigma2s += [math.nan] * (order + 1 - len(sigma2s))
-    return reflect, sigma2s
-
-
 def bic_order(sigma2s, n):
     """BIC order of each Levinson path in a stack, for sample sizes n.
 
-    sigma2s is one path's innovation variances (1-D: the result is an int)
-    or a stack of them (shape (..., L), with n broadcasting against the
-    leading axes: an int array).  BIC(p) = n * (log(2 pi) + log sigma2s[p]
-    + 1) + (p + 1) * log(n), less n * (log(2 pi) + 1 + log sigma2s[0]),
-    which no order changes: what is scored is
-    n * log(sigma2s[p] / sigma2s[0]) + (p + 1) * log(n).  Orders stop at the
-    first variance that is not positive and finite (0 when sigma2s[0] is
-    not), so a caller limits a row's search by setting its later entries to
-    NaN; ties go to the smallest order.  One path is searched in Python
-    floats, with the same scores.
+    sigma2s is a stack of innovation variance paths, shape (..., L), with n
+    broadcasting against the leading axes; one path (1-D) gives a Python
+    int.  What is scored is n * log(sigma2s[p] / sigma2s[0]) + (p + 1) *
+    log(n): BIC(p) less n * (log(2 pi) + 1 + log sigma2s[0]), which no order
+    changes.  Orders stop at the first variance that is not positive and
+    finite (0 when sigma2s[0] is not), so a caller limits a row's search by
+    setting its later entries to NaN; ties go to the smallest order.
     """
     s = np.asarray(sigma2s, dtype=float)
     n = np.asarray(n)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_ratio = np.log(s / s[..., :1])
     # math.log: numpy's log of an integer can differ from it in the last bit.
-    if s.ndim == 1:  # one path: the same scores and argmin, in Python floats
-        n = n.item()
-        log_n = math.log(n)
-        best, low = 0, math.inf
-        for p, (v, lr) in enumerate(zip(s.tolist(), log_ratio.tolist())):
-            if not 0.0 < v < math.inf:
-                break
-            score = n * lr + (p + 1) * log_n
-            if score < low:
-                best, low = p, score
-        return best
     log_n = np.array([math.log(v) for v in n.ravel().tolist()]).reshape(n.shape)
     usable = np.logical_and.accumulate((0.0 < s) & (s < math.inf), axis=-1)
     score = n[..., None] * log_ratio
     score += np.arange(1, s.shape[-1] + 1) * log_n[..., None]
-    return np.where(usable, score, math.inf).argmin(axis=-1)
+    best = np.where(usable, score, math.inf).argmin(axis=-1)
+    return best if best.ndim else int(best)
 
 
 def bic_select_order(values, max_order: int) -> int:
     """Pick the AR order in 0..max_order minimizing BIC; ties go to the smallest.
 
-    One autocovariance pass and one Levinson-Durbin path to max_order, scored
-    by :func:`bic_order` with n = len(values): the concentrated likelihood
-    n * (log(2 pi) + log sigma2_p + 1) + (p + 1) * log(n).  The result does
-    not depend on scale: ``bic_select_order(c * x, m) == bic_select_order(x, m)``
-    for any c != 0 short of overflow or underflow.  Raises DegenerateFitError when the
-    order-0 variance is not positive and finite.
+    :func:`levinson_path` to max_order on one autocovariance pass, scored by
+    :func:`bic_order` with n = len(values), as for a stack of this one row,
+    but on Python floats: the same operations in the same order, so the
+    same bits.  The result does not depend on scale: ``bic_select_order(c *
+    x, m) == bic_select_order(x, m)`` for any c != 0 short of overflow or
+    underflow.  Raises DegenerateFitError when the order-0 variance is not
+    positive and finite.
     """
     x = as_series(values)
+    if not isinstance(max_order, numbers.Integral):
+        raise ValueError(f"max_order must be an integer, got {max_order!r}")
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     n = len(x)
@@ -219,10 +179,30 @@ def bic_select_order(values, max_order: int) -> int:
         raise ValueError(
             f"series of length {n} too short for max_order {max_order}"
         )
-    _, sigma2s = levinson_path(sample_autocov(x, max_order), max_order)
-    if not 0.0 < sigma2s[0] < math.inf:
+    g = sample_autocov(x, max_order).tolist()
+    s = g[0]
+    if not 0.0 < s < math.inf:
         raise DegenerateFitError(
             f"BIC order selection failed at every order 0..{max_order}: "
-            f"residual variance {float(sigma2s[0])!r} at order 0"
+            f"residual variance {s!r} at order 0"
         )
-    return bic_order(sigma2s, n)
+    # levinson_path's steps: entering order m + 1, a[m:] and b[m:] are its
+    # generators, updated in place from the top down to read old values.
+    a, b = g[1:], g[:-1]
+    sigma2s = [s]
+    for m in range(max_order):
+        # Python raises on a division by 0, where numpy gives inf or NaN.
+        k = a[m] / b[m] if b[m] else a[m] * math.copysign(math.inf, b[m])
+        s = s * (1.0 - k * k)
+        if not 0.0 < s < math.inf:
+            break
+        sigma2s.append(s)
+        for i in range(max_order - 1, m, -1):
+            a[i], b[i] = a[i] - k * b[i], b[i - 1] - k * a[i - 1]
+    # bic_order's scores: numpy's log of the ratios, for its last bit; a
+    # ratio that underflows to 0 scores -inf there too.
+    with np.errstate(divide="ignore"):
+        log_ratio = np.log(np.array(sigma2s) / sigma2s[0]).tolist()
+    log_n = math.log(n)
+    scores = [n * lr + p * log_n for p, lr in enumerate(log_ratio, start=1)]
+    return scores.index(min(scores))

@@ -164,7 +164,9 @@ def _cmd_bench(args) -> int:
     models: list[str] = []
     for item in args.model or builtin_model_names():
         models.extend(m.strip() for m in item.split(",") if m.strip())
-    # Bad names, settings and an unwritable --out all exit before any work.
+    # No name, bad names or settings and an unwritable --out all exit before any work.
+    if not models:
+        raise ValueError("--model must name at least one model")
     for m in models:
         builtin_model(m)
     cfg = _detect_config(args)

@@ -67,6 +67,11 @@ class DetectConfig:
             raise ValueError("window_radius must be positive")
         if self.scan_order is not None:
             check_order(self.window_radius, self.scan_order)
+        if not isinstance(self.order_mode, OrderMode):
+            raise ValueError(f"order_mode must be an OrderMode, got {self.order_mode!r}")
+        if not isinstance(self.iterate, (bool, np.bool_)):
+            raise ValueError(f"iterate must be a bool, got {self.iterate!r}")
+        object.__setattr__(self, "iterate", bool(self.iterate))  # JSON-ready
         if self.correction not in CORRECTIONS:
             raise ValueError(
                 f"correction must be one of {sorted(CORRECTIONS)}, got {self.correction!r}"

@@ -76,6 +76,13 @@ def brute_force_bic_order(x, max_order):
     return best
 
 
+def stacked_bic_order(x, max_order):
+    """The BIC order that levinson_path and bic_order give x as a stack of
+    one row."""
+    _, sigma2s = levinson_path(sample_autocov(x, max_order)[None], max_order)
+    return int(bic_order(sigma2s, [len(x)])[0])
+
+
 def random_ar_autocov(rng, order_hint=None):
     """Autocovariances of a random stationary AR process plus noise floor."""
     p = order_hint or rng.integers(1, 6)
@@ -480,6 +487,13 @@ class TestBicSelectOrder:
         with pytest.raises(ValueError, match=r"^max_order must be >= 1$"):
             bic_select_order(x, 0)
 
+    @pytest.mark.parametrize("max_order", [2.0, "2", None])
+    def test_max_order_must_be_an_integer(self, max_order):
+        x = np.random.default_rng(0).standard_normal(50)
+        with pytest.raises(ValueError, match=rf"^max_order must be an integer, got {max_order!r}$"):
+            bic_select_order(x, max_order)
+        assert bic_select_order(x, np.int64(2)) == bic_select_order(x, 2)
+
     def test_max_order_must_fit(self):
         with pytest.raises(ValueError):
             bic_select_order([1.0, 2.0, 3.0], 3)
@@ -531,6 +545,77 @@ class TestBicSelectOrder:
         x = mean_correct(simulate_piecewise(spec, seed))
         orders = [bic_select_order(c * x, 10) for c in (1e-100, 1e-10, 1.0, 1e10, 1e100)]
         assert orders == [orders[2]] * 5
+
+    def test_matches_the_stacked_kernels_bit_for_bit(self):
+        # bic_select_order runs levinson_path's steps and bic_order's scores
+        # on Python floats: its order is theirs for the series as a stack of
+        # one row.  Normal series, random walks, MA(1) series, alternating
+        # series and sparse spikes, scaled into the subnormal range and near
+        # overflow so that paths break down mid-way; where the stack's
+        # order-0 variance is zero, inf or has underflowed to 0, the error
+        # names that variance.
+        rng = np.random.default_rng(29)
+        scales = [1.0, 1e-150, 1e-160, 1e-161, 1e-162, 1e-164, 1e-200, 1e150, 1e153, 1e154, 1e156]
+        seen = {"ok": 0, "midway": 0, "zero": 0, "inf": 0}
+        for trial in range(2500):
+            n = int(rng.integers(2, 160))
+            e = rng.standard_normal(n + 1)
+            x = [
+                e[1:],
+                np.cumsum(e[1:]),
+                e[1:] + rng.uniform(-1, 1) * e[:-1],
+                (-1.0) ** np.arange(n) + 1e-3 * e[1:],
+                np.where(rng.random(n) < 0.05, e[1:], 0.0),
+            ][trial % 5] * scales[trial // 5 % len(scales)]
+            if trial % 97 == 0:
+                x = np.zeros(n)
+            m = int(rng.integers(1, min(10, n - 1) + 1))
+            _, sigma2s = levinson_path(sample_autocov(x, m)[None], m)
+            s0 = float(sigma2s[0, 0])
+            if 0.0 < s0 < math.inf:
+                want = int(bic_order(sigma2s, [len(x)])[0])
+                assert bic_select_order(x, m) == want, (trial, x.tolist(), m)
+                seen["ok"] += 1
+                seen["midway"] += not ((0.0 < sigma2s) & (sigma2s < math.inf)).all()
+            else:
+                message = (
+                    f"BIC order selection failed at every order 0..{m}: "
+                    f"residual variance {s0!r} at order 0"
+                )
+                with pytest.raises(DegenerateFitError) as info:
+                    bic_select_order(x, m)
+                assert str(info.value) == message
+                seen["zero" if s0 == 0.0 else "inf"] += 1
+        assert min(seen.values()) >= 50, seen
+
+    def test_order_switches_match_the_stacked_kernels(self):
+        # Along x(t) = u + t * v the stacked order changes somewhere in
+        # [0, 2]; bisecting t down to two adjacent floats gives series whose
+        # two best scores are a few ulps apart, some exactly tied (the first
+        # order wins).  There bic_select_order picks the kernels' order only
+        # with their bits.
+        rng = np.random.default_rng(5)
+        switches = ties = 0
+        for _ in range(80):
+            n = int(rng.integers(8, 200))
+            m = int(rng.integers(1, min(10, n - 1) + 1))
+            e = rng.standard_normal(n + 1)
+            u, v = e[1:], (e[:-1] if rng.random() < 0.5 else rng.standard_normal(n))
+            lo, hi = 0.0, 2.0
+            want = {t: stacked_bic_order(u + t * v, m) for t in (lo, hi)}
+            if want[lo] == want[hi]:
+                continue
+            while (mid := (lo + hi) / 2) not in (lo, hi):
+                want[mid] = stacked_bic_order(u + mid * v, m)
+                lo, hi = (mid, hi) if want[mid] == want[lo] else (lo, mid)
+            switches += 1
+            for t in (lo, hi):
+                x = u + t * v
+                assert bic_select_order(x, m) == want[t], (n, m, t)
+                _, sigma2s = levinson_path(sample_autocov(x, m), m)
+                score = n * np.log(sigma2s / sigma2s[0]) + np.arange(1, m + 2) * math.log(n)
+                ties += int(np.count_nonzero(score == score.min()) > 1)
+        assert switches >= 30 and ties >= 2, (switches, ties)
 
     def test_zero_series_breaks_down_at_order_zero(self):
         # the recursion stops at order 0, so no order can be scored

@@ -368,6 +368,15 @@ class TestBenchCommand:
         assert "replicates must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("names", [[","], ["  "], [" , ", ","]], ids=["comma", "blank", "two"])
+    def test_bench_without_a_model_name_exit_2_without_out(self, tmp_path, capsys, names):
+        out = tmp_path / "d"
+        flags = [arg for name in names for arg in ("--model", name)]
+        code = main(["bench", *flags, "--replicates", "1", "--out", str(out)])
+        assert code == 2
+        assert "--model must name at least one model" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bench_negative_seed_exit_2_without_out(self, tmp_path, capsys):
         out = tmp_path / "d"
         code = main(["bench", "--model", "B", "--replicates", "1", "--seed", "-1", "--out", str(out)])

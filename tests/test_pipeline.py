@@ -253,6 +253,23 @@ class TestDetect:
         with pytest.raises(ValueError, match="alpha must be a real number, got '0.05'"):
             DetectConfig(alpha="0.05")
 
+    def test_iterate_must_be_a_bool(self):
+        for bad in ("no", 1, None):
+            with pytest.raises(ValueError, match=rf"^iterate must be a bool, got {bad!r}$"):
+                DetectConfig(iterate=bad)
+
+    def test_numpy_iterate_report_is_json_ready(self):
+        x = simulate_piecewise(builtin_model("B"), 0)
+        cfg = DetectConfig(iterate=np.bool_(True))
+        assert type(cfg.iterate) is bool
+        d = json.loads(json.dumps(detect_changepoints(x, cfg).to_dict()))
+        assert d == detect_changepoints(x, DetectConfig(iterate=True)).to_dict()
+        assert d["config"]["iterate"] is True
+
+    def test_order_mode_must_be_an_order_mode(self):
+        with pytest.raises(ValueError, match=r"^order_mode must be an OrderMode, got 'bic'$"):
+            DetectConfig(order_mode="bic")
+
     def test_multidimensional_series_rejected(self):
         # two columns used to be interleaved into one series of length 2048
         b = simulate_piecewise(builtin_model("B"), 0)
