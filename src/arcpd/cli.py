@@ -167,8 +167,13 @@ def _cmd_bench(args) -> int:
     # No name, bad names or settings and an unwritable --out all exit before any work.
     if not models:
         raise ValueError("--model must name at least one model")
+    chosen = {}  # spec -> the name that selected it first
     for m in models:
-        builtin_model(m)
+        spec = builtin_model(m)
+        if spec in chosen:
+            again = "" if chosen[spec] == m else f" (again as {m!r})"
+            raise ValueError(f"--model selects model {chosen[spec]!r} twice{again}")
+        chosen[spec] = m
     cfg = _detect_config(args)
     if args.replicates < 1:
         raise ValueError("replicates must be >= 1")

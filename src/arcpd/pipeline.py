@@ -72,7 +72,7 @@ class DetectConfig:
         if not isinstance(self.iterate, (bool, np.bool_)):
             raise ValueError(f"iterate must be a bool, got {self.iterate!r}")
         object.__setattr__(self, "iterate", bool(self.iterate))  # JSON-ready
-        if self.correction not in CORRECTIONS:
+        if not isinstance(self.correction, str) or self.correction not in CORRECTIONS:
             raise ValueError(
                 f"correction must be one of {sorted(CORRECTIONS)}, got {self.correction!r}"
             )

@@ -291,7 +291,9 @@ def discrimination_test(x, positions, mode: OrderMode | None = None) -> Boundary
     is_sample = np.repeat(is_sample, layout)
     mean = np.add.reduceat(x, bounds[:-1]) / n
     buf = np.zeros(len(x) + pad * count)
-    buf[is_sample] = x - np.repeat(mean, n)
+    centred = np.repeat(mean, n)
+    buf[is_sample] = np.subtract(x, centred, out=centred)
+    del centred, is_sample
     # One table of lag sums, then autocovariances: row s holds segment s's
     # lags 0..width, and the rows after the segments' hold the pooled fits'.
     rows = np.empty((2 * count - 1, width + 1))
@@ -304,7 +306,7 @@ def discrimination_test(x, positions, mode: OrderMode | None = None) -> Boundary
         for j in range(width + 1):
             np.multiply(buf[j:], buf[: len(buf) - j], out=prod[j:])
             table[:, j] = np.add.reduceat(prod, edges)[::2]
-        del buf, prod, is_sample  # sample-length; the rest of the pass is per segment
+        del buf, prod  # sample-length; the rest of the pass is per segment
         energy = table[:, 0] + n * mean * mean
         table[(table[:, 0] <= CONSTANT_RTOL * energy) & (energy < math.inf)] = 0.0
         np.add(table[:-1], table[1:], out=pooled)

@@ -2,8 +2,11 @@
 
 Two plot kinds back the CLI:
 
-* :func:`series_plot` - the observations as one polyline, a vertex per
-  observation, with solid vertical lines at detected change points.
+* :func:`series_plot` - the observations as one polyline, with solid
+  vertical lines at detected change points.  A vertex per observation,
+  except in a pixel column of the plot area that holds more than
+  ``COLUMN_VERTICES`` observations: there only its first, minimum, maximum
+  and last ones, in time order, which draw the same column.
 * :func:`locations_plot` - one panel per method; each replicate that found
   the correct number of change points gets a horizontal line with a circle
   per estimated location, and dashed vertical lines mark the true
@@ -19,6 +22,10 @@ import numpy as np
 __all__ = ["series_plot", "locations_plot"]
 
 MARGIN = {"left": 55.0, "right": 15.0, "top": 20.0, "bottom": 35.0}
+
+# Observations per pixel column above which series_plot keeps only the
+# column's first, minimum, maximum and last (module docstring).
+COLUMN_VERTICES = 4
 
 
 def _fmt(v: float) -> str:
@@ -76,7 +83,8 @@ def series_plot(values, changepoints=(), width=900.0, height=300.0, title="") ->
     body = _frame(x0, y0, x1, y1)
     if title:
         body.append(_text((x0 + x1) / 2, y0 - 7, title))
-    vertices = zip(px(np.arange(1, n + 1)).tolist(), py(y).tolist())
+    t = _drawn(y, int(x1 - x0))
+    vertices = zip(px(t + 1).tolist(), py(y[t]).tolist())
     points = " ".join(f"{a:.2f},{b:.2f}" for a, b in vertices)  # _fmt, inlined
     body.append(f'<polyline points="{points}" fill="none" stroke="steelblue" stroke-width="1" />')
     for cp in changepoints:
@@ -87,6 +95,31 @@ def series_plot(values, changepoints=(), width=900.0, height=300.0, title="") ->
     body.append(_text(x0, y1 + 14, "1", size=10))
     body.append(_text(x1, y1 + 14, str(n), size=10))
     return _svg(width, height, body)
+
+
+def _drawn(y: np.ndarray, columns: int) -> np.ndarray:
+    """Indices of the observations series_plot draws, in time order.
+
+    Observation t lies in pixel column t * columns // (n - 1) of the plot
+    area, the last one folded into column columns - 1.  A column of more
+    than COLUMN_VERTICES observations keeps its first, minimum, maximum and
+    last (the first of equal extremes); every other column keeps all of its
+    own.
+    """
+    n = len(y)
+    t = np.arange(n)
+    if n <= COLUMN_VERTICES * columns:  # no column can be crowded
+        return t
+    col = np.minimum(t * columns // (n - 1), columns - 1)
+    starts = np.flatnonzero(np.diff(col, prepend=-1))
+    ends = np.append(starts[1:], n)
+    keep = np.ones(n, dtype=bool)
+    for a, b in zip(starts.tolist(), ends.tolist()):
+        if b - a > COLUMN_VERTICES:
+            part = y[a:b]
+            keep[a + 1 : b - 1] = False
+            keep[a + int(part.argmin())] = keep[a + int(part.argmax())] = True
+    return t[keep]
 
 
 def locations_plot(

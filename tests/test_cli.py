@@ -377,6 +377,25 @@ class TestBenchCommand:
         assert "--model must name at least one model" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "names,message",
+        [
+            (["B,B"], "'B' twice"),
+            (["B", "C", "B"], "'B' twice"),
+            (["B,b"], "'B' twice (again as 'b')"),
+            (["A:0.4", "A:0.40"], "'A:0.4' twice (again as 'A:0.40')"),
+        ],
+        ids=["comma", "flags", "case", "model-a"],
+    )
+    def test_bench_repeated_model_exit_2_without_out(self, tmp_path, capsys, names, message):
+        # Two names of one model would write its rows twice and its SVG over itself.
+        out = tmp_path / "d"
+        flags = [arg for name in names for arg in ("--model", name)]
+        code = main(["bench", *flags, "--replicates", "1", "--out", str(out)])
+        assert code == 2
+        assert f"--model selects model {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bench_negative_seed_exit_2_without_out(self, tmp_path, capsys):
         out = tmp_path / "d"
         code = main(["bench", "--model", "B", "--replicates", "1", "--seed", "-1", "--out", str(out)])

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,6 +267,11 @@ class TestDetect:
         assert d == detect_changepoints(x, DetectConfig(iterate=True)).to_dict()
         assert d["config"]["iterate"] is True
 
+    def test_correction_must_be_a_string(self):
+        for bad in (["bh"], ("bh",), None):
+            with pytest.raises(ValueError, match=r"^correction must be one of \['bh', 'bonferroni'\]"):
+                DetectConfig(correction=bad)
+
     def test_order_mode_must_be_an_order_mode(self):
         with pytest.raises(ValueError, match=r"^order_mode must be an OrderMode, got 'bic'$"):
             DetectConfig(order_mode="bic")
@@ -276,6 +282,23 @@ class TestDetect:
         c = simulate_piecewise(builtin_model("C"), 0)
         with pytest.raises(ValueError, match=r"shape \(1024, 2\)"):
             detect_changepoints(np.column_stack([b, c]))
+
+
+def test_long_series_peak_memory_is_a_few_copies_of_the_series():
+    # At 2**18 points the scan reads the series in place, extraction runs in
+    # blocks and the segment test centres through one buffer: the peak is
+    # about 4.7 copies of the series, and 6.0 when each of the three took
+    # a series-length copy of its own.
+    regimes = [(ArmaSpec(ar=(0.5 - k % 2,)), 2**15 * (k + 1)) for k in range(8)]
+    x = simulate_piecewise(PiecewiseSpec(tuple(regimes)), 101)
+    tracemalloc.start()
+    try:
+        report = detect_changepoints(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.final_cps) >= 7
+    assert peak < 5.25 * x.nbytes
 
 
 @pytest.mark.parametrize("mode", [OrderMode.fixed(), OrderMode.bic()], ids=["fixed", "bic"])

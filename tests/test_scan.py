@@ -231,12 +231,44 @@ class TestScanStatistics:
         want = [brute_force_scan_value(x, t, h, order) for t in prof.positions()]
         np.testing.assert_allclose(prof.values, want, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_chunks_past_the_series_end_match_brute_force(self, order, monkeypatch):
+        # A chunk reads x in place unless its lag products, over the
+        # chunk + 2h + order values from its first window on, run past the
+        # end of x; then it reads a zero-padded copy of its own span.  In
+        # chunks of 2h + 1 windows, a last chunk of order + 1 windows runs
+        # past the end alone, and a last chunk of one window takes the chunk
+        # before it along.
+        h = 7
+        chunk = 2 * h + 1
+        monkeypatch.setattr(scan_module, "CHUNK_VALUES", 3 * (order + 1) ** 2 * chunk)
+        assert _chunk_windows(order) == chunk
+        for last, past in ((order + 1, 1), (1, 2)):
+            m = 3 * chunk + last
+            assert sum(k0 + chunk + order > m - 1 for k0 in range(0, m, chunk)) == past
+            x = mean_correct(ar1(10 * order + last, m + 2 * h - 1, b=-0.4))
+            prof = scan_statistics(x, h, order)
+            assert len(prof.values) == m
+            assert prof.degenerate == 0
+            want = [brute_force_scan_value(x, t, h, order) for t in prof.positions()]
+            np.testing.assert_allclose(prof.values, want, rtol=0, atol=1e-10)
+            # A zero tail longer than a window: the padded span's last
+            # windows are degenerate, as the rank-checked oracle finds.
+            w = x.copy()
+            w[-(2 * h + 3) :] = 0.0
+            prof = scan_statistics(w, h, order)
+            want = np.array([rank_checked_scan_value(w, t, h, order) for t in prof.positions()])
+            bad = np.isnan(want)
+            assert bad[-1] and prof.degenerate == bad.sum()
+            assert (prof.values[bad] == 0.0).all()
+            np.testing.assert_allclose(prof.values[~bad], want[~bad], rtol=0, atol=1e-10)
+
     def test_fallback_residuals_are_grouped(self):
         # Near a unit root 9% of the windows take explicit residuals, in
         # runs: at h = 500 one residual pass over a whole chunk's fallback
         # windows (1000 values each) peaks near 90 MB.  In groups the peak
-        # beyond the profile is about 6 MB: the padded series copy and a few
-        # buffers the size of one chunk's Gram stack.
+        # beyond the profile is about 4.5 MB: a few buffers the size of one
+        # chunk's Gram stack (the chunks read the series in place).
         spec = PiecewiseSpec(((ArmaSpec(ar=(0.999,)), 200_000),))
         x = mean_correct(simulate_piecewise(spec, 5))
         tracemalloc.start()
@@ -614,6 +646,39 @@ class TestExtractCandidates:
             prof = ScanProfile(values, offset=h, radius=h, order=0)
             got = [p - h for p in extract_candidates(prof).positions]
             assert got == self.rule_oracle(values, h)
+
+    @pytest.mark.parametrize(
+        "block,n,h",
+        # several blocks; h larger than a block; a last block of one value
+        [(8, 40, 3), (8, 41, 3), (5, 60, 12), (4, 33, 10), (3, 7, 20), (16, 400, 40), (1, 30, 2)],
+    )
+    def test_blocks_match_rule_oracle(self, block, n, h, monkeypatch):
+        # Extraction runs over blocks of BLOCK_VALUES profile values, each
+        # with the h values on either side of it.
+        monkeypatch.setattr(scan_module, "BLOCK_VALUES", block)
+        rng = np.random.default_rng(100 * block + n + h)
+        for draw in range(20):
+            if draw % 2:
+                values = rng.integers(0, 4, size=n).astype(float)  # ties in most windows
+            else:
+                values = rng.uniform(0, 1, size=n)
+            prof = ScanProfile(values, offset=h, radius=h, order=0)
+            cands = extract_candidates(prof)
+            got = [p - h for p in cands.positions]
+            assert got == self.rule_oracle(values, h)
+            assert cands.scan_values == tuple(values[got].tolist())
+
+    def test_tie_across_a_block_edge_breaks_left(self, monkeypatch):
+        # A plateau of 5 over profile values 6..10 straddles the block edge
+        # at 8: its first value is the candidate, from either block's view.
+        values = np.zeros(24)
+        values[6:11] = 5.0
+        values[[2, 20]] = 1.0
+        for block in (8, 24):
+            monkeypatch.setattr(scan_module, "BLOCK_VALUES", block)
+            prof = ScanProfile(values, offset=3, radius=3, order=0)
+            assert extract_candidates(prof).positions == (3 + 2, 3 + 6, 3 + 20)
+            assert self.rule_oracle(values, 3) == [2, 6, 20]
 
     def test_spacing_exceeds_radius(self):
         for seed in range(10):
