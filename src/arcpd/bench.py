@@ -1,10 +1,11 @@
 """Detection-rate benchmark over the built-in models.
 
 For each model, R seeded replicates are simulated and detected once, which
-keeps the change points of ``cfg.correction``; the report's boundary tests
-then go through the pipeline's stage 3,
+keeps the change points of ``cfg.correction``; the report's boundary test
+columns then go through the pipeline's stage 3,
 :func:`arcpd.pipeline.keep_changepoints` (``cfg.iterate`` honoured), with
-the other correction, giving one BenchResult per (model, correction).
+the other correction of :data:`arcpd.pipeline.CORRECTIONS`, giving one
+BenchResult per (model, correction).
 The exact detection rate is the fraction of replicates whose estimated
 change-point count equals the truth.  Estimated locations are recorded
 for every replicate regardless of correctness.
@@ -23,9 +24,10 @@ import os
 from dataclasses import dataclass
 
 from .ar import mean_correct
-# Bench's own names, not pipeline.CORRECTIONS: perfbench/spans.py TARGETS wraps them.
-from .multtest import bh_procedure, bonferroni_procedure
-from .pipeline import DetectConfig, detect_changepoints, keep_changepoints
+
+# Not called here: kept as module attributes so that perfbench/spans.py TARGETS can wrap them.
+from .multtest import bh_procedure, bonferroni_procedure  # noqa: F401
+from .pipeline import CORRECTIONS, DetectConfig, detect_changepoints, keep_changepoints
 from .simulate import BURN_IN, builtin_model, replicate_seed, simulate_piecewise
 from .svgplot import locations_plot
 
@@ -75,14 +77,15 @@ def _kept_changepoints(x, cfg: DetectConfig):
         method: report.final_cps
         if method == cfg.correction
         else keep_changepoints(xc, report.boundary_tests, cfg, correct)[1]
-        for method, correct in (("bh", bh_procedure), ("bonferroni", bonferroni_procedure))
+        for method, correct in CORRECTIONS.items()
     }
 
 
 def run_model(
     model: str, replicates: int, seed: int, cfg: DetectConfig | None = None
 ) -> dict[str, BenchResult]:
-    """Benchmark one model; returns {'bh': BenchResult, 'bonferroni': BenchResult}."""
+    """Benchmark one model; returns {'bh': BenchResult, 'bonferroni': BenchResult},
+    one per correction of pipeline.CORRECTIONS."""
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     if cfg is None:
@@ -101,7 +104,7 @@ def run_model(
             true_cps=spec.true_cps,
             series_length=spec.total_length,
         )
-        for method in ("bh", "bonferroni")
+        for method in CORRECTIONS
     }
 
 

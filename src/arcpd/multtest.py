@@ -6,9 +6,12 @@ rejection flags in the same order.
 
 At most ``FLOAT_COUNT`` p-values (a T = 1024 detect tests about 8
 boundaries) are checked and corrected in Python floats, where numpy's
-per-call cost would outweigh the arithmetic; more go through numpy.  Both
-paths make the same comparisons and roundings, so their outcomes are equal
-bit for bit, and their messages are the same.
+per-call cost would outweigh the arithmetic; more are checked through numpy,
+and BH corrects them through numpy too.  Bonferroni corrects every size in
+floats: one product and one comparison per p-value, the same IEEE operations
+as numpy's, so its outcome is bit for bit the array form's.  BH's two paths
+make the same comparisons and roundings, so their outcomes are equal bit for
+bit, and the messages of both checks are the same.
 """
 
 from __future__ import annotations
@@ -97,16 +100,8 @@ def bh_procedure(pvals, alpha: float = 0.05) -> MultipleTestOutcome:
 def bonferroni_procedure(pvals, alpha: float = 0.05) -> MultipleTestOutcome:
     """Reject hypothesis i when q * p_i <= alpha; adjusted value min(1, q * p_i)."""
     p = _validated(pvals, alpha)
-    q = len(p)
-    if isinstance(p, list):
-        a = float(alpha)
-        scaled = [q * v for v in p]
-        return MultipleTestOutcome(
-            "bonferroni", alpha, tuple(v <= a for v in scaled), tuple(_min(1.0, v) for v in scaled)
-        )
-    scaled = q * p
-    rejected = scaled <= alpha
-    adjusted = np.minimum(1.0, scaled)
+    q, a = len(p), float(alpha)
+    scaled = [q * v for v in (p if isinstance(p, list) else p.tolist())]
     return MultipleTestOutcome(
-        "bonferroni", alpha, tuple(rejected.tolist()), tuple(adjusted.tolist())
+        "bonferroni", alpha, tuple(v <= a for v in scaled), tuple(_min(1.0, v) for v in scaled)
     )

@@ -14,11 +14,12 @@ The detector runs three stages on a series of length T:
 Stage 2 gives the report's :class:`arcpd.sdtest.BoundaryTests`, one column
 per field over the candidates.  Stage 3, the diagnostics, the bench and
 :meth:`ChangePointReport.to_dict` (through
-:meth:`arcpd.sdtest.BoundaryTests.dicts`) read the columns, so detect
-builds no :class:`arcpd.sdtest.BoundaryTest` record.  A boundary whose test
-cannot run (a segment too short or constant, a fit that breaks down)
-enters the correction with p-value 1, is never rejected, and is reported
-with a warning.
+:meth:`arcpd.sdtest.BoundaryTests.dicts`) read the columns; the
+:class:`arcpd.sdtest.BoundaryTest` records are the benchmark's iteration
+view only, and detect builds none.  A boundary whose test cannot run (a
+segment too short or constant, a fit that breaks down) enters the
+correction with p-value 1, is never rejected, and is reported with a
+warning.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ class ChangePointReport:
     config: DetectConfig
     profile: ScanProfile
     candidates: CandidateSet
-    boundary_tests: BoundaryTests  # columns; iterating builds BoundaryTest records
+    boundary_tests: BoundaryTests  # columns; records only as the benchmark iterates them
     outcome: MultipleTestOutcome
     final_cps: tuple[int, ...]
     diagnostics: tuple[str, ...]

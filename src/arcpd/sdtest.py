@@ -31,7 +31,7 @@ because the path is prefix-consistent.  The pass costs a fixed few dozen
 numpy calls plus a few per lag, and the chi-square tail is one table of
 terms (:func:`chi_sq_upper_tail`), not a loop over its steps, or, for at
 most ``TAIL_FLOATS`` boundaries, the same terms added in Python floats.  Each
-boundary's record is bit for bit that of a pass over its two segments
+boundary's values are bit for bit those of a pass over its two segments
 alone.  Two order policies are supported:
 
 * fixed: both segments and the pooled fit use
@@ -67,11 +67,12 @@ rounding residue measured below 6 eps**2 of its energy, at levels from
 its fit breaks down at order 0 and its boundaries are untestable.
 
 The pass returns one :class:`BoundaryTests`: a column per field, and notes
-for the flagged boundaries only.  Iterating over it builds one
-:class:`BoundaryTest` record per boundary as it goes, so a caller that
-needs only positions and p-values, like the pipeline's stage 3, builds
-none; :meth:`BoundaryTests.dicts` gives the report's JSON-ready dicts off
-the columns, without records either.
+for the flagged boundaries only.  Detect, stage 3, the bench and the report's
+JSON (:meth:`BoundaryTests.dicts`) read the columns.  Iterating over it
+builds one :class:`BoundaryTest` record per boundary, holding the position,
+p-value, statistic and df only: the benchmark's iteration view
+(perfbench/oracle.py, perfbench/workloads.py), which nothing in the package
+reads.
 """
 
 from __future__ import annotations
@@ -143,24 +144,20 @@ class OrderMode:
 
 @dataclass(frozen=True)
 class DiscriminationResult:
-    """One tested boundary's statistic, df, orders and fitted variances."""
+    """One tested boundary's statistic and df, in the benchmark's iteration
+    view (module docstring)."""
 
     statistic: float
     df: int
-    orders: tuple[int, int, int]  # (left segment, right segment, pooled)
-    sigma2: tuple[float, float, float]  # innovation variances, same order
 
 
 @dataclass(frozen=True)
 class BoundaryTest:
-    """One boundary's test, with 1-based inclusive segment ranges."""
+    """One boundary as the benchmark iterates it (module docstring)."""
 
     position: int
-    left_range: tuple[int, int]
-    right_range: tuple[int, int]
     p_value: float
     result: DiscriminationResult | None  # None: untestable, p_value 1
-    warning: str | None = None
 
 
 class BoundaryTests:
@@ -172,8 +169,8 @@ class BoundaryTests:
     ``bounds`` are the partition's, 0 and len(x) included: boundary i is
     bounds[i + 1].  ``warnings`` maps the index of each flagged boundary
     (untestable, capped or clamped) to its note.  :meth:`dicts` reads the
-    columns as the report's JSON dicts; iterating builds one BoundaryTest
-    record per boundary as it goes.
+    columns as the report's JSON dicts; iterating builds the benchmark's
+    BoundaryTest records as it goes.
     """
 
     def __init__(self, bounds, p_values, statistics, df, orders, sigma2, tested, warnings):
@@ -187,20 +184,12 @@ class BoundaryTests:
     def positions(self) -> np.ndarray:
         return self.bounds[1:-1]
 
-    def _rows(self):
-        """Per boundary, as Python values: the outer bounds lo and hi of its
-        two segments around its position, then tested, p-value, statistic,
-        df, the three orders, the three variances and the warning (or None)."""
-        b = self.bounds.tolist()
-        warnings = [None] * len(self)
-        for i, warning in self.warnings.items():
-            warnings[i] = warning
-        columns = (self.tested, self.p_values, self.statistics, self.df, *self.orders, *self.sigma2)
-        return zip(b, b[1:], b[2:], *(c.tolist() for c in columns), warnings)
-
     def dicts(self) -> list[dict]:
-        """One JSON-ready dict per boundary, read off the columns (no record is
-        built): statistic, df and orders are None where it was not tested."""
+        """One JSON-ready dict per boundary, read off the columns: statistic,
+        df and orders are None where it was not tested."""
+        b = self.bounds.tolist()
+        columns = (self.tested, self.p_values, self.statistics, self.df, *self.orders)
+        rows = zip(b, b[1:], b[2:], *(c.tolist() for c in columns))
         return [
             {
                 "position": pos,
@@ -210,18 +199,18 @@ class BoundaryTests:
                 "statistic": st if ok else None,
                 "df": d if ok else None,
                 "orders": [q1, q2, q0] if ok else None,
-                "warning": warning,
+                "warning": self.warnings.get(i),
             }
-            for lo, pos, hi, ok, pv, st, d, q1, q2, q0, *_, warning in self._rows()
+            for i, (lo, pos, hi, ok, pv, st, d, q1, q2, q0) in enumerate(rows)
         ]
 
     def __len__(self) -> int:
         return len(self.p_values)
 
     def __iter__(self):
-        for lo, pos, hi, ok, pv, st, d, q1, q2, q0, v1, v2, v0, warning in self._rows():
-            result = DiscriminationResult(st, d, (q1, q2, q0), (v1, v2, v0)) if ok else None
-            yield BoundaryTest(pos, (lo + 1, pos), (pos + 1, hi), pv, result, warning)
+        columns = (self.positions, self.p_values, self.tested, self.statistics, self.df)
+        for pos, pv, ok, st, d in zip(*(c.tolist() for c in columns)):
+            yield BoundaryTest(pos, pv, DiscriminationResult(st, d) if ok else None)
 
 
 def discrimination_test(x, positions, mode: OrderMode | None = None) -> BoundaryTests:
@@ -231,16 +220,16 @@ def discrimination_test(x, positions, mode: OrderMode | None = None) -> Boundary
     x[positions[i]:positions[i+1]] (with x's ends as outer bounds);
     positions must increase strictly inside (0, len(x)).  Each segment is
     mean-corrected here, so callers may pass a raw series.  Returns a
-    BoundaryTests, columns that iterate as one BoundaryTest record per
-    boundary, in order: the segment ranges, the chi-square upper-tail
-    p-value, the DiscriminationResult (statistic, degrees of freedom, orders
-    and innovation variances of the three fits; accept/reject is left to the
-    caller) and notes on a capped fixed order or a clamped statistic.  A
-    boundary that cannot be tested (a segment shorter than 3, or a fit that
-    breaks down at or below its order: module docstring) has no result,
-    p-value 1 and a warning that says why; nothing is raised per boundary.
-    Each result is symmetric in its two segments and invariant to rescaling
-    x.  Positions are integers, numpy's of any width too.
+    BoundaryTests, a column per field over the boundaries, in order: the
+    partition's bounds, the chi-square upper-tail p-value, the statistic,
+    degrees of freedom, orders and innovation variances of the three fits
+    (accept/reject is left to the caller), whether it was tested, and notes
+    on a capped fixed order or a clamped statistic.  A boundary that cannot
+    be tested (a segment shorter than 3, or a fit that breaks down at or
+    below its order: module docstring) is not tested, has p-value 1 and a
+    warning that says why; nothing is raised per boundary.  Each boundary's
+    test is symmetric in its two segments and invariant to rescaling x.
+    Positions are integers, numpy's of any width too.
     """
     if mode is None:
         mode = OrderMode.fixed()
@@ -393,19 +382,26 @@ def chi_sq_upper_tail(stat, df):
     of at most ``TAIL_VALUES`` terms, each block's first row the sums so far;
     a block's terms, running sums, exponents, step gaps and masks peak at
     about six block-sized arrays.  At most ``TAIL_FLOATS`` values of one
-    shape (a T = 1024 detect tests about 8 boundaries) skip the table: each
-    one's terms are added in step order in Python floats, bit for bit the
-    table's sums.  Returns a float for scalar input, else an array.
+    shape (a T = 1024 detect tests about 8 boundaries) are checked as lists
+    and skip the table: each one's terms are added in step order in Python
+    floats, bit for bit the table's sums.  Returns a float for scalar input,
+    else an array.
     """
     df = np.asarray(df)
+    stat = np.asarray(stat, dtype=float)
+    if stat.shape == df.shape and stat.size <= TAIL_FLOATS:
+        stats, dfs = stat.ravel().tolist(), df.ravel().tolist()
+        if not all(d >= 1 and d % 1 == 0 for d in dfs):
+            raise ValueError("df must be a positive integer")
+        bad = [v for v in stats if not v >= 0.0]
+        if bad:
+            raise ValueError(f"statistic must be nonnegative, got {bad[0]}")
+        tail = _tail_floats(stats, [int(d) for d in dfs])
+        return tail[0] if stat.ndim == 0 else np.array(tail).reshape(stat.shape)
     if (df < 1).any() or (df % 1).any():
         raise ValueError("df must be a positive integer")
-    stat = np.asarray(stat, dtype=float)
     if not (stat >= 0.0).all():
         raise ValueError(f"statistic must be nonnegative, got {stat[~(stat >= 0.0)].flat[0]}")
-    if stat.shape == df.shape and stat.size <= TAIL_FLOATS:
-        tail = _tail_floats(stat.ravel().tolist(), [int(d) for d in df.ravel().tolist()])
-        return tail[0] if stat.ndim == 0 else np.array(tail).reshape(stat.shape)
     stat, df = np.broadcast_arrays(stat, df.astype(int))
     tail = np.zeros(stat.shape)  # at stat = inf
     live = stat < math.inf

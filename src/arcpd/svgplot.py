@@ -22,6 +22,9 @@ import numpy as np
 __all__ = ["series_plot", "locations_plot"]
 
 MARGIN = {"left": 55.0, "right": 15.0, "top": 20.0, "bottom": 35.0}
+WIDTH = 900.0  # both plots
+HEIGHT = 300.0  # series_plot
+ROW_HEIGHT = 6.0  # locations_plot, per replicate
 
 # Observations per pixel column above which series_plot keeps only the
 # column's first, minimum, maximum and last (module docstring).
@@ -32,10 +35,10 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _svg(width: float, height: float, body: list[str]) -> str:
+def _svg(height: float, body: list[str]) -> str:
     head = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(WIDTH)}" '
+        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(WIDTH)} {_fmt(height)}">'
     )
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
@@ -63,12 +66,12 @@ def _frame(x0, y0, x1, y1) -> list[str]:
     ]
 
 
-def series_plot(values, changepoints=(), width=900.0, height=300.0, title="") -> str:
+def series_plot(values, changepoints=(), title="") -> str:
     """Series as one polyline, change points as vertical lines."""
     y = np.asarray(values, dtype=float)
     n = len(y)
-    x0, x1 = MARGIN["left"], width - MARGIN["right"]
-    y0, y1 = MARGIN["top"], height - MARGIN["bottom"]
+    x0, x1 = MARGIN["left"], WIDTH - MARGIN["right"]
+    y0, y1 = MARGIN["top"], HEIGHT - MARGIN["bottom"]
     lo, hi = float(y.min()), float(y.max())
     if hi <= lo:
         hi = lo + 1.0
@@ -94,7 +97,7 @@ def series_plot(values, changepoints=(), width=900.0, height=300.0, title="") ->
     body.append(_text(x0 - 6, py(hi) + 4, _fmt(hi), anchor="end"))
     body.append(_text(x0, y1 + 14, "1", size=10))
     body.append(_text(x1, y1 + 14, str(n), size=10))
-    return _svg(width, height, body)
+    return _svg(HEIGHT, body)
 
 
 def _drawn(y: np.ndarray, columns: int) -> np.ndarray:
@@ -127,8 +130,6 @@ def locations_plot(
     series_length: int,
     true_cps,
     method_locations: dict[str, list[tuple[int, list[int]]]],
-    width=900.0,
-    row_height=6.0,
 ) -> str:
     """Estimated-location panels, one per method.
 
@@ -138,7 +139,7 @@ def locations_plot(
     horizontal lines in index order; circles mark the estimates; dashed
     vertical lines mark the true locations.
     """
-    x0, x1 = MARGIN["left"], width - MARGIN["right"]
+    x0, x1 = MARGIN["left"], WIDTH - MARGIN["right"]
     panel_gap = 30.0
     body: list[str] = []
     top = MARGIN["top"]
@@ -149,13 +150,13 @@ def locations_plot(
     for method, rows in method_locations.items():
         n_rows = max(len(rows), 1)
         y_lo = top + 14.0
-        y_hi = y_lo + n_rows * row_height
+        y_hi = y_lo + n_rows * ROW_HEIGHT
         body.append(_text((x0 + x1) / 2, top + 4, f"{model_label} — {method}"))
         body.extend(_frame(x0, y_lo, x1, y_hi))
         for cp in true_cps:
             body.append(_line(px(cp), y_lo, px(cp), y_hi, "black", dash="4 3"))
         for i, (_, locs) in enumerate(rows):
-            yy = y_lo + (i + 0.5) * row_height
+            yy = y_lo + (i + 0.5) * ROW_HEIGHT
             body.append(_line(x0, yy, x1, yy, "#cccccc", width="0.5"))
             for loc in locs:
                 body.append(
@@ -165,4 +166,4 @@ def locations_plot(
         body.append(_text(x0, y_hi + 14, "1", size=10))
         body.append(_text(x1, y_hi + 14, str(series_length), size=10))
         top = y_hi + panel_gap
-    return _svg(width, top, body)
+    return _svg(top, body)

@@ -10,7 +10,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from arcpd import bench
+from arcpd import bench, pipeline
 from arcpd.cli import InputError, main, read_series_csv
 from arcpd.pipeline import DetectConfig, detect_changepoints
 from arcpd.sdtest import OrderMode
@@ -440,16 +440,21 @@ class TestBenchCommand:
     @pytest.mark.parametrize("correction", ["bh", "bonferroni"])
     def test_bench_reuses_the_detect_correction(self, monkeypatch, correction, iterate):
         # Detect has kept cfg.correction's change points; bench runs only the
-        # other correction, through its own names.
+        # other correction, through pipeline.CORRECTIONS.  Bench reads that
+        # very dict, whose entries perfbench/spans.py wraps in place.
+        assert bench.CORRECTIONS is pipeline.CORRECTIONS
         calls = {"bh": 0, "bonferroni": 0}
+        counted_corrections = {}
         for method in calls:
-            real = getattr(bench, f"{method}_procedure")
+            real = bench.CORRECTIONS[method]
 
             def counted(pvals, alpha, real=real, method=method):
                 calls[method] += 1
                 return real(pvals, alpha)
 
-            monkeypatch.setattr(bench, f"{method}_procedure", counted)
+            counted_corrections[method] = counted
+        # Bench's name only: detect keeps calling the real corrections.
+        monkeypatch.setattr(bench, "CORRECTIONS", counted_corrections)
         cfg = DetectConfig(correction=correction, iterate=iterate)
         results = bench.run_model("G", 3, 0, cfg)
         other = "bonferroni" if correction == "bh" else "bh"

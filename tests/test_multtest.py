@@ -155,10 +155,12 @@ class TestProperties:
 
 
 class TestFloatPath:
-    """At most FLOAT_COUNT p-values are corrected in Python floats: the same
-    flags and the same adjusted bits as numpy's pass, on both sides of it."""
+    """BH corrects at most FLOAT_COUNT p-values in Python floats, and
+    Bonferroni every count: the same flags and the same adjusted bits as
+    numpy's pass, on both sides of FLOAT_COUNT and at 563 p-values (a
+    T = 65536 detect's candidates)."""
 
-    @pytest.mark.parametrize("count", [FLOAT_COUNT - 1, FLOAT_COUNT, FLOAT_COUNT + 1])
+    @pytest.mark.parametrize("count", [FLOAT_COUNT - 1, FLOAT_COUNT, FLOAT_COUNT + 1, 563])
     def test_matches_the_numpy_reference_bit_for_bit(self, count):
         rng = np.random.default_rng(count)
         grid = [0.0, -0.0, 1.0, 5e-324, 0.001, 0.01, 0.0125, 0.025, 0.05, 0.5]

@@ -16,6 +16,8 @@ from arcpd.simulate import (
     simulate_piecewise,
 )
 
+from pairs import assert_same_tests, fit_orders
+
 
 def white_noise(seed, n=1024):
     return simulate_piecewise(PiecewiseSpec(((ArmaSpec(), n),)), seed)
@@ -45,23 +47,21 @@ class TestDetect:
         b = detect_changepoints(x)
         assert a.final_cps == b.final_cps
         assert np.array_equal(a.profile.values, b.profile.values)
-        assert [t.p_value for t in a.boundary_tests] == [
-            t.p_value for t in b.boundary_tests
-        ]
+        assert a.boundary_tests.p_values.tolist() == b.boundary_tests.p_values.tolist()
 
     def test_report_arithmetic(self):
         x = simulate_piecewise(builtin_model("G"), 2)
         report = detect_changepoints(x)
         n = report.series_length
-        tests = tuple(report.boundary_tests)
+        tests = report.boundary_tests.dicts()
         assert len(tests) == len(report.candidates)
         assert set(report.final_cps) <= set(report.candidates.positions)
         # segment ranges tile [1, T]
-        assert tests[0].left_range[0] == 1
-        assert tests[-1].right_range[1] == n
+        assert tests[0]["left"][0] == 1
+        assert tests[-1]["right"][1] == n
         for prev, cur in zip(tests, tests[1:]):
-            assert prev.right_range == (prev.left_range[1] + 1, cur.left_range[1])
-            assert cur.left_range[0] == prev.left_range[1] + 1
+            assert prev["right"] == [prev["left"][1] + 1, cur["left"][1]]
+            assert cur["left"][0] == prev["left"][1] + 1
 
     def test_bonferroni_subset_of_bh(self):
         for seed in range(5):
@@ -103,7 +103,7 @@ class TestDetect:
         assert iterated.diagnostics == (
             "iterative re-testing removed 2 more candidate(s) in 3 round(s)",
         )
-        assert tuple(iterated.boundary_tests) == tuple(plain.boundary_tests)
+        assert_same_tests(iterated.boundary_tests, plain.boundary_tests)
         assert iterated.outcome == plain.outcome
 
     def test_to_dict_schema(self):
@@ -131,10 +131,10 @@ class TestDetect:
         report = detect_changepoints(
             x, DetectConfig(window_radius=4, scan_order=0, order_mode=OrderMode.fixed(1.5))
         )
-        for bt in report.boundary_tests:
-            if bt.result is None:
-                assert bt.p_value == 1.0
-                assert bt.warning
+        tests = report.boundary_tests
+        for i in np.flatnonzero(~tests.tested).tolist():
+            assert tests.p_values[i] == 1.0
+            assert tests.warnings.get(i)
 
     def test_unexpected_test_error_propagates(self, monkeypatch):
         # only an untestable boundary becomes p = 1; any other error is a bug
@@ -310,10 +310,11 @@ def test_scale_does_not_change_detection(model, replicate, mode):
     cfg = DetectConfig(order_mode=mode)
 
     def summary(report):
+        tests = report.boundary_tests
         return (
             report.profile.order,
             report.candidates.positions,
-            [bt.result.orders if bt.result else None for bt in report.boundary_tests],
+            [fit_orders(tests, i) if ok else None for i, ok in enumerate(tests.tested.tolist())],
             report.final_cps,
         )
 
@@ -336,7 +337,7 @@ class TestAgainstManualComposition:
     def test_final_cps_match_manual_correction(self):
         x = simulate_piecewise(builtin_model("C"), 11)
         report = detect_changepoints(x, DetectConfig(correction="bonferroni"))
-        pvals = [bt.p_value for bt in report.boundary_tests]
+        pvals = report.boundary_tests.p_values.tolist()
         outcome = bonferroni_procedure(pvals, 0.05)
         manual = tuple(
             pos
@@ -346,20 +347,22 @@ class TestAgainstManualComposition:
         assert report.final_cps == manual
 
 
-def dicts_from_records(tests):
-    """A report's boundary-test dicts, rebuilt from its BoundaryTest records."""
+def dicts_from_columns(tests):
+    """A report's boundary-test dicts, rebuilt here from its columns one
+    boundary at a time."""
+    b = tests.bounds.tolist()
     return [
         {
-            "position": bt.position,
-            "left": list(bt.left_range),
-            "right": list(bt.right_range),
-            "p_value": bt.p_value,
-            "statistic": bt.result.statistic if bt.result else None,
-            "df": bt.result.df if bt.result else None,
-            "orders": list(bt.result.orders) if bt.result else None,
-            "warning": bt.warning,
+            "position": b[i + 1],
+            "left": [b[i] + 1, b[i + 1]],
+            "right": [b[i + 1] + 1, b[i + 2]],
+            "p_value": tests.p_values[i].item(),
+            "statistic": tests.statistics[i].item() if tests.tested[i] else None,
+            "df": tests.df[i].item() if tests.tested[i] else None,
+            "orders": list(fit_orders(tests, i)) if tests.tested[i] else None,
+            "warning": tests.warnings.get(i),
         }
-        for bt in tests
+        for i in range(len(tests))
     ]
 
 
@@ -391,8 +394,9 @@ def eight_regime_series():
 
 class TestColumns:
     """Stage 3, the diagnostics and to_dict read the boundary tests' columns;
-    the records are built only when something reads them, and agree.  The
-    reports of a range of series and settings stay within their bounds."""
+    the records are built only when something iterates them, and to_dict
+    agrees with the columns read one boundary at a time.  The reports of a
+    range of series and settings stay within their bounds."""
 
     CONFIGS = (DetectConfig(), DetectConfig(order_mode=OrderMode.bic()), DetectConfig(iterate=True))
 
@@ -401,7 +405,7 @@ class TestColumns:
         want = []
         for cfg in self.CONFIGS:
             report = detect_changepoints(x, cfg)
-            want.append((report.final_cps, report.diagnostics, dicts_from_records(report.boundary_tests)))
+            want.append((report.final_cps, report.diagnostics, dicts_from_columns(report.boundary_tests)))
 
         def refuse(*args, **kwargs):
             raise AssertionError("a record was built")
@@ -447,11 +451,15 @@ class TestColumns:
         report = detect_changepoints(x, cfg)
         got = report.to_dict()
         tests = report.boundary_tests
-        assert json.dumps(got["boundary_tests"]) == json.dumps(dicts_from_records(tests))
-        notes = [f"boundary {bt.position}: {bt.warning}" for bt in tests if bt.warning]
+        assert json.dumps(got["boundary_tests"]) == json.dumps(dicts_from_columns(tests))
+        notes = [
+            f"boundary {pos}: {tests.warnings[i]}"
+            for i, pos in enumerate(tests.positions.tolist())
+            if tests.warnings.get(i)
+        ]
         assert [d for d in report.diagnostics if d.startswith("boundary ")] == notes
         if flag:
-            assert any(flag in (bt.warning or "") for bt in tests)
+            assert any(flag in w for w in tests.warnings.values())
         # Every case has candidates, p-values in [0, 1] and fixed orders of at
         # most T_min // 3.
         assert got["candidates"]

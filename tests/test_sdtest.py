@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -13,13 +14,14 @@ from arcpd.sdtest import (
     TAIL_FLOATS,
     TAIL_VALUES,
     BoundaryTest,
+    DiscriminationResult,
     OrderMode,
     chi_sq_upper_tail,
     discrimination_test,
 )
 from arcpd.simulate import ArmaSpec, PiecewiseSpec, replicate_seed, simulate_piecewise
 
-from pairs import pair_test
+from pairs import assert_same_tests, fit_orders, pair_test
 
 
 def chi2_tail_quadrature(stat, df):
@@ -149,7 +151,7 @@ class TestPooledAutocov:
 
     def test_identical_segments(self):
         x = np.random.default_rng(0).standard_normal(50)
-        s1, s2, s0 = pair_test(x, x.copy()).result.sigma2
+        s1, s2, s0 = pair_test(x, x.copy()).sigma2[:, 0]
         assert s1 == s2
         assert s0 == pytest.approx(s1, rel=1e-12)
 
@@ -157,40 +159,39 @@ class TestPooledAutocov:
         rng = np.random.default_rng(2)
         x, y = rng.standard_normal(30), rng.standard_normal(70)
         res = pair_test(x, y, OrderMode.fixed(1.5))
-        p = res.result.orders[2]
+        p = fit_orders(res)[2]
         xc, yc = x - x.mean(), y - y.mean()
         gx = np.array([xc[j:] @ xc[: 30 - j] / 30 for j in range(p + 1)])
         gy = np.array([yc[j:] @ yc[: 70 - j] / 70 for j in range(p + 1)])
         want = dense_fit_variance((30 * gx + 70 * gy) / 100, p)
-        assert res.result.sigma2[2] == pytest.approx(want, rel=1e-10)
+        assert res.sigma2[2, 0] == pytest.approx(want, rel=1e-10)
 
 
 def fixed_pair(len_x, len_y, exponent):
-    """The fixed-order record of a len_x-point normal segment beside a len_y-point one."""
+    """The fixed-order test of a len_x-point normal segment beside a len_y-point one."""
     x = np.random.default_rng(len_x).standard_normal(len_x + len_y)
-    (bt,) = discrimination_test(x, [len_x], OrderMode.fixed(exponent))
-    return bt
+    return discrimination_test(x, [len_x], OrderMode.fixed(exponent))
 
 
 class TestFixedOrder:
     """floor((ln T_min) ** exponent), at least 1, capped at T_min // 3."""
 
     def test_examples(self):
-        assert fixed_pair(256, 1000, 1.5).result.orders == (13, 13, 13)
-        assert fixed_pair(1024, 2048, 1.2).result.orders == (10, 10, 10)
-        assert fixed_pair(3, 100, 1.01).result.orders == (1, 1, 1)
+        assert fit_orders(fixed_pair(256, 1000, 1.5)) == (13, 13, 13)
+        assert fit_orders(fixed_pair(1024, 2048, 1.2)) == (10, 10, 10)
+        assert fit_orders(fixed_pair(3, 100, 1.01)) == (1, 1, 1)
 
     def test_symmetric(self):
-        assert fixed_pair(100, 700, 1.5).result.orders == fixed_pair(700, 100, 1.5).result.orders
+        assert fit_orders(fixed_pair(100, 700, 1.5)) == fit_orders(fixed_pair(700, 100, 1.5))
 
     def test_cap_binds_for_short_segments(self):
         # raw floor((ln 12)^1.5) = 3; cap 12 // 3 = 4 does not bind
         bt = fixed_pair(12, 12, 1.5)
-        assert (bt.result.orders, bt.warning) == ((3, 3, 3), None)
+        assert (fit_orders(bt), bt.warnings.get(0)) == ((3, 3, 3), None)
         # raw floor((ln 9)^2.5) = 7 > 9 // 3 = 3
         bt = fixed_pair(9, 9, 2.5)
-        assert bt.result.orders == (3, 3, 3)
-        assert bt.warning == "fixed order 7 capped to 3 for segment lengths (9, 9)"
+        assert fit_orders(bt) == (3, 3, 3)
+        assert bt.warnings.get(0) == "fixed order 7 capped to 3 for segment lengths (9, 9)"
 
     def test_exponent_must_exceed_one(self):
         with pytest.raises(ValueError, match="exponent must be > 1"):
@@ -203,18 +204,18 @@ class TestFixedOrder:
         # cap, and the note gives the raw order (inf where a float overflows).
         x = np.random.default_rng(5).standard_normal(2300)
         tests = discrimination_test(x, [1000, 2200], OrderMode.fixed(exponent))
-        for bt, (lengths, cap) in zip(tests, [((1000, 1200), 333), ((1200, 100), 33)]):
+        for i, (lengths, cap) in enumerate([((1000, 1200), 333), ((1200, 100), 33)]):
             try:
                 raw = math.floor(math.log(min(lengths)) ** exponent)
             except OverflowError:
                 raw = math.inf
-            assert bt.result.orders == (cap, cap, cap)
-            assert bt.warning == f"fixed order {raw} capped to {cap} for segment lengths {lengths}"
+            assert fit_orders(tests, i) == (cap, cap, cap)
+            assert tests.warnings.get(i) == f"fixed order {raw} capped to {cap} for segment lengths {lengths}"
 
     def test_tiny_segments_rejected(self):
         bt = fixed_pair(2, 100, 1.5)
-        assert (bt.result, bt.p_value) == (None, 1.0)
-        assert bt.warning == "segments of lengths (2, 100) are too short to compare"
+        assert (bt.tested[0], bt.p_values[0]) == (False, 1.0)
+        assert bt.warnings.get(0) == "segments of lengths (2, 100) are too short to compare"
 
 
 class TestChiSqUpperTail:
@@ -347,11 +348,31 @@ class TestChiSqUpperTail:
             chi_sq_upper_tail(-0.1, 2)
         with pytest.raises(ValueError, match="got -0.1"):
             chi_sq_upper_tail(np.array([1.0, -0.1, np.nan]), 2)
+        # Statistics and df of one shape, at most TAIL_FLOATS of them, are
+        # checked as lists, more by numpy: the same message either way, naming
+        # the first statistic that is not nonnegative.
+        for count in (1, TAIL_FLOATS, TAIL_FLOATS + 1):
+            for bad, shown in ((-0.1, "-0.1"), (np.nan, "nan")):
+                stat = np.ones(count)
+                stat[-1] = bad
+                with pytest.raises(ValueError, match=rf"^statistic must be nonnegative, got {shown}$"):
+                    chi_sq_upper_tail(stat, np.full(count, 2))
+                stat[0] = -2.5
+                with pytest.raises(ValueError, match=r"^statistic must be nonnegative, got -2.5$"):
+                    chi_sq_upper_tail(stat, np.full(count, 2))
 
     def test_non_integer_df_rejected(self):
         for df in (0, 2.5, np.array([3, 0]), np.array([2.0, 1.5])):
             with pytest.raises(ValueError, match="df must be a positive integer"):
                 chi_sq_upper_tail(1.0, df)
+        # The same on one shape, on both sides of TAIL_FLOATS; df is checked
+        # before the statistics.
+        for count in (1, TAIL_FLOATS, TAIL_FLOATS + 1):
+            for bad in (0, 2.5, np.nan):
+                df = np.full(count, 3.0)
+                df[-1] = bad
+                with pytest.raises(ValueError, match=r"^df must be a positive integer$"):
+                    chi_sq_upper_tail(np.full(count, -0.1), df)
 
 
 class TestDiscriminationTest:
@@ -377,9 +398,9 @@ class TestDiscriminationTest:
             x, y = short_beside_ma_pair()
         res = pair_test(x, y, mode)
         stat, orders, sigma2 = brute_force_discrimination(x, y, mode)
-        assert res.result.orders == orders
-        np.testing.assert_allclose(res.result.sigma2, sigma2, rtol=1e-10, atol=0)
-        assert res.result.statistic == pytest.approx(stat, rel=1e-8, abs=1e-8)
+        assert fit_orders(res) == orders
+        np.testing.assert_allclose(res.sigma2[:, 0], sigma2, rtol=1e-10, atol=0)
+        assert res.statistics[0] == pytest.approx(stat, rel=1e-8, abs=1e-8)
         if case == "short_beside_ma" and mode.kind == "bic":
             # the pooled search stops at the 5-point segment's length - 2,
             # below the other segment's lag 8
@@ -389,53 +410,51 @@ class TestDiscriminationTest:
         rng = np.random.default_rng(4)
         x = rng.standard_normal(300)
         res = pair_test(x, x.copy(), OrderMode.fixed(1.5))
-        assert res.result.statistic == pytest.approx(0.0, abs=1e-10)
-        assert res.p_value == pytest.approx(1.0)
+        assert res.statistics[0] == pytest.approx(0.0, abs=1e-10)
+        assert res.p_values[0] == pytest.approx(1.0)
 
     def test_scale_invariance(self):
         x, y = ar1_pair(5, 250, 0.5, 0.5)
         a = pair_test(x, y, OrderMode.fixed(1.5))
         b = pair_test(4.2 * x, 4.2 * y, OrderMode.fixed(1.5))
-        assert b.result.statistic == pytest.approx(a.result.statistic, abs=1e-8)
-        assert b.p_value == pytest.approx(a.p_value, abs=1e-10)
-        assert b.result.df == a.result.df
+        assert b.statistics[0] == pytest.approx(a.statistics[0], abs=1e-8)
+        assert b.p_values[0] == pytest.approx(a.p_values[0], abs=1e-10)
+        assert b.df[0] == a.df[0]
 
     def test_swap_symmetry(self):
         x, y = ar1_pair(6, 200, 0.3, -0.4)
         a = pair_test(x, y, OrderMode.fixed(1.5))
         b = pair_test(y, x, OrderMode.fixed(1.5))
-        assert b.result.statistic == pytest.approx(a.result.statistic, abs=1e-8)
-        assert b.p_value == pytest.approx(a.p_value, abs=1e-10)
+        assert b.statistics[0] == pytest.approx(a.statistics[0], abs=1e-8)
+        assert b.p_values[0] == pytest.approx(a.p_values[0], abs=1e-10)
 
     def test_level_shift_is_not_a_change(self):
         x, y = ar1_pair(7, 400, 0.5, 0.5)
         shifted = pair_test(x, y + 50.0, OrderMode.fixed(1.5))
         plain = pair_test(x, y, OrderMode.fixed(1.5))
-        assert shifted.result.statistic == pytest.approx(plain.result.statistic, abs=1e-6)
+        assert shifted.statistics[0] == pytest.approx(plain.statistics[0], abs=1e-6)
 
     def test_fixed_mode_orders_and_df(self):
         x, y = ar1_pair(8, 256, 0.2, 0.2)
         res = pair_test(x, y, OrderMode.fixed(1.5))
-        assert res.result.orders == (13, 13, 13)
-        assert res.result.df == 14
+        assert fit_orders(res) == (13, 13, 13)
+        assert res.df[0] == 14
 
     def test_fixed_mode_nonnegative_statistic(self):
         for seed in range(25):
             x, y = ar1_pair(100 + seed, 120, 0.6, -0.6)
             res = pair_test(x, y, OrderMode.fixed(1.5))
-            assert res.result.statistic >= -1e-8
+            assert res.statistics[0] >= -1e-8
 
     def test_default_mode_is_fixed(self):
         x, y = ar1_pair(9, 128, 0.1, 0.1)
-        assert pair_test(x, y).result.orders == pair_test(
-            x, y, OrderMode.fixed(1.5)
-        ).result.orders
+        assert fit_orders(pair_test(x, y)) == fit_orders(pair_test(x, y, OrderMode.fixed(1.5)))
 
     def test_bic_mode_df_rule(self):
         x, y = ar1_pair(10, 512, 0.8, -0.8)
         res = pair_test(x, y, OrderMode.bic(6))
-        p1, p2, p0 = res.result.orders
-        assert res.result.df == p1 + p2 - p0 + 1 >= min(p1, p2) + 1
+        p1, p2, p0 = fit_orders(res)
+        assert res.df[0] == p1 + p2 - p0 + 1 >= min(p1, p2) + 1
 
     def test_bic_mode_pooled_recursion_stops_early(self):
         # Each segment's sum of squares is near the float maximum, so the
@@ -458,21 +477,21 @@ class TestDiscriminationTest:
         x, y = short_beside_ma_pair()
         assert bic_select_order(mean_correct(y), 10) == 8
         res = pair_test(x, y, OrderMode.bic(10))
-        p1, p2, p0 = res.result.orders
+        p1, p2, p0 = fit_orders(res)
         assert p2 == 8
         assert p0 == 3
-        assert res.result.df == p1 + p2 - p0 + 1
-        assert math.isfinite(res.result.statistic)
-        assert 0.0 <= res.p_value <= 1.0
+        assert res.df[0] == p1 + p2 - p0 + 1
+        assert math.isfinite(res.statistics[0])
+        assert 0.0 <= res.p_values[0] <= 1.0
 
     def test_bic_mode_detects_difference(self):
         x, y = ar1_pair(11, 512, 0.8, -0.8)
         res = pair_test(x, y, OrderMode.bic(6))
-        assert res.p_value < 1e-6
+        assert res.p_values[0] < 1e-6
 
     def test_distinct_processes_reject(self):
         x, y = ar1_pair(12, 300, 0.7, -0.7)
-        assert pair_test(x, y).p_value < 1e-6
+        assert pair_test(x, y).p_values[0] < 1e-6
 
     def test_too_short_segment(self):
         with pytest.raises(
@@ -492,9 +511,9 @@ class TestDiscriminationTest:
         x = np.r_[rng.standard_normal(300), rng.standard_normal(300) * 1e154]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            (bt,) = discrimination_test(x, [300])
-        assert bt.p_value == 1.0 and bt.result is None
-        assert bt.warning == "second segment fit breaks down at order 0: residual variance inf"
+            bt = discrimination_test(x, [300])
+        assert bt.p_values[0] == 1.0 and not bt.tested[0]
+        assert bt.warnings.get(0) == "second segment fit breaks down at order 0: residual variance inf"
 
     @pytest.mark.parametrize("mode", [OrderMode.fixed(), OrderMode.bic()], ids=["fixed", "bic"])
     def test_overflowing_pooled_sums_are_untestable_without_a_warning(self, mode):
@@ -504,12 +523,12 @@ class TestDiscriminationTest:
         x, y = (mean_correct(z) / np.std(z) for z in ar1_pair(40, 300, 0.9, -0.9))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            (big,) = discrimination_test(np.r_[x, y] * 6e152, [300], mode)
-            (fits,) = discrimination_test(np.r_[x, y] * 4e152, [300], mode)
-        assert (big.result, big.p_value, big.warning) == (
-            None, 1.0, "pooled segment fit breaks down at order 0: residual variance inf"
-        )
-        assert fits.result is not None and fits.p_value < 1e-6
+            big = discrimination_test(np.r_[x, y] * 6e152, [300], mode)
+            fits = discrimination_test(np.r_[x, y] * 4e152, [300], mode)
+        assert outcomes(big) == [
+            (False, 1.0, "pooled segment fit breaks down at order 0: residual variance inf")
+        ]
+        assert fits.tested[0] and fits.p_values[0] < 1e-6
 
     def test_degenerate_segment_bic_mode(self):
         # a zero segment has order-0 variance 0, so its BIC order is 0 and its
@@ -530,8 +549,8 @@ class TestDiscriminationTest:
     def test_capped_order_warns(self):
         x, y = ar1_pair(14, 12, 0.2, 0.2)
         res = pair_test(x, y, OrderMode.fixed(2.5))
-        assert res.result.orders[0] == 4  # floor((ln 12)^2.5) = 11 capped to 12 // 3
-        assert "capped" in res.warning
+        assert fit_orders(res)[0] == 4  # floor((ln 12)^2.5) = 11 capped to 12 // 3
+        assert "capped" in res.warnings.get(0)
 
 
 def test_null_calibration_small():
@@ -542,7 +561,7 @@ def test_null_calibration_small():
         x = simulate_piecewise(spec, replicate_seed(2024, 2 * i))
         y = simulate_piecewise(spec, replicate_seed(2024, 2 * i + 1))
         res = pair_test(x, y, OrderMode.fixed(1.5))
-        rejections += res.p_value <= 0.05
+        rejections += res.p_values[0] <= 0.05
     assert 0.005 <= rejections / 200 <= 0.125
 
 
@@ -552,10 +571,16 @@ FIRST_BREAKS_AT_ZERO = "first segment fit breaks down at order 0: residual varia
 SECOND_BREAKS_AT_ZERO = "second segment fit breaks down at order 0: residual variance 0.0"
 
 
+def outcomes(tests):
+    """Per boundary, off the columns: whether it was tested, its p-value and its warning."""
+    rows = zip(tests.tested.tolist(), tests.p_values.tolist())
+    return [(ok, pv, tests.warnings.get(i)) for i, (ok, pv) in enumerate(rows)]
+
+
 class TestPartition:
     """The pass over a whole partition against the brute-force oracle on
-    each boundary's own pair; untestable boundaries have no result, p-value
-    1 and a warning that says why."""
+    each boundary's own pair; untestable boundaries are not tested, have
+    p-value 1 and a warning that says why."""
 
     @pytest.mark.parametrize(
         "mode",
@@ -573,16 +598,16 @@ class TestPartition:
             3: SECOND_BREAKS_AT_ZERO,
             4: FIRST_BREAKS_AT_ZERO,
         }
-        for i, bt in enumerate(tests):
+        for i, outcome in enumerate(outcomes(tests)):
             if i in untestable:
-                assert (bt.result, bt.p_value, bt.warning) == (None, 1.0, untestable[i])
+                assert outcome == (False, 1.0, untestable[i])
                 continue
             stat, orders, _ = brute_force_discrimination(segs[i], segs[i + 1], mode)
-            assert bt.result.orders == orders
-            assert bt.result.df == orders[0] + orders[1] - orders[2] + 1
-            assert bt.result.statistic == pytest.approx(stat, rel=1e-9, abs=1e-9)
+            assert fit_orders(tests, i) == orders
+            assert tests.df[i] == orders[0] + orders[1] - orders[2] + 1
+            assert tests.statistics[i] == pytest.approx(stat, rel=1e-9, abs=1e-9)
             capped = mode.kind == "fixed" and (i in (6, 7) or (i == 5 and mode.exponent == 2.5))
-            assert ("capped" in (bt.warning or "")) == capped
+            assert ("capped" in (tests.warnings.get(i) or "")) == capped
 
     @pytest.mark.parametrize(
         "mode",
@@ -590,23 +615,25 @@ class TestPartition:
         ids=["fixed1.5", "fixed2.5", "bic10"],
     )
     def test_records_are_local_to_their_two_segments(self, mode):
-        # Each record of a pass over the whole partition is, bit for bit, the
-        # record of a pass over its own two segments alone: untestable and
-        # capped boundaries included.
+        # Each boundary of a pass over the whole partition is, bit for bit,
+        # the boundary of a pass over its own two segments alone: untestable
+        # and capped boundaries included.
         segs = oracle_partition()
         bounds = np.r_[0, np.cumsum([len(s) for s in segs])].tolist()
         x = np.concatenate(segs)
         tests = discrimination_test(x, bounds[1:-1], mode)
-        assert any(bt.result is None for bt in tests)
-        assert any("capped" in (bt.warning or "") for bt in tests) == (mode.kind == "fixed")
-        for lo, bt, hi in zip(bounds, tests, bounds[2:]):
-            (alone,) = discrimination_test(x[lo:hi], [bt.position - lo], mode)
-            assert (bt.p_value, bt.warning) == (alone.p_value, alone.warning)
-            if bt.result is None:
-                assert alone.result is None
+        assert not tests.tested.all()
+        assert any("capped" in w for w in tests.warnings.values()) == (mode.kind == "fixed")
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[2:])):
+            alone = discrimination_test(x[lo:hi], [tests.positions[i] - lo], mode)
+            want = (alone.p_values[0], alone.warnings.get(0))
+            assert (tests.p_values[i], tests.warnings.get(i)) == want
+            if not tests.tested[i]:
+                assert not alone.tested[0]
                 continue
-            r, a = bt.result, alone.result
-            assert (r.statistic, r.df, r.orders, r.sigma2) == (a.statistic, a.df, a.orders, a.sigma2)
+            got = (tests.statistics[i], tests.df[i], fit_orders(tests, i), tuple(tests.sigma2[:, i]))
+            want = (alone.statistics[0], alone.df[0], fit_orders(alone), tuple(alone.sigma2[:, 0]))
+            assert got == want
 
     @pytest.mark.parametrize(
         "mode",
@@ -624,30 +651,31 @@ class TestPartition:
         positions = np.cumsum([len(s) for s in segs])[:-1]
         tests = discrimination_test(np.concatenate(segs), positions, mode)
         assert len(tests) == 4
-        for left, right, bt in zip(segs, segs[1:], tests):
+        for i, (left, right) in enumerate(zip(segs, segs[1:])):
             stat, orders, _ = brute_force_discrimination(left, right, mode)
-            assert bt.result.orders == orders
-            assert bt.result.statistic == pytest.approx(stat, rel=1e-9, abs=1e-9)
+            assert fit_orders(tests, i) == orders
+            assert tests.statistics[i] == pytest.approx(stat, rel=1e-9, abs=1e-9)
             if mode.kind == "fixed":
                 raw = math.floor(math.log(min(len(left), len(right))) ** mode.exponent)
-                assert ("capped" in (bt.warning or "")) == (raw > orders[0])
+                assert ("capped" in (tests.warnings.get(i) or "")) == (raw > orders[0])
 
     @pytest.mark.parametrize("mode", [OrderMode.fixed(), OrderMode.bic()], ids=["fixed", "bic"])
     def test_ranges_tile_the_series(self, mode):
         # The partition holds a 2-point segment and a constant one: the
-        # records of untestable boundaries carry their ranges too.
+        # dicts of untestable boundaries carry their ranges too.
         segs = oracle_partition()
         x = np.concatenate(segs)
         positions = np.cumsum([len(s) for s in segs])[:-1].tolist()
-        tests = tuple(discrimination_test(x, positions, mode))
-        assert [bt.position for bt in tests] == positions
-        assert any(bt.result is None for bt in tests)
-        for bt in tests:
-            assert bt.left_range[1] == bt.position and bt.right_range[0] == bt.position + 1
-        ranges = [tests[0].left_range] + [bt.right_range for bt in tests]
+        columns = discrimination_test(x, positions, mode)
+        tests = columns.dicts()
+        assert [d["position"] for d in tests] == positions
+        assert not columns.tested.all()
+        for d in tests:
+            assert d["left"][1] == d["position"] and d["right"][0] == d["position"] + 1
+        ranges = [tests[0]["left"]] + [d["right"] for d in tests]
         assert ranges[0][0] == 1 and ranges[-1][1] == len(x)
         assert all(a[1] + 1 == b[0] for a, b in zip(ranges, ranges[1:]))
-        assert [bt.left_range for bt in tests[1:]] == [bt.right_range for bt in tests[:-1]]
+        assert [d["left"] for d in tests[1:]] == [d["right"] for d in tests[:-1]]
 
     @pytest.mark.parametrize("mode", [OrderMode.fixed(), OrderMode.bic()], ids=["fixed", "bic"])
     @pytest.mark.parametrize("value", [0.1, 0.3, 1.7, 1e6 + 0.1, -2.5e-7])
@@ -658,9 +686,9 @@ class TestPartition:
         rng = np.random.default_rng(0)
         a, b = rng.standard_normal(300), rng.standard_normal(300)
         tests = discrimination_test(np.r_[a, np.full(300, value), b], [300, 600], mode)
-        assert [(bt.result, bt.p_value, bt.warning) for bt in tests] == [
-            (None, 1.0, SECOND_BREAKS_AT_ZERO),
-            (None, 1.0, FIRST_BREAKS_AT_ZERO),
+        assert outcomes(tests) == [
+            (False, 1.0, SECOND_BREAKS_AT_ZERO),
+            (False, 1.0, FIRST_BREAKS_AT_ZERO),
         ]
 
     @pytest.mark.parametrize("mode", [OrderMode.fixed(), OrderMode.bic()], ids=["fixed", "bic"])
@@ -671,10 +699,10 @@ class TestPartition:
         # CONSTANT_RTOL = (8 eps)**2 = 3.2e-30.
         rng = np.random.default_rng(0)
         a, noise = rng.standard_normal(300), rng.standard_normal(300)
-        (tested,) = discrimination_test(np.r_[a, 1.0 + 1e-9 * noise], [300], mode)
-        assert tested.result is not None and tested.p_value == 0.0
-        (flat,) = discrimination_test(np.r_[a, 1.0 + 1e-15 * noise], [300], mode)
-        assert (flat.result, flat.p_value, flat.warning) == (None, 1.0, SECOND_BREAKS_AT_ZERO)
+        noisy = discrimination_test(np.r_[a, 1.0 + 1e-9 * noise], [300], mode)
+        assert noisy.tested[0] and noisy.p_values[0] == 0.0
+        flat = discrimination_test(np.r_[a, 1.0 + 1e-15 * noise], [300], mode)
+        assert outcomes(flat) == [(False, 1.0, SECOND_BREAKS_AT_ZERO)]
 
     @pytest.mark.parametrize("mode", [OrderMode.fixed(), OrderMode.bic()], ids=["fixed", "bic"])
     def test_noisy_segment_at_a_high_level_is_tested(self, mode):
@@ -682,8 +710,8 @@ class TestPartition:
         # the segment is not constant and its boundary is tested.
         rng = np.random.default_rng(0)
         x = np.r_[rng.standard_normal(300), 1e8 + 1e-3 * rng.standard_normal(300)]
-        (bt,) = discrimination_test(x, [300], mode)
-        assert bt.result is not None and bt.warning is None and bt.p_value == 0.0
+        bt = discrimination_test(x, [300], mode)
+        assert bt.tested[0] and bt.warnings.get(0) is None and bt.p_values[0] == 0.0
 
     @pytest.mark.parametrize("value", [0.1, 1 / 3, 1e8 + 0.1, 7.3e-5])
     def test_long_constant_segment_is_untestable(self, value):
@@ -692,14 +720,14 @@ class TestPartition:
         rng = np.random.default_rng(0)
         x = np.r_[rng.standard_normal(300), np.full(2**20, value), rng.standard_normal(300)]
         tests = discrimination_test(x, [300, 300 + 2**20])
-        assert [(bt.result, bt.p_value, bt.warning) for bt in tests] == [
-            (None, 1.0, SECOND_BREAKS_AT_ZERO),
-            (None, 1.0, FIRST_BREAKS_AT_ZERO),
+        assert outcomes(tests) == [
+            (False, 1.0, SECOND_BREAKS_AT_ZERO),
+            (False, 1.0, FIRST_BREAKS_AT_ZERO),
         ]
 
     def test_positions_must_increase_inside_the_series(self):
         x = np.random.default_rng(0).standard_normal(20)
-        assert tuple(discrimination_test(x, [])) == ()
+        assert discrimination_test(x, []).positions.tolist() == []
         for bad in ([0], [20], [5, 5], [8, 4]):
             with pytest.raises(ValueError, match="positions must increase strictly"):
                 discrimination_test(x, bad)
@@ -707,9 +735,9 @@ class TestPartition:
             with pytest.raises(ValueError, match="positions must be integers"):
                 discrimination_test(x, bad)
         # numpy integers of any width are positions
-        want = tuple(discrimination_test(x, [8]))
+        want = discrimination_test(x, [8])
         for good in ([np.int64(8)], np.array([8], dtype=np.int32), np.array([8], dtype=np.uint64)):
-            assert tuple(discrimination_test(x, good)) == want
+            assert_same_tests(discrimination_test(x, good), want)
 
     @pytest.mark.parametrize("mode", [OrderMode.fixed(), OrderMode.bic()], ids=["fixed", "bic"])
     def test_sample_length_buffers_are_freed_before_the_fits(self, mode):
@@ -734,7 +762,7 @@ class TestPartition:
 
 class TestBoundaryTestsSequence:
     """The pass's read-only columns iterate as the BoundaryTest records they
-    stand for, built as they are read."""
+    stand for, built as they are read: the benchmark's view of them."""
 
     @pytest.mark.parametrize("mode", [OrderMode.fixed(2.5), OrderMode.bic()], ids=["fixed", "bic"])
     def test_behaves_as_a_tuple_of_its_records(self, mode):
@@ -748,11 +776,16 @@ class TestBoundaryTestsSequence:
         first, *rest = tests
         assert (first, *rest) == records
         assert tuple(discrimination_test(x, positions, mode)) == records
-        # the columns hold what the records hold
+        # the columns hold what the records hold, field by field
+        assert [f.name for f in dataclasses.fields(BoundaryTest)] == ["position", "p_value", "result"]
+        assert [f.name for f in dataclasses.fields(DiscriminationResult)] == ["statistic", "df"]
         assert tests.positions.tolist() == [bt.position for bt in records]
         assert tests.p_values.tolist() == [bt.p_value for bt in records]
-        assert tests.tested.tolist() == [bt.result is not None for bt in records]
-        assert {i: bt.warning for i, bt in enumerate(records) if bt.warning} == tests.warnings
+        results = [dataclasses.astuple(bt)[2] for bt in records]
+        assert tests.tested.tolist() == [r is not None for r in results]
+        assert tests.statistics[tests.tested].tolist() == [r[0] for r in results if r]
+        assert tests.df[tests.tested].tolist() == [r[1] for r in results if r]
+        assert {i: d["warning"] for i, d in enumerate(tests.dicts()) if d["warning"]} == tests.warnings
         for column in (tests.bounds, tests.p_values, tests.orders):
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 1
