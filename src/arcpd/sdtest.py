@@ -382,26 +382,20 @@ def chi_sq_upper_tail(stat, df):
     of at most ``TAIL_VALUES`` terms, each block's first row the sums so far;
     a block's terms, running sums, exponents, step gaps and masks peak at
     about six block-sized arrays.  At most ``TAIL_FLOATS`` values of one
-    shape (a T = 1024 detect tests about 8 boundaries) are checked as lists
-    and skip the table: each one's terms are added in step order in Python
-    floats, bit for bit the table's sums.  Returns a float for scalar input,
-    else an array.
+    shape (a T = 1024 detect tests about 8 boundaries) skip the table: each
+    one's terms are added in step order in Python floats, bit for bit the
+    table's sums.  Returns a float for scalar input, else an array.
     """
     df = np.asarray(df)
-    stat = np.asarray(stat, dtype=float)
-    if stat.shape == df.shape and stat.size <= TAIL_FLOATS:
-        stats, dfs = stat.ravel().tolist(), df.ravel().tolist()
-        if not all(d >= 1 and d % 1 == 0 for d in dfs):
-            raise ValueError("df must be a positive integer")
-        bad = [v for v in stats if not v >= 0.0]
-        if bad:
-            raise ValueError(f"statistic must be nonnegative, got {bad[0]}")
-        tail = _tail_floats(stats, [int(d) for d in dfs])
-        return tail[0] if stat.ndim == 0 else np.array(tail).reshape(stat.shape)
-    if (df < 1).any() or (df % 1).any():
+    # A non-finite df fails before % 1, which warns on inf.
+    if not (np.isfinite(df) & (df >= 1)).all() or (df % 1).any():
         raise ValueError("df must be a positive integer")
+    stat = np.asarray(stat, dtype=float)
     if not (stat >= 0.0).all():
         raise ValueError(f"statistic must be nonnegative, got {stat[~(stat >= 0.0)].flat[0]}")
+    if stat.shape == df.shape and stat.size <= TAIL_FLOATS:
+        tail = _tail_floats(stat.ravel().tolist(), [int(d) for d in df.ravel().tolist()])
+        return tail[0] if stat.ndim == 0 else np.array(tail).reshape(stat.shape)
     stat, df = np.broadcast_arrays(stat, df.astype(int))
     tail = np.zeros(stat.shape)  # at stat = inf
     live = stat < math.inf

@@ -348,9 +348,8 @@ class TestChiSqUpperTail:
             chi_sq_upper_tail(-0.1, 2)
         with pytest.raises(ValueError, match="got -0.1"):
             chi_sq_upper_tail(np.array([1.0, -0.1, np.nan]), 2)
-        # Statistics and df of one shape, at most TAIL_FLOATS of them, are
-        # checked as lists, more by numpy: the same message either way, naming
-        # the first statistic that is not nonnegative.
+        # Statistics and df of one shape, on both sides of TAIL_FLOATS: the
+        # message names the first statistic that is not nonnegative.
         for count in (1, TAIL_FLOATS, TAIL_FLOATS + 1):
             for bad, shown in ((-0.1, "-0.1"), (np.nan, "nan")):
                 stat = np.ones(count)
@@ -366,9 +365,9 @@ class TestChiSqUpperTail:
             with pytest.raises(ValueError, match="df must be a positive integer"):
                 chi_sq_upper_tail(1.0, df)
         # The same on one shape, on both sides of TAIL_FLOATS; df is checked
-        # before the statistics.
+        # before the statistics, and an infinite df raises without a warning.
         for count in (1, TAIL_FLOATS, TAIL_FLOATS + 1):
-            for bad in (0, 2.5, np.nan):
+            for bad in (0, 2.5, np.nan, np.inf):
                 df = np.full(count, 3.0)
                 df[-1] = bad
                 with pytest.raises(ValueError, match=r"^df must be a positive integer$"):
@@ -764,8 +763,12 @@ class TestBoundaryTestsSequence:
     """The pass's read-only columns iterate as the BoundaryTest records they
     stand for, built as they are read: the benchmark's view of them."""
 
-    @pytest.mark.parametrize("mode", [OrderMode.fixed(2.5), OrderMode.bic()], ids=["fixed", "bic"])
-    def test_behaves_as_a_tuple_of_its_records(self, mode):
+    @pytest.mark.parametrize(
+        "mode,flagged",
+        [(OrderMode.fixed(2.5), [1, 2, 3, 4, 5, 6, 7]), (OrderMode.bic(), [1, 2, 3, 4])],
+        ids=["fixed", "bic"],
+    )
+    def test_behaves_as_a_tuple_of_its_records(self, mode, flagged):
         segs = oracle_partition()
         x = np.concatenate(segs)
         positions = np.cumsum([len(s) for s in segs])[:-1].tolist()
@@ -781,11 +784,14 @@ class TestBoundaryTestsSequence:
         assert [f.name for f in dataclasses.fields(DiscriminationResult)] == ["statistic", "df"]
         assert tests.positions.tolist() == [bt.position for bt in records]
         assert tests.p_values.tolist() == [bt.p_value for bt in records]
-        results = [dataclasses.astuple(bt)[2] for bt in records]
+        results = [bt.result for bt in records]
         assert tests.tested.tolist() == [r is not None for r in results]
-        assert tests.statistics[tests.tested].tolist() == [r[0] for r in results if r]
-        assert tests.df[tests.tested].tolist() == [r[1] for r in results if r]
-        assert {i: d["warning"] for i, d in enumerate(tests.dicts()) if d["warning"]} == tests.warnings
+        assert tests.statistics[tests.tested].tolist() == [r.statistic for r in results if r]
+        assert tests.df[tests.tested].tolist() == [r.df for r in results if r]
+        # the two segments too short to compare (1, 2), the constant segment's
+        # broken-down fits (3, 4) and, in fixed mode, the capped orders (5-7)
+        assert sorted(tests.warnings) == flagged
+        assert set(np.flatnonzero(~tests.tested).tolist()) <= set(flagged)
         for column in (tests.bounds, tests.p_values, tests.orders):
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 1
