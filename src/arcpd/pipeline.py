@@ -60,8 +60,9 @@ class DetectConfig:
     iterate: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.window_radius, numbers.Integral):
-            raise ValueError(f"window_radius must be an integer, got {self.window_radius!r}")
+        radius = self.window_radius
+        if isinstance(radius, bool) or not isinstance(radius, numbers.Integral):
+            raise ValueError(f"window_radius must be an integer, got {radius!r}")
         if not isinstance(self.scan_order, (numbers.Integral, type(None))):
             raise ValueError(f"scan_order must be an integer or None, got {self.scan_order!r}")
         if self.window_radius < 1:

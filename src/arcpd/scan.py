@@ -44,7 +44,9 @@ is its residual sum of squares (SSE): no coefficients and no residuals.
 Each chunk reads the series in place; only a chunk whose lag products run
 past the end of the series reads a copy of its own span with zeros after
 it, so the scan's buffers beyond the profile are the size of a chunk, not
-of the series.
+of the series.  A window's value is w_L log s_L + w_R log s_R + w_P log s_P
++ const, added elementwise in that order: the same IEEE operations on its
+own three SSEs whatever ``CHUNK_VALUES`` is, so no chunk size changes it.
 
 That SSE is a difference of the target energy and the part the lags
 explain, and it loses about log10(energy / SSE) digits, more where the
@@ -115,8 +117,6 @@ CHUNK_VALUES = 2**17
 # and blocks of 2**13 and 2**12 0.46 and 0.64 ms.
 BLOCK_VALUES = 2**14
 
-LOG_2PI = math.log(2.0 * math.pi)
-
 # Degenerate-piece rules (module docstring).  A pivot ratio of 1e-10 means the
 # normal equations have lost about ten of sixteen digits; a residual sum of
 # squares of at most 1e-20 times the raw energy is rounding noise.
@@ -162,7 +162,9 @@ class CandidateSet:
 
 
 def check_order(h: int, order: int) -> None:
-    """Raise ValueError unless 0 <= order and h >= 2 * order + 1 (h - order targets per half)."""
+    """Raise ValueError unless order is a nonnegative int, not a bool, and h >= 2 * order + 1."""
+    if isinstance(order, (bool, np.bool_)):  # numpy would read it as a mask
+        raise ValueError(f"scan order must be an integer, got {order!r}")
     if order < 0:
         raise ValueError("scan order must be nonnegative")
     if h < 2 * order + 1:
@@ -176,9 +178,7 @@ def _resolve_order(x: np.ndarray, h: int, order: int | None) -> int:
         check_order(h, order)
         return order
     cap = min(AUTO_MAX_ORDER, (h - 1) // 2)
-    if cap < 1:
-        return 0
-    return bic_select_order(x, cap)
+    return bic_select_order(x, cap) if cap >= 1 else 0
 
 
 def _chunk_windows(order: int) -> int:
@@ -313,11 +313,13 @@ def scan_statistics(series, h: int, order: int | None = None) -> ScanProfile:
     # Window k (scan position t = h + k) is x[k .. k + 2h - 1]; each piece
     # is a column range of its targets.
     pieces = ((p, h), (h, 2 * h), (p, 2 * h))  # left, right, pooled
-    # With L = -n/2 (log 2pi + log(sse / n) + 1) per piece, the scan value
-    # (L_left + L_right - L_pooled) / h is a constant plus weights @ log(sse).
-    counts = np.array([hi - lo for lo, hi in pieces], dtype=float)
-    weights = -0.5 * np.array([1.0, 1.0, -1.0]) * counts / h
-    const = float(weights @ (LOG_2PI + 1.0 - np.log(counts)))
+    # With L = -n/2 (log 2pi + log(sse / n) + 1) per piece, log 2pi + 1 cancels: n_L + n_R = n_P.
+    w_left, w_right, w_pooled = -(h - p) / (2 * h), -0.5, (2 * h - p) / (2 * h)
+    const = -(w_left * math.log(h - p) + w_right * math.log(h) + w_pooled * math.log(2 * h - p))
+
+    def score(log_sse):  # scan values of windows from their (3, n) log SSEs, column by column
+        return w_left * log_sse[0] + w_right * log_sse[1] + w_pooled * log_sse[2] + const
+
     m = n - 2 * h + 1
     chunk = min(m, _chunk_windows(p))
     # Fallback windows per residual pass: 2h values and up to 2h residuals each.
@@ -342,7 +344,6 @@ def scan_statistics(series, h: int, order: int | None = None) -> ScanProfile:
 
     values = np.empty(m)
     fallback = 0
-    windows = None  # windows[k] is window k, on the fallback path only
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for k0 in range(0, m, chunk):
             c = min(chunk, m - k0)
@@ -367,7 +368,7 @@ def scan_statistics(series, h: int, order: int | None = None) -> ScanProfile:
             energy = sums[:, 0, p : p + c]  # targets' energies: gram[p, p] before elimination
             pivots, diag = _eliminate(gram)
             sse = gram[p, p]
-            values[k0 : k0 + c] = weights @ np.log(sse).reshape(3, c) + const
+            values[k0 : k0 + c] = score(np.log(sse).reshape(3, c))
             if _well_conditioned(pivots, diag, sse.reshape(3, c), energy, values[k0 : k0 + c]):
                 continue
             # Lag row k explains u_k^2 / D_k of the target's energy (u_k =
@@ -386,8 +387,7 @@ def scan_statistics(series, h: int, order: int | None = None) -> ScanProfile:
             phi = _solve_stack(gram[:, :, members], pivots[:, members], diag[:, members])
             phi = phi.reshape(p, 3, len(redo))
             resid_sse = np.empty((3, len(redo)))
-            if windows is None:
-                windows = sliding_window_view(x, 2 * h)
+            windows = sliding_window_view(x, 2 * h)  # windows[k] is window k
             for g in range(0, len(redo), group):
                 part = slice(g, g + group)
                 w = windows[k0 + redo[part]]
@@ -397,10 +397,9 @@ def scan_statistics(series, h: int, order: int | None = None) -> ScanProfile:
                         resid -= phi[p - j, i, part, None] * w[:, lo - j : hi - j]
                     np.einsum("ij,ij->i", resid, resid, out=resid_sse[i, part])
             # NaN phi (rank-deficient lags) gives NaN sse.
-            floor = EXACT_FIT_RTOL * energy[:, redo]
-            ok = (resid_sse > floor) & np.isfinite(resid_sse)
+            ok = (resid_sse > EXACT_FIT_RTOL * energy[:, redo]) & np.isfinite(resid_sse)
             log_sse = np.log(resid_sse, out=np.full_like(resid_sse, np.nan), where=ok)
-            values[k0 + redo] = weights @ log_sse + const
+            values[k0 + redo] = score(log_sse)
     bad = np.isnan(values)
     values[bad] = 0.0
     h, p = int(h), int(p)  # from any integer type: the report stays JSON-ready

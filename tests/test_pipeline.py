@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from arcpd import DetectConfig, OrderMode, detect_changepoints, sdtest
+from arcpd import DetectConfig, OrderMode, detect_changepoints, multtest, scan, sdtest
 from arcpd.multtest import bonferroni_procedure
 from arcpd.scan import SeriesTooShortError
 from arcpd.simulate import (
@@ -213,6 +213,15 @@ class TestDetect:
         # numpy integers are integers
         assert DetectConfig(window_radius=np.int64(20), scan_order=np.int32(2)).scan_order == 2
 
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_bool_radius_or_order_rejected(self, flag):
+        # A bool is a numbers.Integral: as an order numpy read it as a mask,
+        # and as a radius True ran as h = 1.
+        with pytest.raises(ValueError, match=f"^window_radius must be an integer, got {flag}$"):
+            DetectConfig(window_radius=flag)
+        with pytest.raises(ValueError, match=f"^scan order must be an integer, got {flag}$"):
+            DetectConfig(scan_order=flag)
+
     def test_numpy_integer_config_report_is_json_ready(self):
         x = simulate_piecewise(builtin_model("B"), 0)
         cfg = DetectConfig(window_radius=np.int64(50), scan_order=np.int32(2))
@@ -331,6 +340,32 @@ def test_level_shift_does_not_change_detection(model, mode):
     x = simulate_piecewise(builtin_model(model), 0)
     cfg = DetectConfig(order_mode=mode)
     assert detect_changepoints(x + 1e6, cfg).final_cps == detect_changepoints(x, cfg).final_cps
+
+
+def test_no_size_constant_changes_a_detect_output(monkeypatch):
+    # The chunk, block, table and float-path sizes tune speed and memory
+    # only: under small ones every report is the same, byte for byte.  The
+    # T = 65536 series scans in 14 chunks at the default size.  The chunks of
+    # models E and F fail the scan's chunk-wide bound; the F series has
+    # fallback windows, in residual passes of 5 windows at the small size.
+    series = [eight_regime_series()]
+    series += [simulate_piecewise(builtin_model(m), seed) for m, seed in (("E", 0), ("F", 2))]
+    configs = [DetectConfig(), DetectConfig(order_mode=OrderMode.bic()), DetectConfig(iterate=True)]
+
+    def reports():
+        return [detect_changepoints(x, cfg) for x in series for cfg in configs]
+
+    want = reports()
+    assert want[-1].profile.fallback > 0
+    monkeypatch.setattr(scan, "CHUNK_VALUES", 2**10)
+    monkeypatch.setattr(scan, "BLOCK_VALUES", 2**9)
+    monkeypatch.setattr(sdtest, "TAIL_VALUES", 64)
+    monkeypatch.setattr(sdtest, "TAIL_FLOATS", 0)
+    monkeypatch.setattr(multtest, "FLOAT_COUNT", 0)
+    for got, report in zip(reports(), want):
+        # Line by line, so that a failure shows the first line that differs.
+        lines = [json.dumps(r.to_dict(), indent=1).splitlines() for r in (got, report)]
+        assert lines[0] == lines[1]
 
 
 class TestAgainstManualComposition:

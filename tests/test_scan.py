@@ -282,24 +282,30 @@ class TestScanStatistics:
 
     def test_chunk_size_does_not_change_results(self, monkeypatch):
         # Chunks of 7 windows, of 2**12 Gram entries and the default: the
-        # same candidates, degenerate and fallback counts, and values to
-        # rounding.  Flat stretches and a near unit root take the fallback,
-        # in groups of 1 and of 20 windows at the two small budgets.
+        # same candidates, degenerate and fallback counts, and values bit
+        # for bit, as each is scored from its own window's SSEs.  Flat
+        # stretches and a near unit root take the fallback, in groups of 1
+        # and of 20 windows at the two small budgets.
         series = [(flat_run_walk(seed), 28, order) for seed in range(3) for order in (1, 2)]
         unit_root = PiecewiseSpec(((ArmaSpec(ar=(0.999,)), 4000),))
         series += [
             (mean_correct(simulate_piecewise(builtin_model("G"), 0)), DEFAULT_RADIUS, None),
             (mean_correct(simulate_piecewise(unit_root, 5)), DEFAULT_RADIUS, 2),
         ]
-        for x, h, order in series:
+        runs = [(x, h, order, None) for x, h, order in series]
+        # An 8-regime AR(+-0.5) series at T = 65536: 14 default chunks.
+        regimes = [(ArmaSpec(ar=(0.5 - k % 2,)), 8192 * (k + 1)) for k in range(8)]
+        x = mean_correct(simulate_piecewise(PiecewiseSpec(tuple(regimes)), 0))
+        runs.append((x, DEFAULT_RADIUS, None, (2**10, 2**12, 2**15)))
+        for x, h, order, budgets in runs:
             base = scan_statistics(x, h, order)
-            for budget in (3 * (base.order + 1) ** 2 * 7, 2**12):
+            for budget in budgets or (3 * (base.order + 1) ** 2 * 7, 2**12):
                 monkeypatch.setattr(scan_module, "CHUNK_VALUES", budget)
                 prof = scan_statistics(x, h, order)
                 monkeypatch.undo()
                 assert (prof.degenerate, prof.fallback) == (base.degenerate, base.fallback)
                 assert extract_candidates(prof).positions == extract_candidates(base).positions
-                np.testing.assert_allclose(prof.values, base.values, rtol=0, atol=1e-10)
+                np.testing.assert_array_equal(prof.values, base.values)
 
     def test_fallback_only_where_conditioning_needs_it(self):
         # AR(+-0.5) windows are well conditioned: every SSE is a last pivot.
@@ -369,6 +375,13 @@ class TestScanStatistics:
         with pytest.raises(ValueError, match="scan order must be nonnegative"):
             scan_statistics(x, 5, -1)
         assert DetectConfig(window_radius=21, scan_order=10).scan_order == 10
+
+    @pytest.mark.parametrize("order", [False, True, np.True_])
+    def test_bool_order_rejected(self, order):
+        # numpy would read a bool order as a mask: gram[p, p] would be empty.
+        x = np.random.default_rng(0).standard_normal(200)
+        with pytest.raises(ValueError, match=f"^scan order must be an integer, got {order!r}$"):
+            scan_statistics(x, 50, order)
 
     @pytest.mark.parametrize("h", [1, 2])
     def test_auto_order_is_zero_below_h_3(self, h):
