@@ -38,6 +38,7 @@ from .scan import (
     ScanProfile,
     SeriesTooShortError,
     check_order,
+    check_radius,
     extract_candidates,
     scan_statistics,
 )
@@ -60,13 +61,9 @@ class DetectConfig:
     iterate: bool = False
 
     def __post_init__(self):
-        radius = self.window_radius
-        if isinstance(radius, bool) or not isinstance(radius, numbers.Integral):
-            raise ValueError(f"window_radius must be an integer, got {radius!r}")
+        check_radius(self.window_radius)
         if not isinstance(self.scan_order, (numbers.Integral, type(None))):
             raise ValueError(f"scan_order must be an integer or None, got {self.scan_order!r}")
-        if self.window_radius < 1:
-            raise ValueError("window_radius must be positive")
         if self.scan_order is not None:
             check_order(self.window_radius, self.scan_order)
         if not isinstance(self.order_mode, OrderMode):

@@ -81,6 +81,7 @@ one pass.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +98,7 @@ __all__ = [
     "extract_candidates",
     "AUTO_MAX_ORDER",
     "check_order",
+    "check_radius",
 ]
 
 # Cap for the automatic (BIC) scan order.
@@ -159,6 +161,14 @@ class CandidateSet:
 
     def __len__(self) -> int:
         return len(self.positions)
+
+
+def check_radius(h: int) -> None:
+    """Raise ValueError unless h is a positive int (numpy's too), not a bool."""
+    if isinstance(h, bool) or not isinstance(h, numbers.Integral):
+        raise ValueError(f"window_radius must be an integer, got {h!r}")
+    if h < 1:
+        raise ValueError("window_radius must be positive")
 
 
 def check_order(h: int, order: int) -> None:
@@ -295,12 +305,15 @@ def _well_conditioned(pivots, diag, sse, energy, values) -> bool:
 def scan_statistics(series, h: int, order: int | None = None) -> ScanProfile:
     """Compute the scan profile with window radius h at every admissible position.
 
-    The series should be mean-corrected.  ``order=None`` selects the AR
-    order by BIC on the whole series, capped at min(AUTO_MAX_ORDER,
-    (h - 1) // 2); a given order must satisfy :func:`check_order` (0 <= order,
-    h >= 2 * order + 1), else ValueError.  Raises SeriesTooShortError when
-    T < 2h.  The profile has length T - 2h + 1.
+    The series should be mean-corrected.  h must satisfy
+    :func:`check_radius` (a positive int, not a bool), else ValueError.
+    ``order=None`` selects the AR order by BIC on the whole series, capped at
+    min(AUTO_MAX_ORDER, (h - 1) // 2); a given order must satisfy
+    :func:`check_order` (0 <= order, h >= 2 * order + 1), else ValueError.
+    Raises SeriesTooShortError when T < 2h.  The profile has length
+    T - 2h + 1.
     """
+    check_radius(h)
     x = as_series(series)
     n = len(x)
     if n < 2 * h:

@@ -28,11 +28,11 @@ sums over T1 + T2, and sits below the segments' rows in one array.  One
 stacked :func:`arcpd.ar.levinson_path` runs every segment row and every
 pooled row at once; each fit reads its variance at its own order, exact
 because the path is prefix-consistent.  The pass costs a fixed few dozen
-numpy calls plus a few per lag, and the chi-square tail is one table of
-terms (:func:`chi_sq_upper_tail`), not a loop over its steps, or, for at
-most ``TAIL_FLOATS`` boundaries, the same terms added in Python floats.  Each
-boundary's values are bit for bit those of a pass over its two segments
-alone.  Two order policies are supported:
+numpy calls plus a few per lag, and the chi-square tail
+(:func:`chi_sq_upper_tail`) a few numpy calls per step of its recurrence,
+or, for at most ``TAIL_FLOATS`` boundaries, the same terms added in Python
+floats.  Each boundary's values are bit for bit those of a pass over its
+two segments alone.  Two order policies are supported:
 
 * fixed: both segments and the pooled fit use
   ``floor((ln T_min) ** exponent)`` with ``exponent > 1`` (autoregressive
@@ -88,13 +88,8 @@ from .ar import as_series, bic_order, levinson_path
 # Not called here: kept as a module attribute so that perfbench/spans.py TARGETS can wrap it.
 from .ar import bic_select_order  # noqa: F401
 
-# Terms per block of the chi-square tail's table (chi_sq_upper_tail), 1 MB of
-# doubles: one call's peak is a few such blocks, whatever df and the number of
-# boundaries.
-TAIL_VALUES = 2**17
-
 # At most this many values, the tail is summed in Python floats (_tail_floats):
-# below it numpy's per-call cost outweighs the table's arithmetic.
+# below it numpy's per-call cost outweighs the step loop's arithmetic.
 TAIL_FLOATS = 16
 
 # Constant-segment rule (module docstring): S0 at most this times the energy.
@@ -121,9 +116,10 @@ class OrderMode:
     def __post_init__(self):
         if self.kind not in ("fixed", "bic"):
             raise ValueError(f"unknown order mode {self.kind!r}")
-        if not isinstance(self.exponent, numbers.Real):
+        # A bool is a numbers.Integral: True would run as exponent 1.0 or max_order 1.
+        if isinstance(self.exponent, bool) or not isinstance(self.exponent, numbers.Real):
             raise ValueError(f"exponent must be a real number, got {self.exponent!r}")
-        if not isinstance(self.max_order, numbers.Integral):
+        if isinstance(self.max_order, bool) or not isinstance(self.max_order, numbers.Integral):
             raise ValueError(f"max_order must be an integer, got {self.max_order!r}")
         # Plain Python numbers, so the report's to_dict is JSON-ready.
         object.__setattr__(self, "exponent", float(self.exponent))
@@ -373,18 +369,16 @@ def chi_sq_upper_tail(stat, df):
     Closed form by the recurrence Q(1) = erfc(sqrt(x/2)), Q(2) = exp(-x/2),
     Q(k+2) = Q(k) + (x/2)^(k/2) exp(-x/2) / Gamma(k/2 + 1).  Every term is
     positive, so there is no cancellation, in the far tail either.  stat and
-    df may be arrays (broadcast together).  The recurrence is one table: row
-    0 holds each start term, and row k the term of step k where df > k and k
-    has df's parity, else 0; the rows are added down the table in order, so
-    each sum is the recurrence's, bit for bit.  A statistic of 0 goes
-    through the table too: its start term is 1 and each step term exp(-inf)
-    = 0; only inf is left out, with tail 0.  The table is built in blocks
-    of at most ``TAIL_VALUES`` terms, each block's first row the sums so far;
-    a block's terms, running sums, exponents, step gaps and masks peak at
-    about six block-sized arrays.  At most ``TAIL_FLOATS`` values of one
-    shape (a T = 1024 detect tests about 8 boundaries) skip the table: each
-    one's terms are added in step order in Python floats, bit for bit the
-    table's sums.  Returns a float for scalar input, else an array.
+    df may be arrays (broadcast together).  The step loop runs k = 1 ..
+    max(df) - 1 over all values at once, adding to each sum the term of step
+    k where df > k and k has df's parity, else exp(-inf) = 0: each sum is
+    the recurrence's, bit for bit, and the loop holds a few arrays of the
+    values' length, whatever df.  A statistic of 0 goes through the loop
+    too: its start term is 1 and each step term 0; only inf is left out,
+    with tail 0.  At most ``TAIL_FLOATS`` values of one shape (a T = 1024
+    detect tests about 8 boundaries) skip the loop: each one's terms are
+    added in step order in Python floats, bit for bit the loop's sums.
+    Returns a float for scalar input, else an array.
     """
     df = np.asarray(df)
     # A non-finite df fails before % 1, which warns on inf.
@@ -400,37 +394,29 @@ def chi_sq_upper_tail(stat, df):
     tail = np.zeros(stat.shape)  # at stat = inf
     live = stat < math.inf
     half, df = 0.5 * stat[live], df[live]
-    odd = df % 2 == 1
+    parity = df % 2
     q = np.exp(-half)
     # numpy has no erfc: the odd-df start term is math.erfc, element by element.
-    q[odd] = [math.erfc(math.sqrt(v)) for v in half[odd].tolist()]
+    q[parity == 1] = [math.erfc(math.sqrt(v)) for v in half[parity == 1].tolist()]
     with np.errstate(divide="ignore"):  # half is 0 at stat = 0 and 5e-324: its terms are 0
         log_half = np.log(half)
-    top = int(df.max(initial=0))
-    block = max(1, TAIL_VALUES // max(len(q), 1) - 1)  # steps per block
-    for k0 in range(1, top, block):
-        k = np.arange(k0, min(k0 + block, top))[:, None]
-        lgam = np.array([math.lgamma(0.5 * v + 1.0) for v in k.ravel().tolist()])
-        terms = np.empty((len(k) + 1, len(q)))
-        terms[0] = q
-        arg = 0.5 * k * log_half - half - lgam[:, None]
-        gap = df - k
-        arg[(gap <= 0) | (gap % 2 == 1)] = -math.inf  # exp gives 0: no step
-        np.exp(arg, out=terms[1:])
-        q = np.add.accumulate(terms)[-1]  # row after row, as the steps add
+    for k in range(1, int(df.max(initial=0))):
+        step = (df > k) & (parity == k % 2)  # elsewhere exp(-inf) adds 0
+        arg = 0.5 * k * log_half - half - math.lgamma(0.5 * k + 1.0)
+        q = q + np.exp(np.where(step, arg, -math.inf))
     tail[live] = np.minimum(1.0, q)
     return float(tail) if tail.ndim == 0 else tail
 
 
 def _tail_floats(stat: list, df: list) -> list:
     """chi_sq_upper_tail of a few values, the statistics as Python floats and
-    df as ints: the table's terms, each value's added in step order in
-    floats.  The logarithms and the exponentials come from one numpy call
-    each, as in the table: math.exp can differ from numpy's exp in the last
-    bit."""
+    df as ints: the step loop's terms, each value's added in step order in
+    floats.  The logarithms and the exponentials come from numpy, as in the
+    step loop (one call each here): math.exp can differ from numpy's exp in
+    the last bit."""
     half = [0.5 * v for v in stat]
     # Each value's steps k < df of df's parity; none at half = 0 (each term is
-    # exp(-inf) = 0 in the table) or at inf (tail 0).
+    # exp(-inf) = 0 in the step loop) or at inf (tail 0).
     steps = [range(2 - d % 2, d, 2) if 0.0 < h < math.inf else () for h, d in zip(half, df)]
     log_half = iter(np.log([h for h, ks in zip(half, steps) if ks]).tolist())
     lgam = [math.lgamma(0.5 * k + 1.0) for k in range(max(df, default=0))]

@@ -343,7 +343,7 @@ def test_level_shift_does_not_change_detection(model, mode):
 
 
 def test_no_size_constant_changes_a_detect_output(monkeypatch):
-    # The chunk, block, table and float-path sizes tune speed and memory
+    # The chunk, block and float-path sizes tune speed and memory
     # only: under small ones every report is the same, byte for byte.  The
     # T = 65536 series scans in 14 chunks at the default size.  The chunks of
     # models E and F fail the scan's chunk-wide bound; the F series has
@@ -359,7 +359,6 @@ def test_no_size_constant_changes_a_detect_output(monkeypatch):
     assert want[-1].profile.fallback > 0
     monkeypatch.setattr(scan, "CHUNK_VALUES", 2**10)
     monkeypatch.setattr(scan, "BLOCK_VALUES", 2**9)
-    monkeypatch.setattr(sdtest, "TAIL_VALUES", 64)
     monkeypatch.setattr(sdtest, "TAIL_FLOATS", 0)
     monkeypatch.setattr(multtest, "FLOAT_COUNT", 0)
     for got, report in zip(reports(), want):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -382,6 +383,22 @@ class TestScanStatistics:
         x = np.random.default_rng(0).standard_normal(200)
         with pytest.raises(ValueError, match=f"^scan order must be an integer, got {order!r}$"):
             scan_statistics(x, 50, order)
+
+    @pytest.mark.parametrize("h", [0, -3, 50.0, True, np.True_])
+    def test_radius_checked_by_the_scan(self, h):
+        # The scan checks its radius itself, with the config's messages: 0 and
+        # -3 no longer divide by zero or take a log of a negative, 50.0 is not
+        # used as a slice bound, and True does not run as h = 1.
+        x = np.random.default_rng(0).standard_normal(300)
+        if isinstance(h, int) and not isinstance(h, bool):
+            message = "window_radius must be positive"
+        else:
+            message = re.escape(f"window_radius must be an integer, got {h!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            scan_statistics(x, h)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DetectConfig(window_radius=h)
+        assert scan_statistics(x, np.int32(50), 1).radius == 50
 
     @pytest.mark.parametrize("h", [1, 2])
     def test_auto_order_is_zero_below_h_3(self, h):

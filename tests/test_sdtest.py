@@ -12,7 +12,6 @@ from arcpd.ar import DegenerateFitError, bic_select_order, mean_correct
 from arcpd.pipeline import detect_changepoints
 from arcpd.sdtest import (
     TAIL_FLOATS,
-    TAIL_VALUES,
     BoundaryTest,
     DiscriminationResult,
     OrderMode,
@@ -197,6 +196,14 @@ class TestFixedOrder:
         with pytest.raises(ValueError, match="exponent must be > 1"):
             OrderMode.fixed(1.0)
 
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_bool_exponent_or_max_order_rejected(self, flag):
+        # A bool is a numbers.Integral: OrderMode.bic(True) ran with max_order 1.
+        with pytest.raises(ValueError, match=f"^exponent must be a real number, got {flag}$"):
+            OrderMode.fixed(flag)
+        with pytest.raises(ValueError, match=f"^max_order must be an integer, got {flag}$"):
+            OrderMode.bic(flag)
+
     @pytest.mark.parametrize("exponent", [26, 400, 1e308, math.inf])
     def test_huge_exponent_saturates_at_the_cap(self, exponent):
         # floor((ln T_min) ** v) passes int64 at T_min = 1000 and v = 26, and
@@ -269,8 +276,8 @@ class TestChiSqUpperTail:
 
     def test_term_table_matches_the_step_loop_bit_for_bit(self):
         # Every df from 1 to 300, both parities, against statistics from the
-        # smallest subnormal to the far tail: arrays of many boundaries, one
-        # boundary at a time (a one-column table) and broadcast grids.
+        # smallest subnormal to the far tail: the step loop over arrays of
+        # many boundaries, one boundary at a time and broadcast grids.
         finite = np.r_[5e-324, 1e-300, 1e-8, np.geomspace(1.0, 1e4, 25)]
         df = np.arange(1, 301)
         want = chi2_tail_recurrence(*(a.ravel() for a in np.meshgrid(finite, df, indexing="ij")))
@@ -300,9 +307,10 @@ class TestChiSqUpperTail:
     @pytest.mark.parametrize("count", [TAIL_FLOATS - 1, TAIL_FLOATS, TAIL_FLOATS + 1])
     def test_few_values_match_the_table_bit_for_bit(self, count):
         # At most TAIL_FLOATS values are summed in Python floats: the same
-        # bits as their columns in a table of more values, and as the step
-        # loop, on both sides of the size rule.  Statistics from 0 and the
-        # smallest subnormal through the far tail to inf, df 1 to 300.
+        # bits as their entries in the step loop over more values, and as
+        # the reference loop, on both sides of the size rule.  Statistics
+        # from 0 and the smallest subnormal through the far tail to inf, df 1
+        # to 300.
         rng = np.random.default_rng(count)
         for trial in range(60):
             df = rng.integers(1, (3, 15, 40, 301)[trial % 4], size=count)
@@ -313,9 +321,9 @@ class TestChiSqUpperTail:
             stat[kind == 2] = 5e-324
             stat[kind == 3] = 1e-300
             got = chi_sq_upper_tail(stat, df)
-            pad = TAIL_FLOATS + 1  # the table, whatever count is
-            table = chi_sq_upper_tail(np.r_[stat, np.ones(pad)], np.r_[df, np.ones(pad, int)])
-            assert got.shape == (count,) and got.tobytes() == table[:count].tobytes()
+            pad = TAIL_FLOATS + 1  # the step loop, whatever count is
+            loop = chi_sq_upper_tail(np.r_[stat, np.ones(pad)], np.r_[df, np.ones(pad, int)])
+            assert got.shape == (count,) and got.tobytes() == loop[:count].tobytes()
             finite = np.isfinite(stat) & (stat > 0)
             want = chi2_tail_recurrence(stat[finite], df[finite])
             np.testing.assert_array_equal(got[finite], want)
@@ -326,10 +334,10 @@ class TestChiSqUpperTail:
             for s, d, q in zip(stat.tolist(), df.tolist(), got.tolist()):
                 assert chi_sq_upper_tail(s, d) == q
 
-    def test_term_table_is_built_in_bounded_blocks(self):
-        # A whole table of 2000 boundaries with df up to 3000 would hold
-        # 6e6 terms (48 MB); blocks of TAIL_VALUES terms keep the peak at a
-        # few of them.
+    def test_step_loop_memory_is_bounded_by_the_value_count(self):
+        # A whole table of the terms of 2000 boundaries with df up to 3000
+        # would hold 6e6 of them (48 MB); the step loop holds a few arrays of
+        # the 2000 values, whatever df.
         rng = np.random.default_rng(8)
         df = rng.integers(1, 3001, size=2000)
         stat = rng.chisquare(df)
@@ -340,7 +348,7 @@ class TestChiSqUpperTail:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * TAIL_VALUES * 8
+        assert peak < 16 * len(stat) * 8
         np.testing.assert_allclose(got, stats.chi2.sf(stat, df), rtol=1e-9, atol=1e-12)
 
     def test_negative_stat_rejected(self):
