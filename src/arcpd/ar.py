@@ -65,6 +65,12 @@ def as_series(values) -> np.ndarray:
     return x
 
 
+def check_integer(name: str, value) -> None:
+    """Raise ValueError unless value is an int (numpy's too), not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def mean_correct(values) -> np.ndarray:
     """Subtract the arithmetic mean; the result sums to zero up to rounding."""
     x = as_series(values)
@@ -81,6 +87,7 @@ def sample_autocov(values, max_lag: int) -> np.ndarray:
     Levinson-Durbin recursion relies on.
     """
     x = as_series(values)
+    check_integer("max_lag", max_lag)
     n = len(x)
     if not 0 <= max_lag < n:
         raise ValueError(f"max_lag must be in [0, {n - 1}], got {max_lag}")
@@ -106,6 +113,7 @@ def levinson_path(gamma, order: int) -> tuple[np.ndarray, np.ndarray]:
     off its first variance that is not positive and finite.
     """
     g = np.asarray(gamma, dtype=float)
+    check_integer("order", order)
     if not 0 <= order < g.shape[-1]:
         raise ValueError(
             f"need autocovariances to lag {order}, have {g.shape[-1] - 1}"
@@ -170,8 +178,7 @@ def bic_select_order(values, max_order: int) -> int:
     positive and finite.
     """
     x = as_series(values)
-    if not isinstance(max_order, numbers.Integral):
-        raise ValueError(f"max_order must be an integer, got {max_order!r}")
+    check_integer("max_order", max_order)
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     n = len(x)

@@ -23,7 +23,7 @@ import csv
 import os
 from dataclasses import dataclass
 
-from .ar import mean_correct
+from .ar import check_integer, mean_correct
 
 # Not called here: kept as module attributes so that perfbench/spans.py TARGETS can wrap them.
 from .multtest import bh_procedure, bonferroni_procedure  # noqa: F401
@@ -86,6 +86,7 @@ def run_model(
 ) -> dict[str, BenchResult]:
     """Benchmark one model; returns {'bh': BenchResult, 'bonferroni': BenchResult},
     one per correction of pipeline.CORRECTIONS."""
+    check_integer("replicates", replicates)
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     if cfg is None:

@@ -62,8 +62,6 @@ class DetectConfig:
 
     def __post_init__(self):
         check_radius(self.window_radius)
-        if not isinstance(self.scan_order, (numbers.Integral, type(None))):
-            raise ValueError(f"scan_order must be an integer or None, got {self.scan_order!r}")
         if self.scan_order is not None:
             check_order(self.window_radius, self.scan_order)
         if not isinstance(self.order_mode, OrderMode):

@@ -81,13 +81,12 @@ one pass.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .ar import as_series, bic_select_order
+from .ar import as_series, bic_select_order, check_integer
 
 __all__ = [
     "ScanProfile",
@@ -165,16 +164,14 @@ class CandidateSet:
 
 def check_radius(h: int) -> None:
     """Raise ValueError unless h is a positive int (numpy's too), not a bool."""
-    if isinstance(h, bool) or not isinstance(h, numbers.Integral):
-        raise ValueError(f"window_radius must be an integer, got {h!r}")
+    check_integer("window_radius", h)
     if h < 1:
         raise ValueError("window_radius must be positive")
 
 
 def check_order(h: int, order: int) -> None:
     """Raise ValueError unless order is a nonnegative int, not a bool, and h >= 2 * order + 1."""
-    if isinstance(order, (bool, np.bool_)):  # numpy would read it as a mask
-        raise ValueError(f"scan order must be an integer, got {order!r}")
+    check_integer("scan order", order)  # numpy would read a bool as a mask
     if order < 0:
         raise ValueError("scan order must be nonnegative")
     if h < 2 * order + 1:

@@ -17,22 +17,17 @@ of the per-segment autocovariances gx, gy.
 
 :func:`discrimination_test` tests every boundary of a partition in one
 vectorised pass; a pair test is the one-boundary partition.  Each segment
-gets one row of one autocovariance table, so an inner segment is fitted
-once for both of its boundaries.  The table is built lag by lag from one
-buffer that holds each centred segment behind as many zeros as the highest
-lag (at least one), written once through a boolean mask of its sample
-slots: every product that would cross a segment bound is a product with a
-padded zero, so one multiply and one per-segment sum give a whole column
-of lag sums.  Each pooled row, c[j] above, is its two segments' rows of
-sums over T1 + T2, and sits below the segments' rows in one array.  One
-stacked :func:`arcpd.ar.levinson_path` runs every segment row and every
-pooled row at once; each fit reads its variance at its own order, exact
-because the path is prefix-consistent.  The pass costs a fixed few dozen
-numpy calls plus a few per lag, and the chi-square tail
-(:func:`chi_sq_upper_tail`) a few numpy calls per step of its recurrence,
-or, for at most ``TAIL_FLOATS`` boundaries, the same terms added in Python
-floats.  Each boundary's values are bit for bit those of a pass over its
-two segments alone.  Two order policies are supported:
+gets one row of lag sums from :func:`segment_table`, which holds the padded
+layout and the constant-segment rule, so an inner segment is fitted once
+for both of its boundaries.  A segment's autocovariance row is its sums
+over its length, and each pooled row, c[j] above, is its two segments'
+sums over T1 + T2.  One stacked :func:`arcpd.ar.levinson_path` runs every
+segment row and every pooled row at once; each fit reads its variance at
+its own order, exact because the path is prefix-consistent.  The chi-square
+tail (:func:`chi_sq_upper_tail`) costs a few numpy calls per step of its
+recurrence, or, for at most ``TAIL_FLOATS`` boundaries, the same terms
+added in Python floats.  Each boundary's values are bit for bit those of a
+pass over its two segments alone.  Two order policies are supported:
 
 * fixed: both segments and the pooled fit use
   ``floor((ln T_min) ** exponent)`` with ``exponent > 1`` (autoregressive
@@ -53,26 +48,17 @@ in fixed mode, at least min(p1, p2) + 1 in bic mode.
 A boundary is tested only when its first, second and pooled fits are all
 usable: the variance of each at its order is positive and finite.  A
 Levinson path is NaN past its first variance that is not, so that is the
-same as each path stopping above its fit's order.  Otherwise its warning
+same as each path stopping above its fit's order (a constant segment's
+zero row stops at order 0: :func:`segment_table`).  Otherwise its warning
 names the first fit that is not usable, its stop k (the order of its path's
 first variance that is not positive and finite) and the variance v there:
 "{first|second|pooled} segment fit breaks down at order k: residual
 variance v".
 
-A segment whose centred lag-0 sum S0 is at most (8 eps)**2 times its raw
-energy S0 + T * mean**2 (sd / level at most about 8 eps) is constant up to
-rounding, whether or not its mean rounds exactly (a constant segment's
-rounding residue measured below 6 eps**2 of its energy, at levels from
-1e-200 to 1e200 and T up to 2**20).  Its row of the table is set to 0, so
-its fit breaks down at order 0 and its boundaries are untestable.
-
-The pass returns one :class:`BoundaryTests`: a column per field, and notes
-for the flagged boundaries only.  Detect, stage 3, the bench and the report's
-JSON (:meth:`BoundaryTests.dicts`) read the columns.  Iterating over it
-builds one :class:`BoundaryTest` record per boundary, holding the position,
-p-value, statistic and df only: the benchmark's iteration view
-(perfbench/oracle.py, perfbench/workloads.py), which nothing in the package
-reads.
+The pass returns one :class:`BoundaryTests` of columns, which detect, stage
+3, the bench and the report's JSON read.  Its :class:`BoundaryTest` records
+are the benchmark's iteration view (perfbench/oracle.py,
+perfbench/workloads.py), which nothing in the package reads.
 """
 
 from __future__ import annotations
@@ -83,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ar import as_series, bic_order, levinson_path
+from .ar import as_series, bic_order, check_integer, levinson_path
 
 # Not called here: kept as a module attribute so that perfbench/spans.py TARGETS can wrap it.
 from .ar import bic_select_order  # noqa: F401
@@ -92,7 +78,7 @@ from .ar import bic_select_order  # noqa: F401
 # below it numpy's per-call cost outweighs the step loop's arithmetic.
 TAIL_FLOATS = 16
 
-# Constant-segment rule (module docstring): S0 at most this times the energy.
+# Constant-segment rule (segment_table): S0 at most this times the energy.
 CONSTANT_RTOL = (8 * np.finfo(float).eps) ** 2
 
 __all__ = [
@@ -101,6 +87,7 @@ __all__ = [
     "BoundaryTest",
     "BoundaryTests",
     "discrimination_test",
+    "segment_table",
     "chi_sq_upper_tail",
 ]
 
@@ -119,13 +106,14 @@ class OrderMode:
         # A bool is a numbers.Integral: True would run as exponent 1.0 or max_order 1.
         if isinstance(self.exponent, bool) or not isinstance(self.exponent, numbers.Real):
             raise ValueError(f"exponent must be a real number, got {self.exponent!r}")
-        if isinstance(self.max_order, bool) or not isinstance(self.max_order, numbers.Integral):
-            raise ValueError(f"max_order must be an integer, got {self.max_order!r}")
+        check_integer("max_order", self.max_order)
         # Plain Python numbers, so the report's to_dict is JSON-ready.
         object.__setattr__(self, "exponent", float(self.exponent))
         object.__setattr__(self, "max_order", int(self.max_order))
         if self.kind == "fixed" and not self.exponent > 1.0:
             raise ValueError("fixed-order exponent must be > 1")
+        if not math.isfinite(self.exponent):  # the report's JSON holds no inf
+            raise ValueError(f"fixed-order exponent must be finite, got {self.exponent}")
         if self.kind == "bic" and self.max_order < 1:
             raise ValueError("max_order must be >= 1")
 
@@ -215,17 +203,13 @@ def discrimination_test(x, positions, mode: OrderMode | None = None) -> Boundary
     Boundary i splits x[positions[i-1]:positions[i]] from
     x[positions[i]:positions[i+1]] (with x's ends as outer bounds);
     positions must increase strictly inside (0, len(x)).  Each segment is
-    mean-corrected here, so callers may pass a raw series.  Returns a
-    BoundaryTests, a column per field over the boundaries, in order: the
-    partition's bounds, the chi-square upper-tail p-value, the statistic,
-    degrees of freedom, orders and innovation variances of the three fits
-    (accept/reject is left to the caller), whether it was tested, and notes
-    on a capped fixed order or a clamped statistic.  A boundary that cannot
-    be tested (a segment shorter than 3, or a fit that breaks down at or
-    below its order: module docstring) is not tested, has p-value 1 and a
-    warning that says why; nothing is raised per boundary.  Each boundary's
-    test is symmetric in its two segments and invariant to rescaling x.
-    Positions are integers, numpy's of any width too.
+    mean-corrected here, so callers may pass a raw series.  Returns the
+    boundaries' :class:`BoundaryTests`; accept/reject is left to the caller.
+    A boundary that cannot be tested (a segment shorter than 3, or a fit
+    that breaks down at or below its order: module docstring) has p-value 1
+    and a warning that says why; nothing is raised per boundary.  Each
+    boundary's test is symmetric in its two segments and invariant to
+    rescaling x.  Positions are integers, numpy's of any width too.
     """
     if mode is None:
         mode = OrderMode.fixed()
@@ -263,51 +247,18 @@ def discrimination_test(x, positions, mode: OrderMode | None = None) -> Boundary
         lags = np.minimum(mode.max_order, n - 2)  # per segment: its search cap
         width = max(int(lags.max()), 0)
 
-    # Each segment sits behind `pad` zeros in buf, so a lag product that
-    # crosses a segment bound is a product with a zero.  Segment s is
-    # buf[edges[2 s]:edges[2 s + 1]]; the last runs to the end.
-    pad = max(width, 1)
-    layout = np.empty(2 * count, dtype=int)  # pad, n[0], pad, n[1], ...
-    layout[::2] = pad
-    layout[1::2] = n
-    edges = np.cumsum(layout)[:-1]
-    is_sample = np.zeros(2 * count, dtype=bool)
-    is_sample[1::2] = True
-    is_sample = np.repeat(is_sample, layout)
-    mean = np.add.reduceat(x, bounds[:-1]) / n
-    buf = np.zeros(len(x) + pad * count)
-    centred = np.repeat(mean, n)
-    buf[is_sample] = np.subtract(x, centred, out=centred)
-    del centred, is_sample
-    # One table of lag sums, then autocovariances: row s holds segment s's
-    # lags 0..width, and the rows after the segments' hold the pooled fits'.
-    rows = np.empty((2 * count - 1, width + 1))
-    table, pooled = rows[:count], rows[count:]
-    prod = np.empty_like(buf)
-    # Products, energies and pooled sums may overflow: an inf or NaN row's fit
-    # breaks down at order 0, and an overflowing energy decides nothing
-    # (constant segments: module docstring).
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(width + 1):
-            np.multiply(buf[j:], buf[: len(buf) - j], out=prod[j:])
-            table[:, j] = np.add.reduceat(prod, edges)[::2]
-        del buf, prod  # sample-length; the rest of the pass is per segment
-        energy = table[:, 0] + n * mean * mean
-        table[(table[:, 0] <= CONSTANT_RTOL * energy) & (energy < math.inf)] = 0.0
-        np.add(table[:-1], table[1:], out=pooled)
-        pooled /= (n1 + n2)[:, None]
-        table /= n[:, None]
-
-    _, paths = levinson_path(rows, width)
-    path_seg, path_0 = paths[:count], paths[count:]
+    sums = segment_table(x, bounds, width)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN row breaks down
+        pooled = (sums[:-1] + sums[1:]) / (n1 + n2)[:, None]
+    _, paths = levinson_path(np.concatenate([sums / n[:, None], pooled]), width)
     orders = np.arange(width + 1)
     if mode.kind == "bic":
-        seg_order = bic_order(np.where(orders <= lags[:, None], path_seg, np.nan), n)
+        seg_order = bic_order(np.where(orders <= lags[:, None], paths[:count], np.nan), n)
         p1, p2 = seg_order[:-1], seg_order[1:]
         # The pooled search stops at the larger segment order, and at the
         # shorter segment's length - 2 (the cap on the segment lags).
         p0_max = np.minimum(np.maximum(p1, p2), t_min - 2)
-        p0 = bic_order(np.where(orders <= p0_max[:, None], path_0, np.nan), n1 + n2)
+        p0 = bic_order(np.where(orders <= p0_max[:, None], paths[count:], np.nan), n1 + n2)
     else:
         p0 = p1
     # Per boundary, the first, second and pooled fits: their rows of paths,
@@ -352,6 +303,51 @@ def discrimination_test(x, positions, mode: OrderMode | None = None) -> Boundary
                 notes.append(f"statistic {float(stat[i]):.3e} below zero; clamped")
             warnings[i] = "; ".join(notes)
     return BoundaryTests(bounds, p_value, stat, df, fit_orders, sigma2, fitted, warnings)
+
+
+def segment_table(x, bounds, width: int) -> np.ndarray:
+    """Lag sums 0..width of each segment of x about its own mean, shape
+    (count, width + 1): row s is segment x[bounds[s]:bounds[s + 1]], for an
+    integer array of bounds that increases strictly from 0 to len(x).
+
+    One buffer holds each centred segment behind max(width, 1) zeros, so a
+    lag product that would cross a segment bound is a product with a zero,
+    and one multiply and one per-segment sum give each lag's column.  A row
+    is bit for bit that of its segment alone, at the same width.  The sums
+    are not divided by the lengths, so rows can be pooled first.
+
+    A segment whose centred lag-0 sum S0 is at most ``CONSTANT_RTOL`` =
+    (8 eps)**2 times its raw energy S0 + T * mean**2 (sd / level at most
+    about 8 eps) is constant up to rounding, whether or not its mean rounds
+    exactly (a constant segment's rounding residue measured below 6 eps**2
+    of its energy, at levels from 1e-200 to 1e200 and T up to 2**20): its
+    row is 0.  A product or sum that overflows leaves an inf or NaN in its
+    row, and an overflowing energy decides nothing.
+    """
+    n = bounds[1:] - bounds[:-1]
+    count = len(n)
+    pad = max(width, 1)
+    layout = np.empty(2 * count, dtype=int)  # pad, n[0], pad, n[1], ...
+    layout[::2] = pad
+    layout[1::2] = n
+    edges = np.cumsum(layout)[:-1]  # segment s is buf[edges[2 s]:edges[2 s + 1]]
+    is_sample = np.zeros(2 * count, dtype=bool)
+    is_sample[1::2] = True
+    is_sample = np.repeat(is_sample, layout)
+    mean = np.add.reduceat(x, bounds[:-1]) / n
+    buf = np.zeros(len(x) + pad * count)
+    centred = np.repeat(mean, n)
+    buf[is_sample] = np.subtract(x, centred, out=centred)
+    del centred, is_sample  # sample-length, freed before the lag products
+    sums = np.empty((count, width + 1))
+    prod = np.empty_like(buf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(width + 1):
+            np.multiply(buf[j:], buf[: len(buf) - j], out=prod[j:])
+            sums[:, j] = np.add.reduceat(prod, edges)[::2]
+        energy = sums[:, 0] + n * mean * mean
+        sums[(sums[:, 0] <= CONSTANT_RTOL * energy) & (energy < math.inf)] = 0.0
+    return sums
 
 
 def _fixed_order(t: int, exponent: float) -> float:

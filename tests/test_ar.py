@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import mpmath
@@ -625,3 +626,22 @@ class TestBicSelectOrder:
             match=r"every order 0\.\.3: residual variance 0\.0 at order 0$",
         ):
             bic_select_order(np.zeros(8), 3)
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, 2.0, "2"], ids=["True", "np.True_", "2.0", "str"])
+def test_integer_arguments_of_the_kernels(bad):
+    # Each kernel names its argument where numpy raised a TypeError of its
+    # own: a bool is a numbers.Integral, so the rule is scan.check_order's.
+    # numpy integers are integers.
+    x = np.random.default_rng(0).standard_normal(300)
+    g = sample_autocov(x, 4)
+    for call, name in [
+        (lambda v: bic_select_order(x, v), "max_order"),
+        (lambda v: sample_autocov(x, v), "max_lag"),
+        (lambda v: levinson_path(g, v), "order"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(bad))}$"):
+            call(bad)
+    assert bic_select_order(x, np.int64(2)) == bic_select_order(x, 2)
+    assert np.array_equal(sample_autocov(x, np.int32(2)), sample_autocov(x, 2))
+    assert np.array_equal(levinson_path(g, np.int64(2))[1], levinson_path(g, 2)[1])

@@ -218,6 +218,13 @@ class TestDetectCommand:
         assert main(["detect", str(path), *flags]) == 2
         assert "error: series is out of range" in capsys.readouterr().err
 
+    def test_infinite_exponent_is_exit_2_without_out(self, noise_csv, tmp_path, capsys):
+        # The report would hold "fixed_order_exponent": Infinity, which is not JSON.
+        out = tmp_path / "r.json"
+        assert main(["detect", noise_csv, "--v", "inf", "--out", str(out)]) == 2
+        assert "error: fixed-order exponent must be finite, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_flags_are_wired_through(self, noise_csv, capsys):
         code = main(
             ["detect", noise_csv, "-w", "60", "--order-mode", "bic",
@@ -360,6 +367,20 @@ class TestBenchCommand:
     def test_run_model_needs_a_replicate(self):
         with pytest.raises(ValueError, match=r"^replicates must be >= 1$"):
             bench.run_model("B", 0, 0)
+
+    @pytest.mark.parametrize("replicates", [True, 2.0])
+    def test_run_model_replicates_must_be_an_integer(self, replicates):
+        # True ran as one replicate and reached rates.csv as "True"; 2.0
+        # failed inside range().
+        with pytest.raises(ValueError, match=f"^replicates must be an integer, got {replicates}$"):
+            bench.run_model("B", replicates, 0)
+
+    def test_bench_infinite_exponent_exit_2_without_out(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        code = main(["bench", "--model", "B", "--replicates", "2", "--v", "inf", "--out", str(out)])
+        assert code == 2
+        assert "fixed-order exponent must be finite, got inf" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bench_zero_replicates_exit_2_without_out(self, tmp_path, capsys):
         out = tmp_path / "d"

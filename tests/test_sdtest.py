@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 import warnings
@@ -9,7 +10,7 @@ import pytest
 from scipy import stats
 
 from arcpd.ar import DegenerateFitError, bic_select_order, mean_correct
-from arcpd.pipeline import detect_changepoints
+from arcpd.pipeline import DetectConfig, detect_changepoints
 from arcpd.sdtest import (
     TAIL_FLOATS,
     BoundaryTest,
@@ -17,8 +18,15 @@ from arcpd.sdtest import (
     OrderMode,
     chi_sq_upper_tail,
     discrimination_test,
+    segment_table,
 )
-from arcpd.simulate import ArmaSpec, PiecewiseSpec, replicate_seed, simulate_piecewise
+from arcpd.simulate import (
+    ArmaSpec,
+    PiecewiseSpec,
+    builtin_model,
+    replicate_seed,
+    simulate_piecewise,
+)
 
 from pairs import assert_same_tests, fit_orders, pair_test
 
@@ -85,6 +93,12 @@ def dense_bic_order(gamma, n, max_order):
     return bics.index(min(bics))
 
 
+def acov(z, max_lag):
+    """Direct-sum autocovariances of z (divisor T) at lags 0..max_lag, in Python."""
+    n = len(z)
+    return np.array([sum(z[t] * z[t - j] for t in range(j, n)) / n for j in range(max_lag + 1)])
+
+
 def brute_force_discrimination(x, y, mode):
     """Segment-test oracle: direct-sum autocovariances (divisor T), a dense
     Toeplitz solve per fit, and the pooled fit on the sample-size-weighted
@@ -97,11 +111,6 @@ def brute_force_discrimination(x, y, mode):
     yc = np.asarray(y, dtype=float) - np.mean(y)
     n1, n2 = len(xc), len(yc)
     t_min = min(n1, n2)
-
-    def acov(z, max_lag):
-        n = len(z)
-        return np.array([sum(z[t] * z[t - j] for t in range(j, n)) / n for j in range(max_lag + 1)])
-
     if mode.kind == "fixed":
         p1 = p2 = max(1, min(math.floor(math.log(t_min) ** mode.exponent), t_min // 3))
         gx, gy = acov(xc, p1), acov(yc, p2)
@@ -204,11 +213,11 @@ class TestFixedOrder:
         with pytest.raises(ValueError, match=f"^max_order must be an integer, got {flag}$"):
             OrderMode.bic(flag)
 
-    @pytest.mark.parametrize("exponent", [26, 400, 1e308, math.inf])
+    @pytest.mark.parametrize("exponent", [26, 400, 1e308])
     def test_huge_exponent_saturates_at_the_cap(self, exponent):
         # floor((ln T_min) ** v) passes int64 at T_min = 1000 and v = 26, and
-        # overflows a float at v = 1e308 and inf: an order past the cap is the
-        # cap, and the note gives the raw order (inf where a float overflows).
+        # overflows a float at v = 1e308: an order past the cap is the cap,
+        # and the note gives the raw order (inf where a float overflows).
         x = np.random.default_rng(5).standard_normal(2300)
         tests = discrimination_test(x, [1000, 2200], OrderMode.fixed(exponent))
         for i, (lengths, cap) in enumerate([((1000, 1200), 333), ((1200, 100), 33)]):
@@ -218,6 +227,16 @@ class TestFixedOrder:
                 raw = math.inf
             assert fit_orders(tests, i) == (cap, cap, cap)
             assert tests.warnings.get(i) == f"fixed order {raw} capped to {cap} for segment lengths {lengths}"
+
+    def test_infinite_exponent_rejected(self):
+        # The report's JSON would hold it as Infinity, which is not JSON;
+        # nan already fails the > 1 rule.
+        with pytest.raises(ValueError, match="^fixed-order exponent must be finite, got inf$"):
+            OrderMode.fixed(math.inf)
+        with pytest.raises(ValueError, match="^fixed-order exponent must be finite, got inf$"):
+            OrderMode("bic", exponent=math.inf)
+        with pytest.raises(ValueError, match="^fixed-order exponent must be > 1$"):
+            OrderMode.fixed(math.nan)
 
     def test_tiny_segments_rejected(self):
         bt = fixed_pair(2, 100, 1.5)
@@ -576,6 +595,83 @@ def test_null_calibration_small():
 # warning names the side the constant segment is on.
 FIRST_BREAKS_AT_ZERO = "first segment fit breaks down at order 0: residual variance 0.0"
 SECOND_BREAKS_AT_ZERO = "second segment fit breaks down at order 0: residual variance 0.0"
+
+
+class TestSegmentTable:
+    """segment_table: each segment's lag sums about its own mean, one row
+    per segment, read directly."""
+
+    @pytest.mark.parametrize("width", [0, 3, 12])
+    def test_rows_are_the_direct_sums(self, width):
+        # Row s is len(s) times the direct-sum autocovariances of segment s
+        # about its own mean, to rounding of its lag-0 sum.  Lags past a short
+        # segment's length sum nothing, and the constant segment's row is 0.
+        segs = oracle_partition()
+        bounds = np.r_[0, np.cumsum([len(s) for s in segs])]
+        sums = segment_table(np.concatenate(segs), bounds, width)
+        assert sums.shape == (len(segs), width + 1)
+        for row, seg in zip(sums, segs):
+            want = len(seg) * acov(seg - seg.mean(), width)
+            assert np.abs(row - want).max() <= 1e-12 * row[0]
+
+    @pytest.mark.parametrize("value", [1 / 3, 1e6 + 0.1, -2.5e-7])
+    def test_constant_segment_row_is_zero(self, value):
+        # 300 copies of these values centre to tiny residues, not zeros: the
+        # constant rule sets the row to 0.  Its neighbours' rows are, bit for
+        # bit, those of the partition without it.
+        rng = np.random.default_rng(0)
+        a, b, flat = rng.standard_normal(300), rng.standard_normal(300), np.full(300, value)
+        assert (flat - np.add.reduceat(flat, [0]) / 300).any()
+        sums = segment_table(np.r_[a, flat, b], np.array([0, 300, 600, 900]), 5)
+        assert not sums[1].any()
+        without = segment_table(np.r_[a, b], np.array([0, 300, 600]), 5)
+        assert sums[[0, 2]].tobytes() == without.tobytes()
+
+    @pytest.mark.parametrize("width", [0, 3, 12])
+    def test_rows_are_local_to_their_segments(self, width):
+        # At one width, a segment's row over the whole partition is, bit for
+        # bit, its row over that segment alone.
+        segs = oracle_partition()
+        bounds = np.r_[0, np.cumsum([len(s) for s in segs])]
+        x = np.concatenate(segs)
+        sums = segment_table(x, bounds, width)
+        for row, lo, hi in zip(sums, bounds, bounds[1:]):
+            alone = segment_table(x[lo:hi], np.array([0, hi - lo]), width)
+            assert row.tobytes() == alone[0].tobytes()
+
+
+def constant_stretch_series():
+    """300 normals, 300 copies of 0.1 and 300 normals: one
+    default_rng(0).standard_normal(600), split in two."""
+    a, b = np.split(np.random.default_rng(0).standard_normal(600), 2)
+    return np.r_[a, np.full(300, 0.1), b]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        DetectConfig(),
+        DetectConfig(order_mode=OrderMode.bic()),
+        DetectConfig(iterate=True),
+        DetectConfig(order_mode=OrderMode.bic(), iterate=True),
+        DetectConfig(window_radius=3),
+        DetectConfig(order_mode=OrderMode.fixed(1e308)),
+    ],
+    ids=["default", "bic", "iterate", "bic-iterate", "h3", "fixed1e308"],
+)
+@pytest.mark.parametrize("series", ["B", "E", "constant-stretch"])
+def test_reports_are_strict_json(series, cfg):
+    # Untestable boundaries, capped orders and overflowing raw orders reach
+    # the report as JSON numbers, null or text: never Infinity or NaN.
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    if series == "constant-stretch":
+        x = constant_stretch_series()
+    else:
+        x = simulate_piecewise(builtin_model(series), replicate_seed(0, 0))
+    text = json.dumps(detect_changepoints(x, cfg).to_dict())
+    assert json.loads(text, parse_constant=reject)["series_length"] == len(x)
 
 
 def outcomes(tests):
