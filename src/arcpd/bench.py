@@ -86,7 +86,7 @@ def run_model(
 ) -> dict[str, BenchResult]:
     """Benchmark one model; returns {'bh': BenchResult, 'bonferroni': BenchResult},
     one per correction of pipeline.CORRECTIONS."""
-    check_integer("replicates", replicates)
+    replicates = check_integer("replicates", replicates)
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     if cfg is None:

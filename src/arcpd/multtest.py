@@ -4,14 +4,13 @@ Two procedures: Benjamini-Hochberg step-up FDR control and Bonferroni
 adjusted p-values.  Both take p-values in hypothesis order and report
 rejection flags in the same order.
 
-At most ``FLOAT_COUNT`` p-values (a T = 1024 detect tests about 8
-boundaries) are checked and corrected in Python floats, where numpy's
-per-call cost would outweigh the arithmetic; more are checked through numpy,
-and BH corrects them through numpy too.  Bonferroni corrects every size in
-floats: one product and one comparison per p-value, the same IEEE operations
-as numpy's, so its outcome is bit for bit the array form's.  BH's two paths
-make the same comparisons and roundings, so their outcomes are equal bit for
-bit, and the messages of both checks are the same.
+At most ``FLOAT_COUNT`` p-values (:data:`arcpd.ar.FLOAT_COUNT`, which the
+chi-square tail follows too) are checked and corrected in Python floats;
+more are checked through numpy, and BH corrects them through numpy too.
+Bonferroni corrects every size in floats: one product and one comparison
+per p-value, the same IEEE operations as numpy's, so its outcome is bit
+for bit the array form's.  BH's two paths make the same comparisons and
+roundings, so their outcomes and the messages of both checks are the same.
 """
 
 from __future__ import annotations
@@ -21,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MultipleTestOutcome", "bh_procedure", "bonferroni_procedure"]
+from .ar import FLOAT_COUNT
 
-# At most this many p-values, the procedures run on Python floats.
-FLOAT_COUNT = 24
+__all__ = ["MultipleTestOutcome", "bh_procedure", "bonferroni_procedure"]
 
 
 @dataclass(frozen=True)
@@ -38,8 +36,7 @@ class MultipleTestOutcome:
 
 
 def _validated(pvals, alpha: float) -> np.ndarray | list[float]:
-    """The p-values as a 1-D array, or as a list of floats when there are at
-    most FLOAT_COUNT of them."""
+    """The p-values: a list of floats if at most FLOAT_COUNT, else a 1-D array."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     p = np.asarray(pvals, dtype=float)

@@ -61,9 +61,10 @@ class DetectConfig:
     iterate: bool = False
 
     def __post_init__(self):
-        check_radius(self.window_radius)
+        object.__setattr__(self, "window_radius", check_radius(self.window_radius))  # plain ints
         if self.scan_order is not None:
-            check_order(self.window_radius, self.scan_order)
+            order = check_order(self.window_radius, self.scan_order)
+            object.__setattr__(self, "scan_order", order)
         if not isinstance(self.order_mode, OrderMode):
             raise ValueError(f"order_mode must be an OrderMode, got {self.order_mode!r}")
         if not isinstance(self.iterate, (bool, np.bool_)):

@@ -136,7 +136,7 @@ class SeriesTooShortError(ValueError):
     """The series cannot hold a single scanning window."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity: values is an array
 class ScanProfile:
     """Scan values at positions offset, offset+1, ..., offset + len(values) - 1."""
 
@@ -162,28 +162,29 @@ class CandidateSet:
         return len(self.positions)
 
 
-def check_radius(h: int) -> None:
-    """Raise ValueError unless h is a positive int (numpy's too), not a bool."""
-    check_integer("window_radius", h)
+def check_radius(h: int) -> int:
+    """h as a Python int if it is a positive int (numpy's too), not a bool; else ValueError."""
+    h = check_integer("window_radius", h)
     if h < 1:
         raise ValueError("window_radius must be positive")
+    return h
 
 
-def check_order(h: int, order: int) -> None:
-    """Raise ValueError unless order is a nonnegative int, not a bool, and h >= 2 * order + 1."""
-    check_integer("scan order", order)  # numpy would read a bool as a mask
+def check_order(h: int, order: int) -> int:
+    """order as an int if nonnegative, not a bool, and h >= 2 * order + 1; else ValueError."""
+    order = check_integer("scan order", order)  # numpy would read a bool as a mask
     if order < 0:
         raise ValueError("scan order must be nonnegative")
     if h < 2 * order + 1:
         raise ValueError(
             f"window_radius must be at least 2 * scan order + 1 (got h={h}, order={order})"
         )
+    return order
 
 
 def _resolve_order(x: np.ndarray, h: int, order: int | None) -> int:
     if order is not None:
-        check_order(h, order)
-        return order
+        return check_order(h, order)
     cap = min(AUTO_MAX_ORDER, (h - 1) // 2)
     return bic_select_order(x, cap) if cap >= 1 else 0
 
@@ -310,7 +311,7 @@ def scan_statistics(series, h: int, order: int | None = None) -> ScanProfile:
     Raises SeriesTooShortError when T < 2h.  The profile has length
     T - 2h + 1.
     """
-    check_radius(h)
+    h = check_radius(h)
     x = as_series(series)
     n = len(x)
     if n < 2 * h:
@@ -412,7 +413,6 @@ def scan_statistics(series, h: int, order: int | None = None) -> ScanProfile:
             values[k0 + redo] = score(log_sse)
     bad = np.isnan(values)
     values[bad] = 0.0
-    h, p = int(h), int(p)  # from any integer type: the report stays JSON-ready
     return ScanProfile(
         values=values, offset=h, radius=h, order=p, degenerate=int(bad.sum()), fallback=fallback
     )

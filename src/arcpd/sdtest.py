@@ -25,9 +25,9 @@ sums over T1 + T2.  One stacked :func:`arcpd.ar.levinson_path` runs every
 segment row and every pooled row at once; each fit reads its variance at
 its own order, exact because the path is prefix-consistent.  The chi-square
 tail (:func:`chi_sq_upper_tail`) costs a few numpy calls per step of its
-recurrence, or, for at most ``TAIL_FLOATS`` boundaries, the same terms
-added in Python floats.  Each boundary's values are bit for bit those of a
-pass over its two segments alone.  Two order policies are supported:
+recurrence, or, for at most :data:`arcpd.ar.FLOAT_COUNT` boundaries, the
+same terms added in Python floats.  Each boundary's values are bit for bit
+those of a pass over its two segments alone.  Two order policies are supported:
 
 * fixed: both segments and the pooled fit use
   ``floor((ln T_min) ** exponent)`` with ``exponent > 1`` (autoregressive
@@ -69,14 +69,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ar import as_series, bic_order, check_integer, levinson_path
+from .ar import FLOAT_COUNT, as_series, bic_order, check_integer, levinson_path
 
 # Not called here: kept as a module attribute so that perfbench/spans.py TARGETS can wrap it.
 from .ar import bic_select_order  # noqa: F401
-
-# At most this many values, the tail is summed in Python floats (_tail_floats):
-# below it numpy's per-call cost outweighs the step loop's arithmetic.
-TAIL_FLOATS = 16
 
 # Constant-segment rule (segment_table): S0 at most this times the energy.
 CONSTANT_RTOL = (8 * np.finfo(float).eps) ** 2
@@ -106,10 +102,9 @@ class OrderMode:
         # A bool is a numbers.Integral: True would run as exponent 1.0 or max_order 1.
         if isinstance(self.exponent, bool) or not isinstance(self.exponent, numbers.Real):
             raise ValueError(f"exponent must be a real number, got {self.exponent!r}")
-        check_integer("max_order", self.max_order)
         # Plain Python numbers, so the report's to_dict is JSON-ready.
         object.__setattr__(self, "exponent", float(self.exponent))
-        object.__setattr__(self, "max_order", int(self.max_order))
+        object.__setattr__(self, "max_order", check_integer("max_order", self.max_order))
         if self.kind == "fixed" and not self.exponent > 1.0:
             raise ValueError("fixed-order exponent must be > 1")
         if not math.isfinite(self.exponent):  # the report's JSON holds no inf
@@ -215,6 +210,8 @@ def discrimination_test(x, positions, mode: OrderMode | None = None) -> Boundary
         mode = OrderMode.fixed()
     x = as_series(x)
     positions = np.asarray(positions)
+    if positions.ndim != 1:
+        raise ValueError(f"positions must be 1-D, got an array of shape {positions.shape}")
     if positions.size and positions.dtype.kind not in "iu":
         raise ValueError(f"positions must be integers, got {positions.dtype} values")
     bounds = np.concatenate([[0], positions.astype(int), [len(x)]])
@@ -371,19 +368,19 @@ def chi_sq_upper_tail(stat, df):
     the recurrence's, bit for bit, and the loop holds a few arrays of the
     values' length, whatever df.  A statistic of 0 goes through the loop
     too: its start term is 1 and each step term 0; only inf is left out,
-    with tail 0.  At most ``TAIL_FLOATS`` values of one shape (a T = 1024
-    detect tests about 8 boundaries) skip the loop: each one's terms are
+    with tail 0.  At most ``FLOAT_COUNT`` values of one shape
+    (:data:`arcpd.ar.FLOAT_COUNT`) skip the loop: each one's terms are
     added in step order in Python floats, bit for bit the loop's sums.
     Returns a float for scalar input, else an array.
     """
     df = np.asarray(df)
-    # A non-finite df fails before % 1, which warns on inf.
-    if not (np.isfinite(df) & (df >= 1)).all() or (df % 1).any():
+    # A non-finite df fails before % 1, which warns on inf; a bool is not a df.
+    if df.dtype == bool or not (np.isfinite(df) & (df >= 1)).all() or (df % 1).any():
         raise ValueError("df must be a positive integer")
     stat = np.asarray(stat, dtype=float)
     if not (stat >= 0.0).all():
         raise ValueError(f"statistic must be nonnegative, got {stat[~(stat >= 0.0)].flat[0]}")
-    if stat.shape == df.shape and stat.size <= TAIL_FLOATS:
+    if stat.shape == df.shape and stat.size <= FLOAT_COUNT:
         tail = _tail_floats(stat.ravel().tolist(), [int(d) for d in df.ravel().tolist()])
         return tail[0] if stat.ndim == 0 else np.array(tail).reshape(stat.shape)
     stat, df = np.broadcast_arrays(stat, df.astype(int))

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from arcpd import DetectConfig, OrderMode, detect_changepoints, multtest, scan, sdtest
+from arcpd.ar import mean_correct
+from arcpd.bench import run_model
 from arcpd.multtest import bonferroni_procedure
-from arcpd.scan import SeriesTooShortError
+from arcpd.scan import SeriesTooShortError, scan_statistics
 from arcpd.simulate import (
     ArmaSpec,
     PiecewiseSpec,
@@ -230,6 +232,25 @@ class TestDetect:
         assert d["config"]["scan_order"] == 2
         assert d == detect_changepoints(x, DetectConfig(scan_order=2)).to_dict()
 
+    @pytest.mark.parametrize("kind", [np.int8, np.int16, np.uint8])
+    def test_narrow_numpy_integers_run_as_python_ints(self, kind):
+        # Each checked integer is a Python int from its check on: kept as a
+        # narrow numpy integer, the radius and the scan order overflowed in
+        # the scan's arithmetic, and the replicate count in the bench's groups.
+        x = simulate_piecewise(builtin_model("B"), 3)
+        for h, order in ((50, None), (100, None), (50, 3)):
+            cfg = DetectConfig(window_radius=kind(h), scan_order=order and kind(order))
+            assert type(cfg.window_radius) is int and type(cfg.scan_order) is type(order)
+            got = detect_changepoints(x, cfg)
+            want = detect_changepoints(x, DetectConfig(window_radius=h, scan_order=order))
+            assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+            assert got.profile.values.tobytes() == want.profile.values.tobytes()
+        xc = mean_correct(x)
+        got = scan_statistics(xc, kind(50), kind(3))
+        assert got.values.tobytes() == scan_statistics(xc, 50, 3).values.tobytes()
+        got, want = run_model("A:0.4", kind(100), 0), run_model("A:0.4", 100, 0)
+        assert got == want and type(got["bh"].replicates) is int
+
     def test_numpy_order_mode_report_is_json_ready(self):
         x = simulate_piecewise(builtin_model("B"), 0)
         for mode, plain in [
@@ -359,7 +380,8 @@ def test_no_size_constant_changes_a_detect_output(monkeypatch):
     assert want[-1].profile.fallback > 0
     monkeypatch.setattr(scan, "CHUNK_VALUES", 2**10)
     monkeypatch.setattr(scan, "BLOCK_VALUES", 2**9)
-    monkeypatch.setattr(sdtest, "TAIL_FLOATS", 0)
+    # The one float-path size, ar.FLOAT_COUNT, as each stage's module binds it.
+    monkeypatch.setattr(sdtest, "FLOAT_COUNT", 0)
     monkeypatch.setattr(multtest, "FLOAT_COUNT", 0)
     for got, report in zip(reports(), want):
         # Line by line, so that a failure shows the first line that differs.
@@ -502,6 +524,14 @@ class TestColumns:
             if d["orders"] and cfg.order_mode.kind == "fixed":
                 t_min = min(d["left"][1] - d["left"][0], d["right"][1] - d["right"][0]) + 1
                 assert max(d["orders"]) <= t_min // 3
+
+    def test_reports_compare_and_hash_without_raising(self):
+        # A profile holds an array, so it compares and hashes by identity:
+        # two detects of one series are unequal reports, not a ValueError.
+        x = simulate_piecewise(builtin_model("B"), 0)
+        a, b = detect_changepoints(x), detect_changepoints(x)
+        assert a != b and a == a and dataclasses.replace(a) == a
+        assert hash(a.profile) == hash(a.profile) and len({a, b, a}) == 2
 
     def test_report_replace_keeps_its_boundary_tests(self):
         report = detect_changepoints(simulate_piecewise(builtin_model("B"), 0))

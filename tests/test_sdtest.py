@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from arcpd.ar import DegenerateFitError, bic_select_order, mean_correct
+from arcpd.ar import FLOAT_COUNT, DegenerateFitError, bic_select_order, mean_correct
 from arcpd.pipeline import DetectConfig, detect_changepoints
 from arcpd.sdtest import (
-    TAIL_FLOATS,
     BoundaryTest,
     DiscriminationResult,
     OrderMode,
@@ -323,9 +322,9 @@ class TestChiSqUpperTail:
                     chi_sq_upper_tail(s[:c], dc), chi2_tail_recurrence(s[:c], dc)
                 )
 
-    @pytest.mark.parametrize("count", [TAIL_FLOATS - 1, TAIL_FLOATS, TAIL_FLOATS + 1])
+    @pytest.mark.parametrize("count", [FLOAT_COUNT - 1, FLOAT_COUNT, FLOAT_COUNT + 1])
     def test_few_values_match_the_table_bit_for_bit(self, count):
-        # At most TAIL_FLOATS values are summed in Python floats: the same
+        # At most FLOAT_COUNT values are summed in Python floats: the same
         # bits as their entries in the step loop over more values, and as
         # the reference loop, on both sides of the size rule.  Statistics
         # from 0 and the smallest subnormal through the far tail to inf, df 1
@@ -340,7 +339,7 @@ class TestChiSqUpperTail:
             stat[kind == 2] = 5e-324
             stat[kind == 3] = 1e-300
             got = chi_sq_upper_tail(stat, df)
-            pad = TAIL_FLOATS + 1  # the step loop, whatever count is
+            pad = FLOAT_COUNT + 1  # the step loop, whatever count is
             loop = chi_sq_upper_tail(np.r_[stat, np.ones(pad)], np.r_[df, np.ones(pad, int)])
             assert got.shape == (count,) and got.tobytes() == loop[:count].tobytes()
             finite = np.isfinite(stat) & (stat > 0)
@@ -375,9 +374,9 @@ class TestChiSqUpperTail:
             chi_sq_upper_tail(-0.1, 2)
         with pytest.raises(ValueError, match="got -0.1"):
             chi_sq_upper_tail(np.array([1.0, -0.1, np.nan]), 2)
-        # Statistics and df of one shape, on both sides of TAIL_FLOATS: the
+        # Statistics and df of one shape, on both sides of FLOAT_COUNT: the
         # message names the first statistic that is not nonnegative.
-        for count in (1, TAIL_FLOATS, TAIL_FLOATS + 1):
+        for count in (1, FLOAT_COUNT, FLOAT_COUNT + 1):
             for bad, shown in ((-0.1, "-0.1"), (np.nan, "nan")):
                 stat = np.ones(count)
                 stat[-1] = bad
@@ -388,12 +387,13 @@ class TestChiSqUpperTail:
                     chi_sq_upper_tail(stat, np.full(count, 2))
 
     def test_non_integer_df_rejected(self):
-        for df in (0, 2.5, np.array([3, 0]), np.array([2.0, 1.5])):
+        # A bool is not a df: True ran as df 1.
+        for df in (0, 2.5, np.array([3, 0]), np.array([2.0, 1.5]), True, np.True_, [True, True]):
             with pytest.raises(ValueError, match="df must be a positive integer"):
                 chi_sq_upper_tail(1.0, df)
-        # The same on one shape, on both sides of TAIL_FLOATS; df is checked
+        # The same on one shape, on both sides of FLOAT_COUNT; df is checked
         # before the statistics, and an infinite df raises without a warning.
-        for count in (1, TAIL_FLOATS, TAIL_FLOATS + 1):
+        for count in (1, FLOAT_COUNT, FLOAT_COUNT + 1):
             for bad in (0, 2.5, np.nan, np.inf):
                 df = np.full(count, 3.0)
                 df[-1] = bad
@@ -836,6 +836,10 @@ class TestPartition:
                 discrimination_test(x, bad)
         for bad in ([8.0], [100.0], np.array([8.5]), ["8"], [True]):
             with pytest.raises(ValueError, match="positions must be integers"):
+                discrimination_test(x, bad)
+        for bad, shape in (([[8, 12]], r"\(1, 2\)"), (8, r"\(\)")):
+            message = rf"^positions must be 1-D, got an array of shape {shape}$"
+            with pytest.raises(ValueError, match=message):
                 discrimination_test(x, bad)
         # numpy integers of any width are positions
         want = discrimination_test(x, [8])
